@@ -19,8 +19,7 @@ margins (sub-millisecond runs are all scheduler noise) while the large
 tiers are stable, e.g.:
 
     bench_compare.py base.json cur.json --threshold 0.25 \\
-        --margin 'scale-xs/*=1.00' --margin 'scale-s/*=0.60' \\
-        --margin '*par=*=0.40'
+        --margin 'scale-xs/*=1.00' --margin 'scale-s/*=0.60'
 
 Exit codes: 0 no regression, 1 regression(s), 2 usage/input error.
 """

@@ -5,11 +5,11 @@ Usage: strip_timings.py INPUT.json OUTPUT.json
 
 Removes every "timings" object and every "*_ms" key (recursively) and
 rewrites the document with sorted keys, producing a canonical
-timing-free form. Two runs of
-the same analyses are required to agree on this form byte-for-byte no
-matter the `par` lane count, the host's core count, or scheduler
-interleaving — the CI parallel-sweep identity smoke and local A/B
-checks diff the output of this script with `cmp`.
+timing-free form. Two runs of the same analyses are required to agree on
+this form byte-for-byte no matter the `--jobs` count, the host's core
+count, or scheduler interleaving — the CI `--jobs` repeat smoke, the
+server smoke and local A/B checks diff the output of this script with
+`cmp`.
 """
 
 import json

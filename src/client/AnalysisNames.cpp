@@ -6,8 +6,6 @@
 
 #include "client/AnalysisNames.h"
 
-#include <cctype>
-
 using namespace csc;
 
 namespace {
@@ -30,15 +28,6 @@ const AnalysisNameEntry Table[] = {
      "k-call-site sensitivity (param: k, default 2)"},
 };
 
-bool equalsLower(std::string_view A, const char *B) {
-  size_t I = 0;
-  for (; I < A.size() && B[I]; ++I)
-    if (std::tolower(static_cast<unsigned char>(A[I])) !=
-        std::tolower(static_cast<unsigned char>(B[I])))
-      return false;
-  return I == A.size() && B[I] == '\0';
-}
-
 } // namespace
 
 const AnalysisNameEntry *csc::analysisNameTable(size_t &Count) {
@@ -51,19 +40,4 @@ const char *csc::analysisName(AnalysisKind K) {
     if (E.Kind == K)
       return E.Canonical;
   return "?";
-}
-
-bool csc::parseAnalysisKind(std::string_view Name, AnalysisKind &Out) {
-  for (const AnalysisNameEntry &E : Table) {
-    if (equalsLower(Name, E.Canonical)) {
-      Out = E.Kind;
-      return true;
-    }
-    for (const char *A : E.Aliases)
-      if (A && equalsLower(Name, A)) {
-        Out = E.Kind;
-        return true;
-      }
-  }
-  return false;
 }

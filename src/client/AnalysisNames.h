@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The analysis-kind enum of the evaluation and the single kind<->name
-/// table shared by analysisName(), parseAnalysisKind() and the registry's
-/// built-in registrations — so the enum and the strings can never drift.
+/// table shared by analysisName() and the registry's built-in registrations
+/// (canonical names and aliases) — so the enum and the strings can never
+/// drift.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +16,6 @@
 #define CSC_CLIENT_ANALYSISNAMES_H
 
 #include <cstddef>
-#include <string_view>
 
 namespace csc {
 
@@ -37,10 +37,6 @@ const AnalysisNameEntry *analysisNameTable(size_t &Count);
 /// Canonical spec name of a kind ("ci", "csc", "zipper-e", "2obj",
 /// "2type", "2cs").
 const char *analysisName(AnalysisKind K);
-
-/// Parses a canonical name or alias (case-insensitive) back to its kind.
-/// Returns false if \p Name matches no table row.
-bool parseAnalysisKind(std::string_view Name, AnalysisKind &Out);
 
 } // namespace csc
 

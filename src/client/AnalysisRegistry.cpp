@@ -199,21 +199,17 @@ std::vector<std::string> csc::splitSpecList(std::string_view ListText) {
 //===----------------------------------------------------------------------===//
 
 AnalysisRecipe csc::makeKindRecipe(AnalysisKind Kind, unsigned K,
-                                   bool DoopMode,
                                    const ZipperOptions &Zipper,
                                    const CutShortcutOptions &Csc) {
   AnalysisRecipe R;
   R.Name = analysisName(Kind);
   R.Kind = Kind;
-  R.DoopMode = DoopMode;
   switch (Kind) {
   case AnalysisKind::CI:
     break;
   case AnalysisKind::CSC:
     R.UseCsc = true;
     R.Csc = Csc;
-    if (DoopMode)
-      R.Csc.FieldLoad = false; // Datalog cannot express [CutPropLoad].
     break;
   case AnalysisKind::ZipperE:
     R.UseZipper = true;
@@ -267,18 +263,16 @@ AnalysisRegistry::Factory kindFactory(AnalysisKind Kind) {
     ZipperOptions Z;
     CutShortcutOptions C;
     bool SccOn = true; // `scc`: solver cycle elimination, every analysis.
-    unsigned Par = 1;  // `par`: parallel sweep lanes, every analysis.
     switch (Kind) {
     case AnalysisKind::CI: {
-      static const char *Known[] = {"engine", "scc", "par", nullptr};
+      static const char *Known[] = {"engine", "scc", nullptr};
       if (!Spec.checkKnownParams(Known, Error))
         return false;
       break;
     }
     case AnalysisKind::CSC: {
-      static const char *Known[] = {"engine", "scc", "par", "field",
-                                    "load",   "container", "local",
-                                    nullptr};
+      static const char *Known[] = {"engine",    "scc",   "field", "load",
+                                    "container", "local", nullptr};
       if (!Spec.checkKnownParams(Known, Error) ||
           !Spec.paramBool("field", C.FieldStore, Error) ||
           !Spec.paramBool("load", C.FieldLoad, Error) ||
@@ -288,8 +282,8 @@ AnalysisRegistry::Factory kindFactory(AnalysisKind Kind) {
       break;
     }
     case AnalysisKind::ZipperE: {
-      static const char *Known[] = {"engine", "scc", "par", "k",
-                                    "pv",     "cf",  "floor", nullptr};
+      static const char *Known[] = {"engine", "scc",   "k",    "pv",
+                                    "cf",     "floor", nullptr};
       double Floor = -1;
       if (!Spec.checkKnownParams(Known, Error) ||
           !Spec.paramUnsigned("k", K, Error) ||
@@ -304,7 +298,7 @@ AnalysisRegistry::Factory kindFactory(AnalysisKind Kind) {
     case AnalysisKind::TwoObj:
     case AnalysisKind::TwoType:
     case AnalysisKind::TwoCallSite: {
-      static const char *Known[] = {"engine", "scc", "par", "k", nullptr};
+      static const char *Known[] = {"engine", "scc", "k", nullptr};
       if (!Spec.checkKnownParams(Known, Error) ||
           !Spec.paramUnsigned("k", K, Error))
         return false;
@@ -313,19 +307,9 @@ AnalysisRegistry::Factory kindFactory(AnalysisKind Kind) {
     }
     if (!Spec.paramBool("scc", SccOn, Error))
       return false;
-    if (!Spec.paramUnsigned("par", Par, Error))
-      return false;
-    if (Par > 64) {
-      // Oversubscription beyond this is never useful and a typo like
-      // par=1000 should fail loudly rather than spawn a thread herd.
-      Error = "parameter 'par' expects at most 64 lanes, got '" +
-              *Spec.param("par") + "'";
-      return false;
-    }
-    Out = makeKindRecipe(Kind, K, /*DoopMode=*/false, Z, C);
+    Out = makeKindRecipe(Kind, K, Z, C);
     Out.Name = Spec.Text;
     Out.CycleElimination = SccOn;
-    Out.ParallelSweeps = Par;
     return applyEngineParam(Spec, Out, Error);
   };
 }

@@ -88,15 +88,11 @@ std::vector<std::string> splitSpecList(std::string_view ListText);
 /// a selective selector).
 struct AnalysisRecipe {
   std::string Name; ///< Display name (the canonical spec).
-  AnalysisKind Kind = AnalysisKind::CI; ///< Informational/compat tag.
+  AnalysisKind Kind = AnalysisKind::CI; ///< Informational tag.
   bool DoopMode = false; ///< Full re-propagation engine (Table 1).
   /// Online cycle elimination in the solver (spec parameter `scc`,
   /// default on). Engine-level only: results are identical either way.
   bool CycleElimination = true;
-  /// Parallel sweep lanes in the solver (spec parameter `par`, default
-  /// 1 = serial). Engine-level only: results and timing-free reports are
-  /// byte-identical for every value (SolverOptions::ParallelSweeps).
-  unsigned ParallelSweeps = 1;
   bool UseCsc = false;   ///< Attach a CutShortcutPlugin.
   CutShortcutOptions Csc;
   bool UseZipper = false; ///< Run (or reuse) the Zipper-e pre-analysis.
@@ -110,9 +106,9 @@ struct AnalysisRecipe {
 };
 
 /// Builds the canonical recipe for a kind — the single place the
-/// selector/plugin/engine wiring of the evaluated analyses lives. Used by
-/// the built-in factories and the deprecated RunConfig path alike.
-AnalysisRecipe makeKindRecipe(AnalysisKind Kind, unsigned K, bool DoopMode,
+/// selector/plugin wiring of the evaluated analyses lives. Used by the
+/// built-in factories, which apply the `engine` parameter on top.
+AnalysisRecipe makeKindRecipe(AnalysisKind Kind, unsigned K,
                               const ZipperOptions &Zipper,
                               const CutShortcutOptions &Csc);
 

@@ -215,7 +215,6 @@ AnalysisRun AnalysisSession::run(const AnalysisRecipe &Recipe) {
   SolverOptions SOpts;
   SOpts.DeltaPropagation = !Recipe.DoopMode;
   SOpts.CycleElimination = Recipe.CycleElimination;
-  SOpts.ParallelSweeps = Recipe.ParallelSweeps;
   SOpts.WorkBudget = Opts.WorkBudget;
   SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
 

@@ -6,8 +6,7 @@
 ///
 /// \file
 /// The client-facing entry point: a session owns (or borrows) one verified
-/// Program and runs any number of registered analyses over it. Compared to
-/// the deprecated one-shot runAnalysis façade it adds
+/// Program and runs any number of registered analyses over it, with
 ///
 ///  * spec-string dispatch through an AnalysisRegistry ("csc",
 ///    "k-type;k=3", "zipper-e;pv=0.05", ...),
@@ -18,9 +17,10 @@
 ///  * a ResultView query layer over each run's PTAResult.
 ///
 /// Thread-safety: once constructed, a session is safe to share across
-/// threads — the program is immutable, each run() builds its own solver,
-/// and the Zipper pre-analysis cache is internally synchronized (one
-/// computation per key, concurrent requesters block on it). Construction,
+/// threads — the program is immutable (Program has no lazily filled
+/// state, so every const query is a pure read), each run() builds its own
+/// solver, and the Zipper pre-analysis cache is internally synchronized
+/// (one computation per key, concurrent requesters block on it). Construction,
 /// setWorkBudget/setTimeBudgetMs, and destruction are NOT thread-safe and
 /// must not race with runs. The batch executor (client/BatchExecutor.h)
 /// builds on exactly this contract.

@@ -324,7 +324,7 @@ std::string BatchReport::aggregateJson() const {
       continue;
     }
     J.kv("ok", true);
-    // A fully skipped entry (sharded run) never loads its program.
+    // A fully skipped entry (filtered run) never loads its program.
     if (E.ProgramJson.empty())
       J.key("program").raw("null");
     else
@@ -558,27 +558,23 @@ BatchReport BatchExecutor::runImpl(const std::vector<BatchEntry> &Entries,
 
   // Select this process's tasks. Spec tasks are numbered in manifest
   // order (the same numbering in every process over one manifest, which
-  // is what partitions a worker fleet — static shards and ledger task
-  // ids alike); skipped tasks are recorded, and load-only entries are
-  // skipped entirely in shard/filtered mode — a worker has no use for a
-  // load outcome it will not report.
-  unsigned ShardCount = std::max(1u, Opts.ShardCount);
-  unsigned ShardIndex = Opts.ShardIndex % ShardCount;
+  // is what lets ledger task ids partition a worker fleet); skipped tasks
+  // are recorded, and load-only entries are skipped entirely in filtered
+  // mode — a worker has no use for a load outcome it will not report.
   std::vector<std::pair<size_t, size_t>> Tasks;
   std::vector<bool> Attempted(Entries.size(), false);
   size_t Linear = 0;
   for (size_t E = 0; E != Entries.size(); ++E) {
     if (Entries[E].Specs.empty()) {
-      if (ShardCount == 1 && !Only) {
+      if (!Only) {
         Tasks.emplace_back(E, LoadOnly);
         Attempted[E] = true;
       }
       continue;
     }
     for (size_t S = 0; S != Entries[E].Specs.size(); ++S) {
-      bool Mine = Only ? std::find(Only->begin(), Only->end(), Linear) !=
-                             Only->end()
-                       : Linear % ShardCount == ShardIndex;
+      bool Mine = !Only || std::find(Only->begin(), Only->end(), Linear) !=
+                               Only->end();
       ++Linear;
       if (Mine) {
         Tasks.emplace_back(E, S);
@@ -601,7 +597,7 @@ BatchReport BatchExecutor::runImpl(const std::vector<BatchEntry> &Entries,
   }
 
   // Sequence load outcomes (deterministic: slot diags don't depend on
-  // which task loaded the program). Entries this shard never touched
+  // which task loaded the program). Entries this worker never touched
   // keep their default state — all-skipped runs, no load verdict.
   for (size_t I = 0; I != Entries.size(); ++I) {
     if (!Attempted[I])
@@ -714,10 +710,7 @@ int csc::runPullWorker(const std::vector<BatchEntry> &Entries,
     for (size_t S = 0; S != Entries[E].Specs.size(); ++S)
       TaskMap.emplace_back(E, S);
 
-  BatchExecutor::Options EO = ExecOpts;
-  EO.ShardIndex = 0;
-  EO.ShardCount = 1; // pull mode replaces static sharding outright
-  BatchExecutor Ex(EO);
+  BatchExecutor Ex(ExecOpts);
   uint64_t Wid = static_cast<uint64_t>(::getpid());
 
   while (true) {

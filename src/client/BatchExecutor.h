@@ -146,8 +146,8 @@ struct BatchRunResult {
   double WallMs = 0;     ///< This task's wall time (~0 on a cache hit).
   bool FromCache = false; ///< Served by the in-process result cache.
   bool FromStore = false; ///< Served by the persistent result store.
-  /// True when a sharded run (Options::ShardCount > 1) assigned this
-  /// task to another worker: nothing was computed and RunJson is empty.
+  /// True when a filtered run (run() with OnlyTasks) left this task to
+  /// another worker: nothing was computed and RunJson is empty.
   bool Skipped = false;
   std::string RunJson; ///< Deterministic per-run report.
   /// The persistent-store key this result lives under — set when the
@@ -204,12 +204,6 @@ public:
     /// the store before computing, and cacheable computed results are
     /// published back. Shared freely across executors and processes.
     std::shared_ptr<ResultStore> Store;
-    /// Shard selection for multi-process batch splitting: this executor
-    /// runs only the (entry, spec) tasks whose position in manifest
-    /// order satisfies `index % ShardCount == ShardIndex`; the rest are
-    /// marked Skipped. ShardCount <= 1 runs everything (the default).
-    unsigned ShardIndex = 0;
-    unsigned ShardCount = 1;
   };
 
   BatchExecutor() = default;
@@ -225,8 +219,8 @@ public:
 
   /// Runs only the (entry, spec) tasks whose linear position in manifest
   /// order appears in \p OnlyTasks (the numbering countBatchTasks
-  /// describes — the same numbering shard mode uses); everything else is
-  /// marked Skipped. The pull worker's per-lease entry point.
+  /// describes); everything else is marked Skipped. The pull worker's
+  /// per-lease entry point.
   BatchReport run(const std::vector<BatchEntry> &Entries,
                   const std::vector<size_t> &OnlyTasks);
 
@@ -265,8 +259,7 @@ private:
 };
 
 /// The number of linear (entry, spec) tasks a manifest yields — the
-/// task numbering shared by shard mode, run(Entries, OnlyTasks), and
-/// the task ledger.
+/// task numbering shared by run(Entries, OnlyTasks) and the task ledger.
 size_t countBatchTasks(const std::vector<BatchEntry> &Entries);
 
 /// Content fingerprint of a parsed manifest (labels, program identity,

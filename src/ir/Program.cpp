@@ -61,19 +61,7 @@ TypeId Program::typeByName(const std::string &Name) const {
 }
 
 bool Program::isSubtype(TypeId Sub, TypeId Sup) const {
-  if (Sub == Sup)
-    return true;
-  auto Key = std::make_pair(Sub, Sup);
-  auto It = SubtypeCache.find(Key);
-  if (It != SubtypeCache.end())
-    return It->second;
-  bool Result = computeSubtype(Sub, Sup);
-  SubtypeCache.emplace(Key, Result);
-  return Result;
-}
-
-bool Program::computeSubtype(TypeId Sub, TypeId Sup) const {
-  if (Sup == ObjectTy)
+  if (Sub == Sup || Sup == ObjectTy)
     return true;
   const TypeInfo &SubTI = Types[Sub];
   // Covariant arrays: T[] <: S[] iff T <: S.
@@ -140,23 +128,11 @@ uint32_t Program::subsig(const std::string &Name, size_t Arity) {
 }
 
 MethodId Program::dispatch(TypeId T, uint32_t Subsig) const {
-  auto Key = std::make_pair(T, Subsig);
-  auto It = DispatchCache.find(Key);
-  if (It != DispatchCache.end())
-    return It->second;
-  MethodId Result = InvalidId;
-  for (TypeId Cur = T; Cur != InvalidId; Cur = Types[Cur].Super) {
-    for (MethodId M : Types[Cur].Methods) {
-      if (Methods[M].Subsig == Subsig && !Methods[M].IsAbstract) {
-        Result = M;
-        break;
-      }
-    }
-    if (Result != InvalidId)
-      break;
-  }
-  DispatchCache.emplace(Key, Result);
-  return Result;
+  for (TypeId Cur = T; Cur != InvalidId; Cur = Types[Cur].Super)
+    for (MethodId M : Types[Cur].Methods)
+      if (Methods[M].Subsig == Subsig && !Methods[M].IsAbstract)
+        return M;
+  return InvalidId;
 }
 
 MethodId Program::lookupMethod(TypeId T, const std::string &Name,
@@ -226,9 +202,4 @@ std::string Program::methodString(MethodId M) const {
   const MethodInfo &MI = Methods[M];
   return Types[MI.Owner].Name + "." + MI.Name + "/" +
          std::to_string(MI.ParamTypes.size());
-}
-
-void Program::invalidateHierarchyCaches() const {
-  SubtypeCache.clear();
-  DispatchCache.clear();
 }

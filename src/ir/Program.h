@@ -10,13 +10,17 @@
 /// call sites. It also answers the hierarchy queries the analysis needs:
 /// subtyping, virtual dispatch, and field resolution.
 ///
+/// Program has no lazily filled state: every const query computes its
+/// answer from the tables without writing anything, so one Program can be
+/// shared by any number of concurrent analyses. Mutation (parsing, IRBuilder,
+/// a server delta) must not overlap with readers.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSC_IR_PROGRAM_H
 #define CSC_IR_PROGRAM_H
 
 #include "ir/Stmt.h"
-#include "support/Hash.h"
 #include "support/Ids.h"
 #include "support/Interner.h"
 
@@ -143,7 +147,7 @@ public:
   uint32_t subsig(const std::string &Name, size_t Arity);
 
   /// Resolves a virtual call on receiver type \p T: walks the class chain
-  /// for a concrete method with the given subsignature. Memoized.
+  /// for a concrete method with the given subsignature.
   MethodId dispatch(TypeId T, uint32_t Subsig) const;
 
   /// Finds a method by name and arity starting at \p T (used for direct
@@ -203,15 +207,7 @@ public:
   /// Human-readable method signature "Owner.name/arity".
   std::string methodString(MethodId M) const;
 
-  /// Drops the memoized subtype/dispatch answers. Must be called after a
-  /// delta mutates the class hierarchy (new classes, new methods): the
-  /// memos were computed against the pre-delta hierarchy and a cached
-  /// negative dispatch answer could otherwise hide a newly added method.
-  void invalidateHierarchyCaches() const;
-
 private:
-  bool computeSubtype(TypeId Sub, TypeId Sup) const;
-
   std::vector<TypeInfo> Types;
   std::unordered_map<std::string, TypeId> TypeByName;
   std::vector<FieldInfo> Fields;
@@ -223,11 +219,6 @@ private:
   Interner<std::string> Subsigs;
   TypeId ObjectTy = InvalidId;
   MethodId Entry = InvalidId;
-
-  mutable std::unordered_map<std::pair<uint32_t, uint32_t>, bool, PairHash>
-      SubtypeCache;
-  mutable std::unordered_map<std::pair<uint32_t, uint32_t>, MethodId, PairHash>
-      DispatchCache;
 };
 
 } // namespace csc

@@ -11,16 +11,6 @@
 /// heap context) abstract objects. All pointers share one dense PtrId space
 /// so per-pointer solver state is plain array indexing.
 ///
-/// Thread-safety contract (parallel sweeps): interning is NOT thread-safe
-/// and deliberately stays that way — ids must be assigned in discovery
-/// order so runs are deterministic, and a mutex here would sit on the
-/// hottest path of the serial engine. Instead the solver confines every
-/// interning call to its serial phases and freezes the manager (see
-/// setFrozen) while the parallel flow phases run; during a frozen window
-/// the const queries (ptr, csObj, numPtrs, numCSObjs) are safe from any
-/// thread because nothing mutates the tables. Debug builds assert that no
-/// intern path runs while frozen.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSC_PTA_CSMANAGER_H
@@ -30,7 +20,6 @@
 #include "support/Hash.h"
 #include "support/Ids.h"
 
-#include <cassert>
 #include <unordered_map>
 #include <vector>
 
@@ -128,12 +117,6 @@ public:
   uint32_t numPtrs() const { return static_cast<uint32_t>(Ptrs.size()); }
   uint32_t numCSObjs() const { return static_cast<uint32_t>(CSObjs.size()); }
 
-  /// Marks the interning tables immutable (the solver's parallel sweep
-  /// phases) or mutable again (its serial phases). Purely a debug-build
-  /// tripwire: intern paths assert they never run while frozen, i.e. ids
-  /// can never be assigned from a racy context.
-  void setFrozen(bool F) { Frozen = F; }
-
 private:
   using Key = std::pair<uint32_t, uint32_t>;
   using Map = std::unordered_map<Key, PtrId, PairHash>;
@@ -144,7 +127,6 @@ private:
     auto It = M.find(K);
     if (It != M.end())
       return It->second;
-    assert(!Frozen && "interning during a parallel sweep phase");
     PtrId Id = static_cast<PtrId>(Ptrs.size());
     Ptrs.push_back({Kind, A, B});
     M.emplace(K, Id);
@@ -156,7 +138,6 @@ private:
     auto It = CSObjIndex.find(Key);
     if (It != CSObjIndex.end())
       return It->second;
-    assert(!Frozen && "interning during a parallel sweep phase");
     CSObjId Id = static_cast<CSObjId>(CSObjs.size());
     CSObjs.push_back({O, HeapCtx});
     CSObjIndex.emplace(Key, Id);
@@ -174,7 +155,6 @@ private:
   std::vector<PtrId> StaticPtrCI; ///< By FieldId.
   std::vector<CSObjId> CSObjCI;   ///< By ObjId, empty heap context only.
   std::vector<std::vector<std::pair<FieldId, PtrId>>> FieldPtrCache;
-  bool Frozen = false; ///< Debug tripwire; see setFrozen.
 };
 
 } // namespace csc

@@ -10,14 +10,6 @@
 /// CI projection used by clients (#call-edge, #reach-mtd) is maintained
 /// incrementally.
 ///
-/// Thread-safety contract (parallel sweeps): like CSManager, interning and
-/// edge insertion are NOT thread-safe — CSCallSiteId/CSMethodId assignment
-/// in discovery order is part of the determinism story. The solver calls
-/// every mutating method (getCSCallSite, getCSMethod, addEdge,
-/// addReachable) only from its serial phases and freezes the graph (see
-/// setFrozen) across the parallel flow phases, during which the const
-/// queries are safe from any thread. Debug builds assert the contract.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSC_PTA_CALLGRAPH_H
@@ -27,7 +19,6 @@
 #include "support/Hash.h"
 #include "support/Ids.h"
 
-#include <cassert>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -133,17 +124,12 @@ public:
     return static_cast<uint32_t>(CSMethods.size());
   }
 
-  /// Debug tripwire for the solver's parallel sweep phases; mirrors
-  /// CSManager::setFrozen.
-  void setFrozen(bool F) { Frozen = F; }
-
 private:
   CSCallSiteId internCSCallSite(CallSiteId CS, CtxId C) {
     auto Key = std::make_pair(CS, C);
     auto It = CSIndex.find(Key);
     if (It != CSIndex.end())
       return It->second;
-    assert(!Frozen && "interning during a parallel sweep phase");
     CSCallSiteId Id = static_cast<CSCallSiteId>(CSSites.size());
     CSSites.push_back({CS, C});
     Callees.emplace_back();
@@ -156,7 +142,6 @@ private:
     auto It = MIndex.find(Key);
     if (It != MIndex.end())
       return It->second;
-    assert(!Frozen && "interning during a parallel sweep phase");
     CSMethodId Id = static_cast<CSMethodId>(CSMethods.size());
     CSMethods.push_back({M, C});
     Callers.emplace_back();
@@ -181,7 +166,6 @@ private:
   std::unordered_set<MethodId> ReachableCI;
   std::vector<CSMethodId> ReachableList;
   uint64_t NumCSEdges = 0;
-  bool Frozen = false; ///< Debug tripwire; see setFrozen.
 };
 
 } // namespace csc

@@ -45,15 +45,6 @@
 /// performs the semantic part of a collapse itself (see
 /// Solver::collapseClass).
 ///
-/// Parallel sweeps: the collapser is not thread-safe and does not need to
-/// be. Probes fire from addPFGEdge and edges are only added from the
-/// solver's serial phases, so under ParallelSweeps > 1 every detection
-/// and collapse effectively queues to the per-sweep merge barrier: the
-/// parallel phases see a frozen union-find, frozen member tables, and a
-/// frozen topological order (rep(), classSize(), membersOrNull() and
-/// order() are then safe to call from any lane), and mergeClass runs only
-/// between barriers, on the solving thread.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSC_PTA_SCCCOLLAPSER_H

@@ -6,10 +6,7 @@
 
 #include "pta/Solver.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
-#include <array>
 #include <cassert>
 
 using namespace csc;
@@ -573,222 +570,8 @@ void Solver::runFullSccPass() {
     collapseClass(Cycle);
 }
 
-void Solver::forEachBucket(std::size_t NumBuckets,
-                           const std::function<void(std::size_t)> &Fn) {
-  if (NumBuckets <= 1) {
-    Fn(0);
-    return;
-  }
-  for (std::size_t B = 1; B < NumBuckets; ++B)
-    SweepPool->submit([&Fn, B] { Fn(B); });
-  Fn(0); // The solving thread is lane 0; no worker idles waiting on it.
-  SweepPool->wait();
-}
-
-void Solver::runParallelSweep() {
-  // Phase 0 (seal, serial): consume the sealed sweep, dropping stale
-  // entries and clearing InQueue so every representative appears exactly
-  // once. Deduplication is what makes the parallel phases race-free: each
-  // entry owns its Pts/Pending slots exclusively.
-  SweepReps.clear();
-  for (; Cursor != Current.size(); ++Cursor) {
-    PtrId Pr = repOf(Current[Cursor]);
-    if (!InQueue[Pr])
-      continue;
-    InQueue[Pr] = 0;
-    SweepReps.push_back(Pr);
-  }
-  const std::size_t N = SweepReps.size();
-  if (N == 0)
-    return;
-  Stats.WorklistPops += N;
-
-  if (SweepDeltas.size() < N)
-    SweepDeltas.resize(N);
-  if (SweepMembers.size() < N)
-    SweepMembers.resize(N);
-
-  // Contiguous order-preserving slices: the sweep is sorted by topo
-  // order, so a slice is a cache-friendly neighborhood. The layout only
-  // decides which lane computes what — merge order is bucket-major and
-  // set unions are content-canonical, so results are independent of both
-  // the bucket count and thread scheduling.
-  const std::size_t NumBuckets =
-      std::min<std::size_t>(Opts.ParallelSweeps, N);
-  const std::size_t Chunk = (N + NumBuckets - 1) / NumBuckets;
-  if (SweepShards.size() < NumBuckets)
-    SweepShards.resize(NumBuckets);
-
-  // Freeze the interners across the parallel phases: phases 1-2 only
-  // read them, and the debug tripwire proves no mutation sneaks in.
-  CSM.setFrozen(true);
-  CG.setFrozen(true);
-
-  // Phase 1 (parallel): per entry, merge the pending facts into the
-  // class set (delta mode) or snapshot the full set (Doop mode), and
-  // snapshot the member list — phase-4 collapses rewrite the collapser's
-  // tables, and exact once-delivery of this sweep's deltas is argued
-  // against the membership frozen here. Writes are confined to the
-  // entry's own slots; per-bucket counters are folded in bucket order.
-  std::vector<std::array<uint64_t, 2>> BucketWork(NumBuckets, {0, 0});
-  forEachBucket(NumBuckets, [&](std::size_t B) {
-    const std::size_t Begin = B * Chunk;
-    const std::size_t End = std::min(N, Begin + Chunk);
-    uint64_t Ins = 0, Saved = 0;
-    for (std::size_t I = Begin; I < End; ++I) {
-      PtrId Pr = SweepReps[I];
-      PointsToSet &Delta = SweepDeltas[I];
-      Delta.clear();
-      std::vector<PtrId> &Members = SweepMembers[I];
-      Members.clear();
-      if (Scc)
-        if (const std::vector<PtrId> *M = Scc->membersOrNull(Pr))
-          Members = *M;
-      if (Opts.DeltaPropagation) {
-        uint32_t Added = Pts[Pr].unionWith(Pending[Pr], Delta);
-        Pending[Pr].clear();
-        if (Added) {
-          uint32_t Size =
-              Members.empty() ? 1 : static_cast<uint32_t>(Members.size());
-          Ins += static_cast<uint64_t>(Added) * Size;
-          if (Size > 1)
-            Saved += static_cast<uint64_t>(Added) * (Size - 1);
-        }
-      } else if (!Pts[Pr].empty()) {
-        Delta = Pts[Pr]; // Snapshot: phase 3 may grow Pts[Pr] under us.
-      }
-    }
-    BucketWork[B] = {Ins, Saved};
-  });
-  for (const std::array<uint64_t, 2> &W : BucketWork) {
-    Stats.PtsInsertions += W[0];
-    Stats.Scc.PropagationsSaved += W[1];
-  }
-
-  // The class's out-edges are the union of its members' original PFG
-  // out-edges (the collapsed graph is a view; see propagateAlongEdges).
-  auto ForEachOutEdge = [this](std::size_t I, auto &&Fn) {
-    const std::vector<PtrId> &Members = SweepMembers[I];
-    if (Members.empty()) {
-      for (const PFGEdge &E : PFG.succ(SweepReps[I]))
-        Fn(E);
-      return;
-    }
-    for (PtrId M : Members)
-      for (const PFGEdge &E : PFG.succ(M))
-        Fn(E);
-  };
-
-  // Phase 1.5 (serial): pre-build every filter mask the flow phase will
-  // intersect with. filterMask() extends lazily shared tables, so it must
-  // not run concurrently; no object is interned between here and phase 2,
-  // so the masks built now are complete for the whole flow phase.
-  for (std::size_t I = 0; I < N; ++I) {
-    if (SweepDeltas[I].empty())
-      continue;
-    ForEachOutEdge(I, [this](const PFGEdge &E) {
-      if (E.Filter != InvalidId)
-        (void)filterMask(E.Filter);
-    });
-  }
-
-  // Phase 2 (parallel): flow each entry's delta along its class's
-  // out-edges into the bucket's shard. Pts, Pending, the PFG, the
-  // union-find, and the filter masks are all frozen (every mutation of
-  // them lives in the serial phases), so this is a pure computation over
-  // shared read-only state plus thread-confined shard writes.
-  forEachBucket(NumBuckets, [&](std::size_t B) {
-    const std::size_t Begin = B * Chunk;
-    const std::size_t End = std::min(N, Begin + Chunk);
-    SweepShard &Shard = SweepShards[B];
-    Shard.reset();
-    for (std::size_t I = Begin; I < End; ++I) {
-      const PointsToSet &Delta = SweepDeltas[I];
-      if (Delta.empty())
-        continue;
-      PtrId Pr = SweepReps[I];
-      ForEachOutEdge(I, [&, Pr](const PFGEdge &E) {
-        PtrId T = repOf(E.To);
-        if (T == Pr)
-          return; // Intra-class flow diffs to nothing: the set is there.
-        assert(T < Pts.size() && "edge target never interned");
-        // Accumulate (delta ∩ mask) ∖ Pts[T]; the final diff against
-        // Pending happens at the merge barrier.
-        if (E.Filter == InvalidId)
-          Shard.slot(T).unionWithExcluding(Delta, Pts[T]);
-        else
-          Shard.slot(T).unionWithFiltered(Delta, FilterMasks[E.Filter],
-                                          Pts[T]);
-      });
-    }
-  });
-
-  CSM.setFrozen(false);
-  CG.setFrozen(false);
-
-  // Phase 3 (serial merge barrier, bucket order): drain the shards into
-  // Pending (delta mode) or Pts (Doop mode) and mark grown targets
-  // dirty. The per-target totals are unions of per-bucket contributions,
-  // so the resulting Pending/Pts/Next state is identical for any bucket
-  // layout; refillWorklist's total order then canonicalizes Next.
-  for (std::size_t B = 0; B < NumBuckets; ++B) {
-    SweepShard &Shard = SweepShards[B];
-    for (std::size_t K = 0; K < Shard.Order.size(); ++K) {
-      PtrId T = Shard.Order[K];
-      const PointsToSet &Contribution = Shard.Sets[K];
-      if (Opts.DeltaPropagation) {
-        if (Pending[T].unionWithExcluding(Contribution, Pts[T]))
-          markDirty(T);
-      } else {
-        uint32_t Added = Pts[T].unionWith(Contribution);
-        if (Added) {
-          Stats.PtsInsertions +=
-              static_cast<uint64_t>(Added) * classSizeOf(T);
-          markDirty(T);
-        }
-      }
-    }
-  }
-
-  // Phase 4 (serial, sealed order): statement reprocessing and plugin
-  // callbacks per entry, against the phase-1 member snapshot. Everything
-  // that mutates shared structures — interning, PFG edges, call edges,
-  // SCC probes and collapses — happens here, single-threaded, which is
-  // how "collapse requests queue to the barrier" falls out: a probe can
-  // only fire between entries, never under a parallel phase. Delivering
-  // the snapshot members is exact even when an earlier entry's collapse
-  // absorbs a later one: the absorbed class's Pts already contained its
-  // phase-1 delta, so the collapse catch-up excluded it, and members the
-  // class gained received it through that same catch-up.
-  for (std::size_t I = 0; I < N; ++I) {
-    if (Stats.PtsInsertions > Opts.WorkBudget) {
-      Exhausted = true;
-      return;
-    }
-    const PointsToSet &Delta = SweepDeltas[I];
-    if (Delta.empty())
-      continue;
-    const std::vector<PtrId> &Members = SweepMembers[I];
-    if (Members.empty()) {
-      processPointer(SweepReps[I], Delta);
-      continue;
-    }
-    for (PtrId M : Members)
-      processPointer(M, Delta);
-  }
-}
-
 PTAResult Solver::solve() {
   Clock.reset();
-
-  // The sweep pool exists only when asked for: par=1 never constructs a
-  // thread, so the serial engine is untouched down to the instruction
-  // level. The pool size is par-1 because the solving thread itself runs
-  // bucket 0 of every phase (forEachBucket). Deliberately not clamped to
-  // the hardware: par=8 on a 1-core host oversubscribes but computes the
-  // same bytes, which is exactly what the equivalence suite pins.
-  if (Opts.ParallelSweeps > 1 && !SweepPool)
-    SweepPool = std::make_unique<ThreadPool>(Opts.ParallelSweeps - 1);
 
   for (SolverPlugin *Pl : Plugins)
     Pl->onStart(*this);
@@ -936,17 +719,6 @@ void Solver::runFixpointLoop() {
       // probes), which also refreshes the worklist's topological order.
       if (Scc && Scc->fullPassDue(Stats.PtsInsertions))
         runFullSccPass();
-
-      if (SweepPool) {
-        // Parallel engine: the remainder of the sealed sweep is one
-        // bucketed, barrier-merged unit of work; budget checks re-run at
-        // the loop head and between phase-4 entries, both of which are
-        // deterministic program points.
-        runParallelSweep();
-        if (Exhausted)
-          break;
-        continue;
-      }
 
       PtrId Pr = repOf(Current[Cursor++]);
       if (!InQueue[Pr])

@@ -39,15 +39,12 @@
 #include "support/Timer.h"
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 namespace csc {
-
-class ThreadPool;
 
 struct SolverOptions {
   /// Context policy; nullptr means context insensitivity.
@@ -68,18 +65,6 @@ struct SolverOptions {
   uint64_t WorkBudget = ~0ULL;
   /// Optional wall-clock cap in milliseconds (0 = unlimited).
   double TimeBudgetMs = 0.0;
-  /// Number of concurrent lanes per worklist sweep (spec parameter
-  /// `par`). 1 keeps the original serial pop loop — byte-for-byte the
-  /// same engine, zero threading overhead. N > 1 partitions each sealed
-  /// sweep into N contiguous order buckets, runs the pending-merge and
-  /// edge-flow phases of the sweep on a solver-owned thread pool, and
-  /// merges bucket contributions at a per-sweep barrier in bucket order
-  /// before statements and plugins run serially (see runParallelSweep).
-  /// Purely an engine throughput knob: completed results, precision
-  /// metrics, the logical PtsInsertions counter, and the timing-free
-  /// JSON report bytes are identical for every value of N — the same
-  /// determinism bar AnalysisSession::runAll sets for --jobs.
-  unsigned ParallelSweeps = 1;
   /// Optional statement restriction for demand-driven solving (not owned;
   /// must outlive the solver). When set, statement discovery
   /// (addReachable) and points-to-driven statement reprocessing skip any
@@ -110,11 +95,10 @@ public:
 
   /// Warm re-solve after an additive program delta: the Program this
   /// solver borrows has grown (new types/fields/methods/vars/statements
-  /// appended; nothing existing removed or reordered) and the caller has
-  /// invalidated the Program's hierarchy memos. Statements the previous
-  /// run already processed keep their facts — pointer-analysis facts are
-  /// monotone, so the retained fixpoint is a sound lower bound for the
-  /// post-delta program. This seeds the worklist with only the new
+  /// appended; nothing existing removed or reordered). Statements the
+  /// previous run already processed keep their facts — pointer-analysis
+  /// facts are monotone, so the retained fixpoint is a sound lower bound
+  /// for the post-delta program. This seeds the worklist with only the new
   /// statements' effects: new statements of already-reachable methods are
   /// replayed against the current points-to sets, and everything else
   /// (new methods, new call edges) is discovered by the resumed fixpoint.
@@ -253,52 +237,6 @@ private:
   void runFullSccPass();
   /// Moves Next into Current, sorted by (approximate topo order, id).
   void refillWorklist();
-
-  //===--------------------------------------------------------------------===
-  // Parallel sweeps (Opts.ParallelSweeps > 1; see runParallelSweep for the
-  // phase protocol and docs/ARCHITECTURE.md for the determinism argument).
-  //===--------------------------------------------------------------------===
-
-  /// One bucket's outbound contributions from the parallel edge-flow
-  /// phase: target representatives in first-touch order plus the
-  /// accumulated (filtered, pre-diffed) facts per target. Thread-confined
-  /// while its bucket runs; drained serially in bucket order at the
-  /// per-sweep merge barrier, so the merge sequence — and therefore the
-  /// Next worklist and every counter — never depends on thread timing.
-  struct SweepShard {
-    std::vector<PtrId> Order;                   ///< First-touch order.
-    std::unordered_map<PtrId, uint32_t> Index;  ///< Target -> Sets slot.
-    std::vector<PointsToSet> Sets;              ///< Parallel to Order.
-
-    PointsToSet &slot(PtrId T) {
-      auto [It, IsNew] = Index.emplace(T, static_cast<uint32_t>(Order.size()));
-      if (IsNew) {
-        Order.push_back(T);
-        if (Sets.size() < Order.size())
-          Sets.emplace_back();
-        else
-          Sets[Order.size() - 1].clear(); // clear() keeps the buffers.
-      }
-      return Sets[It->second];
-    }
-    void reset() {
-      Order.clear();
-      Index.clear();
-    }
-  };
-
-  /// Consumes the sealed portion of Current as one bucketed sweep.
-  void runParallelSweep();
-  /// Runs \p Fn(BucketIndex) for every bucket: bucket 0 inline on the
-  /// solving thread, the rest on SweepPool, with a barrier before return.
-  void forEachBucket(std::size_t NumBuckets,
-                     const std::function<void(std::size_t)> &Fn);
-
-  std::unique_ptr<ThreadPool> SweepPool; ///< ParallelSweeps - 1 workers.
-  std::vector<PtrId> SweepReps;          ///< Deduped reps of one sweep.
-  std::vector<PointsToSet> SweepDeltas;  ///< Per entry: delta / snapshot.
-  std::vector<std::vector<PtrId>> SweepMembers; ///< Member snapshots.
-  std::vector<SweepShard> SweepShards;   ///< One per bucket.
 
   const Program &P;
   SolverOptions Opts;

@@ -436,11 +436,12 @@ std::string AnalysisServer::handleAddDelta(const JsonValue &Req) {
   uint32_t OldTypes = Prog->numTypes();
   uint32_t OldMethods = Prog->numMethods();
   uint32_t OldStmts = Prog->numStmts();
+  // Requests are served one at a time on this thread, so growing the
+  // shared Program here never overlaps a reader of it.
   Parser LP(*Prog);
   bool Ok = LP.parseSource(*Source, Name) && LP.finalize();
   (void)Ok;
   assert(Ok && "delta passed trial parse but failed on the live program");
-  Prog->invalidateHierarchyCaches();
   Slicer->reindex();
 
   // Monotonicity classification: a new method on a pre-existing class can

@@ -31,7 +31,6 @@ SolverOptions IncrementalSolver::solverOptions() const {
   SolverOptions SOpts;
   SOpts.DeltaPropagation = !Recipe.DoopMode;
   SOpts.CycleElimination = Recipe.CycleElimination;
-  SOpts.ParallelSweeps = Recipe.ParallelSweeps;
   SOpts.WorkBudget = Opts.WorkBudget;
   SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
   SOpts.Selector = Selector;

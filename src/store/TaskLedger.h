@@ -7,9 +7,8 @@
 /// \file
 /// The coordination substrate of fault-tolerant multi-process batches: a
 /// crash-safe on-disk ledger of (entry, spec) tasks that worker
-/// processes *pull* by acquiring time-limited leases, replacing the
-/// static `index % ShardCount` slicing that let one crashed worker
-/// silently forfeit its whole slice.
+/// processes *pull* by acquiring time-limited leases, so a crashed
+/// worker forfeits only the task it held, never a fixed slice.
 ///
 /// The protocol, per task:
 ///

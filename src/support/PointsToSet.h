@@ -19,31 +19,6 @@
 /// diffing) and intersection — which the solver uses to move whole
 /// points-to sets per step instead of materializing per-element copies.
 ///
-/// Concurrency / ownership discipline: a PointsToSet carries no locks and
-/// no atomics; instead the parallel sweep engine (Solver::runParallelSweep)
-/// follows a single-writer-per-set rule that this class's operations are
-/// designed around:
-///
-///  * At most one thread may run a mutating operation (insert, clear, any
-///    unionWith* as the destination) on a given set at a time, and no
-///    other thread may read that set while it does. The solver guarantees
-///    this structurally: every sweep entry is a distinct representative,
-///    so the entry's Pts/Pending slots are touched by exactly one lane.
-///  * Any number of threads may concurrently use the same set as a
-///    *source* operand (contains, forEach, the Other/Mask/Exclude sides
-///    of the bulk operations) while no writer exists — all reads go
-///    through plain loads over the frozen representation, and the sweep's
-///    barrier (ThreadPool::wait) orders them after the writes of the
-///    previous phase.
-///  * Sets are content-canonical: equal contents compare equal however
-///    they were accumulated, so unions are commutative and associative.
-///    This is what lets the sweep merge per-bucket shard contributions in
-///    a fixed bucket order and still be bit-identical for any lane count.
-///
-/// Striped locking was considered and rejected for the concurrent-target
-/// case: it would put a lock acquisition on the hottest serial-engine path
-/// to serve a mode that never actually shares a destination.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSC_SUPPORT_POINTSTOSET_H

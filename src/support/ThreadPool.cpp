@@ -54,8 +54,8 @@ std::function<void()> ThreadPool::takeTask(unsigned Me) {
   // is popped from. Decrementing later (after takeTask returned) left a
   // window where sleeping workers saw a stale Queued > 0, woke, found
   // every deque empty, and spun back to sleep — a busy-wake storm under
-  // repeated submit/wait cycles (the parallel sweep's barrier pattern)
-  // that the ThreadPoolTest stress cases surfaced.
+  // repeated submit/wait cycles that the ThreadPoolTest stress cases
+  // surfaced.
   //
   // Own deque first, newest task (LIFO keeps the working set warm) ...
   {

@@ -36,25 +36,27 @@ TEST(AnalysisNamesTest, EveryKindRoundTrips) {
   ASSERT_EQ(Count, 6u) << "update the table when adding kinds";
   for (size_t I = 0; I != Count; ++I) {
     AnalysisKind K = Table[I].Kind;
-    AnalysisKind Back;
-    ASSERT_TRUE(parseAnalysisKind(analysisName(K), Back))
-        << analysisName(K);
-    EXPECT_EQ(Back, K) << analysisName(K);
+    EXPECT_EQ(AnalysisRegistry::global().resolveName(analysisName(K)),
+              analysisName(K));
+    EXPECT_EQ(buildOrDie(analysisName(K)).Kind, K) << analysisName(K);
   }
 }
 
 TEST(AnalysisNamesTest, AliasesAndCaseFoldResolve) {
-  AnalysisKind K;
-  ASSERT_TRUE(parseAnalysisKind("CSC", K));
-  EXPECT_EQ(K, AnalysisKind::CSC);
-  ASSERT_TRUE(parseAnalysisKind("Zipper", K));
-  EXPECT_EQ(K, AnalysisKind::ZipperE);
-  ASSERT_TRUE(parseAnalysisKind("k-obj", K));
-  EXPECT_EQ(K, AnalysisKind::TwoObj);
-  ASSERT_TRUE(parseAnalysisKind("2CallSite", K));
-  EXPECT_EQ(K, AnalysisKind::TwoCallSite);
-  EXPECT_FALSE(parseAnalysisKind("3obj", K));
-  EXPECT_FALSE(parseAnalysisKind("", K));
+  // Aliases resolve case-insensitively; unknown names pass through
+  // lowered and stay unknown.
+  const AnalysisRegistry &Reg = AnalysisRegistry::global();
+  EXPECT_EQ(Reg.resolveName("CSC"), "csc");
+  EXPECT_EQ(buildOrDie("CSC").Kind, AnalysisKind::CSC);
+  EXPECT_EQ(Reg.resolveName("Zipper"), "zipper-e");
+  EXPECT_EQ(buildOrDie("Zipper").Kind, AnalysisKind::ZipperE);
+  EXPECT_EQ(Reg.resolveName("k-obj"), "2obj");
+  EXPECT_EQ(buildOrDie("k-obj").Kind, AnalysisKind::TwoObj);
+  EXPECT_EQ(Reg.resolveName("2CallSite"), "2cs");
+  EXPECT_EQ(buildOrDie("2CallSite").Kind, AnalysisKind::TwoCallSite);
+  EXPECT_EQ(Reg.resolveName("3obj"), "3obj");
+  EXPECT_FALSE(Reg.known("3obj"));
+  EXPECT_FALSE(Reg.known(""));
 }
 
 TEST(AnalysisNamesTest, EveryCanonicalNameIsRegistered) {
@@ -182,7 +184,7 @@ TEST(RegistryTest, CustomRegistration) {
           [](const AnalysisSpec &Spec, AnalysisRecipe &Out,
              std::string &Error) {
             (void)Error;
-            Out = makeKindRecipe(AnalysisKind::CSC, 2, false, {}, {});
+            Out = makeKindRecipe(AnalysisKind::CSC, 2, {}, {});
             Out.Csc.Container = false;
             Out.Name = Spec.Text;
             return true;
@@ -190,6 +192,9 @@ TEST(RegistryTest, CustomRegistration) {
   Reg.addAlias("lite", "csc-lite");
   EXPECT_TRUE(Reg.known("csc-lite"));
   EXPECT_TRUE(Reg.known("LITE"));
+
+  // A custom alias resolves case-insensitively, like the built-in ones.
+  EXPECT_EQ(Reg.resolveName("LITE"), "csc-lite");
 
   AnalysisRecipe R;
   std::string Error;

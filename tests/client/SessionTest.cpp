@@ -4,14 +4,12 @@
 //
 // Session-level contracts: construction paths and their diagnostics,
 // explicit run statuses, spec errors, progress callbacks, Zipper
-// pre-analysis caching, JSON reports, and the deprecated runAnalysis
-// wrapper staying faithful to the new API.
+// pre-analysis caching, and JSON reports.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
-#include "client/AnalysisRunner.h"
 #include "client/Report.h"
 
 #include <gtest/gtest.h>
@@ -173,30 +171,4 @@ TEST(SessionTest, JsonEscapesControlCharacters) {
   JsonWriter J;
   J.beginObject().kv("k", "a\"b\\c\nd\te\x01").endObject();
   EXPECT_EQ(J.str(), "{\"k\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}");
-}
-
-TEST(SessionTest, DeprecatedRunnerMatchesSession) {
-  auto P = parseOrDie(figure1Source());
-  AnalysisSession S(*P);
-  AnalysisRun New = S.run("csc");
-  ASSERT_TRUE(New.completed());
-
-  RunConfig C;
-  C.Kind = AnalysisKind::CSC;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  RunOutcome Old = runAnalysis(*P, C);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  EXPECT_FALSE(Old.Exhausted);
-  EXPECT_EQ(Old.Metrics.FailCasts, New.Metrics.FailCasts);
-  EXPECT_EQ(Old.Metrics.ReachMethods, New.Metrics.ReachMethods);
-  EXPECT_EQ(Old.Metrics.PolyCalls, New.Metrics.PolyCalls);
-  EXPECT_EQ(Old.Metrics.CallEdges, New.Metrics.CallEdges);
-  EXPECT_EQ(Old.Csc.ShortcutEdges, New.Csc.ShortcutEdges);
-  for (VarId V = 0; V < P->numVars(); ++V)
-    EXPECT_EQ(Old.Result.pt(V).toVector(), New.Result.pt(V).toVector());
 }

@@ -76,10 +76,10 @@ TEST(SpecErrorTest, UnknownAnalysisListsKnownNames) {
 TEST(SpecErrorTest, UnknownParameterListsKnownKeys) {
   EXPECT_EQ(buildError("ci;q=1"),
             "analysis 'ci' does not accept parameter 'q' "
-            "(known: engine scc par)");
+            "(known: engine scc)");
   EXPECT_EQ(buildError("csc;k=2"),
             "analysis 'csc' does not accept parameter 'k' "
-            "(known: engine scc par field load container local)");
+            "(known: engine scc field load container local)");
 }
 
 TEST(SpecErrorTest, MalformedParameterValues) {
@@ -98,16 +98,11 @@ TEST(SpecErrorTest, MalformedParameterValues) {
 }
 
 TEST(SpecErrorTest, MalformedParValues) {
-  // `par` accepts 1..64 on every analysis; anything else fails with a
-  // pinned diagnostic (docs/CLI.md quotes these).
-  EXPECT_EQ(buildError("ci;par=0"),
-            "parameter 'par' expects a positive integer, got '0'");
-  EXPECT_EQ(buildError("csc;par=many"),
-            "parameter 'par' expects a positive integer, got 'many'");
-  EXPECT_EQ(buildError("2obj;par=1000"),
-            "parameter 'par' expects at most 64 lanes, got '1000'");
-  EXPECT_EQ(buildError("csc-doop;par=-2"),
-            "parameter 'par' expects a positive integer, got '-2'");
+  // `par` is not a parameter of any analysis: every value is the
+  // ordinary unknown-parameter error.
+  EXPECT_EQ(buildError("ci;par=4"),
+            "analysis 'ci' does not accept parameter 'par' "
+            "(known: engine scc)");
 }
 
 //===----------------------------------------------------------------------===//

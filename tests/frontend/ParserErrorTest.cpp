@@ -23,6 +23,11 @@ struct ErrorCase {
   const char *ExpectInDiag;
 };
 
+// Without a printer gtest shows the case as its raw pointer bytes, which
+// address-space randomisation changes on every run, and CTest names the
+// discovered test after that text. Printing the name keeps it stable.
+void PrintTo(const ErrorCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 } // namespace

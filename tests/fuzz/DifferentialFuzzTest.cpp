@@ -13,11 +13,10 @@
 //
 //  2. Configuration invariance: ci, csc, and 2obj results must be
 //     byte-identical (timing-free reports) and projection-identical
-//     across every engine knob combination — `par` lanes crossed with
-//     `scc` on/off. The knobs are performance-only by contract; any
-//     divergence is a solver bug, and a randomized program is far more
-//     likely to find the weird topology that triggers it than the
-//     hand-written examples.
+//     with cycle elimination (`scc`) on and off. The knob is
+//     performance-only by contract; any divergence is a solver bug, and
+//     a randomized program is far more likely to find the weird topology
+//     that triggers it than the hand-written examples.
 //
 // Every case derives its workload-generator knobs from the case seed via
 // the deterministic Rng, so the whole suite is reproducible. On failure
@@ -79,7 +78,7 @@ void dumpOffender(uint64_t Seed) {
   std::string Path = "fuzz-offender-seed" + std::to_string(Seed) + ".jir";
   std::ofstream Out(Path);
   Out << "// DifferentialFuzzTest offender, seed " << Seed << "\n"
-      << "// replay: cscpta --analyses ci;par=4 <this file>\n"
+      << "// replay: cscpta --analyses ci;scc=0 <this file>\n"
       << generateWorkload(fuzzConfig(Seed));
   ADD_FAILURE() << "offending workload dumped to " << Path << " (seed "
                 << Seed << ")";
@@ -162,25 +161,19 @@ TEST_P(DifferentialFuzzTest, SoundAndInvariantAcrossEngineKnobs) {
 
   AnalysisSession S(*P);
   for (const char *Spec : {"ci", "csc", "2obj"}) {
-    // Baseline: serial engine, cycle elimination on (the defaults).
-    AnalysisRun Base = S.run(std::string(Spec) + ";scc=1;par=1");
+    // Baseline: cycle elimination on (the default).
+    AnalysisRun Base = S.run(std::string(Spec) + ";scc=1");
     ASSERT_EQ(Base.Status, RunStatus::Completed)
         << Spec << "/seed " << Seed << ": " << Base.Error;
     Base.Name = Spec;
     expectSound(*P, Dyn, Base.Result,
                 std::string(Spec) + "/seed " + std::to_string(Seed));
 
-    // Every engine-knob combination must reproduce it exactly.
-    for (const char *Scc : {"1", "0"})
-      for (const char *Par : {"1", "2", "4"}) {
-        if (Scc[0] == '1' && Par[0] == '1')
-          continue; // The baseline itself.
-        AnalysisRun V =
-            S.run(std::string(Spec) + ";scc=" + Scc + ";par=" + Par);
-        expectInvariant(*P, Base, V,
-                        std::string(Spec) + ";scc=" + Scc + ";par=" + Par +
-                            "/seed " + std::to_string(Seed));
-      }
+    // Turning the engine knob off must reproduce it exactly.
+    AnalysisRun V = S.run(std::string(Spec) + ";scc=0");
+    expectInvariant(*P, Base, V,
+                    std::string(Spec) + ";scc=0/seed " +
+                        std::to_string(Seed));
   }
 
   if (::testing::Test::HasFailure())
@@ -193,23 +186,3 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialFuzzTest,
                          [](const ::testing::TestParamInfo<uint64_t> &Info) {
                            return "seed" + std::to_string(Info.param);
                          });
-
-TEST(DifferentialFuzzDoopTest, DoopEngineInvariantUnderPar) {
-  // The Doop engine crossed with par on one seed: full re-propagation
-  // exercises the sweep's snapshot path (deltas == whole sets), which
-  // the delta-mode sweep never does.
-  const uint64_t Seed = 23;
-  std::vector<std::string> Diags;
-  auto P = buildWorkloadProgram(fuzzConfig(Seed), Diags);
-  ASSERT_NE(P, nullptr);
-  DynamicFacts Dyn = interpretManySeeds(*P, 4);
-  AnalysisSession S(*P);
-  AnalysisRun Base = S.run("csc-doop;par=1");
-  ASSERT_EQ(Base.Status, RunStatus::Completed) << Base.Error;
-  Base.Name = "csc-doop";
-  expectSound(*P, Dyn, Base.Result, "csc-doop/seed23");
-  AnalysisRun V = S.run("csc-doop;par=4");
-  expectInvariant(*P, Base, V, "csc-doop;par=4/seed23");
-  if (::testing::Test::HasFailure())
-    dumpOffender(Seed);
-}

@@ -9,7 +9,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "client/AnalysisNames.h"
 #include "client/AnalysisSession.h"
 #include "interp/Interpreter.h"
 #include "workload/Workload.h"
@@ -24,7 +23,7 @@ namespace {
 
 struct RecallCase {
   uint64_t Seed;
-  AnalysisKind Kind;
+  const char *Spec; ///< A registered analysis spec.
 };
 
 WorkloadConfig smallConfig(uint64_t Seed) {
@@ -59,7 +58,7 @@ TEST_P(RecallPropertyTest, DynamicFactsAreRecalled) {
   ASSERT_GT(Dyn.ReachedMethods.size(), 5u);
 
   AnalysisSession S(*P);
-  AnalysisRun O = S.run(analysisName(Case.Kind));
+  AnalysisRun O = S.run(Case.Spec);
   ASSERT_TRUE(O.completed()) << O.Error;
   const PTAResult &R = O.Result;
 
@@ -103,23 +102,23 @@ TEST_P(RecallPropertyTest, DynamicFactsAreRecalled) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RecallPropertyTest,
     ::testing::Values(
-        RecallCase{101, AnalysisKind::CI},
-        RecallCase{101, AnalysisKind::CSC},
-        RecallCase{101, AnalysisKind::TwoObj},
-        RecallCase{101, AnalysisKind::ZipperE},
-        RecallCase{202, AnalysisKind::CI},
-        RecallCase{202, AnalysisKind::CSC},
-        RecallCase{202, AnalysisKind::TwoObj},
-        RecallCase{202, AnalysisKind::TwoType},
-        RecallCase{303, AnalysisKind::CSC},
-        RecallCase{303, AnalysisKind::TwoCallSite},
-        RecallCase{404, AnalysisKind::CSC},
-        RecallCase{404, AnalysisKind::ZipperE},
-        RecallCase{505, AnalysisKind::CSC},
-        RecallCase{505, AnalysisKind::CI}),
+        RecallCase{101, "ci"},
+        RecallCase{101, "csc"},
+        RecallCase{101, "2obj"},
+        RecallCase{101, "zipper-e"},
+        RecallCase{202, "ci"},
+        RecallCase{202, "csc"},
+        RecallCase{202, "2obj"},
+        RecallCase{202, "2type"},
+        RecallCase{303, "csc"},
+        RecallCase{303, "2cs"},
+        RecallCase{404, "csc"},
+        RecallCase{404, "zipper-e"},
+        RecallCase{505, "csc"},
+        RecallCase{505, "ci"}),
     [](const ::testing::TestParamInfo<RecallCase> &Info) {
-      std::string Name = "seed" + std::to_string(Info.param.Seed) + "_" +
-                         analysisName(Info.param.Kind);
+      std::string Name =
+          "seed" + std::to_string(Info.param.Seed) + "_" + Info.param.Spec;
       for (char &C : Name)
         if (!std::isalnum(static_cast<unsigned char>(C)))
           C = '_';

@@ -299,9 +299,9 @@ class Main {
   EXPECT_TRUE(R.pt(X).contains(OA));
 }
 
-TEST(SolverRegressionTest, SubtypeCacheConsistentUnderLateTypes) {
+TEST(SolverRegressionTest, SubtypingConsistentUnderLateTypes) {
   // Subtype queries interleaved with type creation (arrays are created
-  // lazily by the parser): the memo cache must never return stale data.
+  // lazily by the parser): answers must reflect the types defined so far.
   Program P;
   IRBuilder B(P);
   TypeId A = B.cls("A");

@@ -206,7 +206,6 @@ TEST(DemandSlicerTest, ReindexCoversDeltaStatements) {
   Parser LP(*P);
   ASSERT_TRUE(LP.parseSource(Delta, "<d1>") && LP.finalize())
       << (LP.diagnostics().empty() ? "" : LP.diagnostics().front());
-  P->invalidateHierarchyCaches();
   DS.reindex();
 
   MethodId Main = findMethod(*P, "Main", "main");

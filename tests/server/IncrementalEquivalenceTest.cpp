@@ -10,7 +10,7 @@
 // from-scratch solve of the post-delta program — every points-to
 // projection, the call graph, and the state-determined solver counters,
 // under context-insensitive and context-sensitive specs, with cycle
-// elimination and parallel sweeps both on and off. Pinned on the real
+// elimination on and off. Pinned on the real
 // example programs (scripted delta sequences) and the scale-xs/scale-s
 // workload tiers, plus the forced full re-solve path taken for
 // non-monotone (dispatch-changing) deltas.
@@ -131,7 +131,6 @@ bool applyDelta(Program &P, const std::string &Source,
   for (const std::string &D : LP.diagnostics())
     ADD_FAILURE() << Name << ": " << D;
   EXPECT_TRUE(Ok);
-  P.invalidateHierarchyCaches();
   for (MethodId M = OldMethods; M < P.numMethods(); ++M)
     if (P.method(M).Owner < OldTypes)
       return false;
@@ -196,8 +195,7 @@ std::vector<std::string> specMatrix() {
   std::vector<std::string> Specs;
   for (const char *Name : {"ci", "2obj"})
     for (const char *Scc : {"1", "0"})
-      for (const char *Par : {"1", "4"})
-        Specs.push_back(std::string(Name) + ";scc=" + Scc + ";par=" + Par);
+      Specs.push_back(std::string(Name) + ";scc=" + Scc);
   return Specs;
 }
 
@@ -249,7 +247,7 @@ TEST(IncrementalEquivalenceTest, WarmResumeMatchesFromScratchOnExamples) {
 TEST(IncrementalEquivalenceTest, DeltaSequenceStaysEquivalentAtEveryStep) {
   std::string Base = readExample("figure1.jir");
   ASSERT_FALSE(Base.empty());
-  for (const char *Spec : {"ci;scc=1;par=1", "2obj;scc=0;par=4"}) {
+  for (const char *Spec : {"ci;scc=1", "2obj;scc=0"}) {
     auto WarmP = parseAll({{"figure1.jir", Base}}, /*WithStdlib=*/true);
     ASSERT_NE(WarmP, nullptr);
     AnalysisRecipe R = recipeFor(Spec);
@@ -278,7 +276,7 @@ TEST(IncrementalEquivalenceTest, DeltaSequenceStaysEquivalentAtEveryStep) {
 }
 
 //===----------------------------------------------------------------------===//
-// Workload tiers: warm resume at scale, scc/par on and off
+// Workload tiers: warm resume at scale, scc on and off
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -313,11 +311,11 @@ void expectTierEquivalence(const char *Tier,
 } // namespace
 
 TEST(IncrementalEquivalenceTest, ScaleXsWarmResumeMatchesFromScratch) {
-  expectTierEquivalence("scale-xs", {"ci;scc=1;par=4", "2obj;scc=0;par=1"});
+  expectTierEquivalence("scale-xs", {"ci;scc=1", "2obj;scc=0"});
 }
 
 TEST(IncrementalEquivalenceTest, ScaleSWarmResumeMatchesFromScratch) {
-  expectTierEquivalence("scale-s", {"ci;scc=0;par=4", "2obj;scc=1;par=4"});
+  expectTierEquivalence("scale-s", {"ci;scc=0", "2obj;scc=1"});
 }
 
 //===----------------------------------------------------------------------===//

@@ -100,10 +100,9 @@ TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
 }
 
 TEST(ThreadPoolStressTest, RepeatedWaitResubmitCycles) {
-  // The parallel sweep engine's exact usage pattern: many short
-  // submit-all / wait barriers against one long-lived pool. A lost
-  // wakeup, a stale Queued count, or any reuse bug in the wait protocol
-  // turns one of these iterations into a hang or a missed task.
+  // Many short submit-all / wait barriers against one long-lived pool.
+  // A lost wakeup, a stale Queued count, or any reuse bug in the wait
+  // protocol turns one of these iterations into a hang or a missed task.
   ThreadPool Pool(4);
   std::atomic<int> Count{0};
   for (int Cycle = 0; Cycle != 500; ++Cycle) {

@@ -35,8 +35,6 @@
 //     --workers <n>        distribute the batch over n pull-mode worker
 //                          processes coordinating through a task ledger
 //                          in --store (crash-tolerant; see docs/CLI.md)
-//     --worker-shard <k/N> internal legacy mode: compute only every Nth
-//                          task starting at k (static slicing)
 //     --worker-pull        internal (spawned by --workers): pull task
 //                          leases from the store's ledger until drained
 //     --lease-ttl <ms>     task lease TTL for --workers (default 5000)
@@ -100,7 +98,6 @@ int usage(const char *Prog) {
       "                     across processes; see docs/CLI.md)\n"
       "  --workers <n>      distribute --batch over n pull-mode workers\n"
       "                     coordinating through a task ledger in --store\n"
-      "  --worker-shard k/N internal: compute only static shard k of N\n"
       "  --worker-pull      internal: pull task leases until drained\n"
       "  --lease-ttl <ms>   task lease TTL for --workers (default 5000)\n"
       "  --max-task-attempts <n> quarantine a task after n failed leases\n"
@@ -123,9 +120,6 @@ struct CliOptions {
   std::string BatchManifest;
   std::string StoreDir;
   unsigned Workers = 0;    ///< 0 = no worker fleet.
-  unsigned ShardIndex = 0; ///< --worker-shard k/N.
-  unsigned ShardCount = 1;
-  bool ShardSet = false; ///< --worker-shard given (worker process mode).
   bool WorkerPull = false; ///< --worker-pull (lease-pulling worker).
   uint64_t LeaseTtlMs = 5000;
   unsigned MaxTaskAttempts = 3;
@@ -212,27 +206,6 @@ bool parsePositiveArg(const std::string &Val, const char *Opt,
   return true;
 }
 
-/// Parses a "--worker-shard k/N" selector: 0 <= k < N <= 1024.
-bool parseShardArg(const std::string &Val, unsigned &Index,
-                   unsigned &Count) {
-  size_t Slash = Val.find('/');
-  uint64_t K = 0, N = 0;
-  if (Slash == std::string::npos ||
-      !parseUint64Arg(Val.substr(0, Slash), "--worker-shard", K) ||
-      !parseUint64Arg(Val.substr(Slash + 1), "--worker-shard", N))
-    return false;
-  if (N == 0 || N > 1024 || K >= N) {
-    std::fprintf(stderr,
-                 "error: --worker-shard expects k/N with k < N <= 1024, "
-                 "got '%s'\n",
-                 Val.c_str());
-    return false;
-  }
-  Index = static_cast<unsigned>(K);
-  Count = static_cast<unsigned>(N);
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Persistent result store
 //===----------------------------------------------------------------------===//
@@ -302,8 +275,6 @@ void printBatchHuman(const BatchReport &Report) {
       continue;
     }
     for (const BatchRunResult &R : E.Runs) {
-      if (R.Skipped)
-        continue; // sharded away; the coordinator reports it
       if (R.Status != RunStatus::Completed) {
         std::printf("%-18s %-18s %-16s %10.1f %10s %10s %10s %12s\n",
                     E.Label.c_str(), R.Spec.c_str(),
@@ -364,11 +335,9 @@ int runBatch(const CliOptions &Cli, const char *Argv0) {
   }
 
   std::shared_ptr<ResultStore> Store = openStore(Cli);
-  // --worker-shard / --worker-pull: a spawned worker. It computes its
-  // share, publishes into the store, and stays silent on stdout — the
+  // --worker-pull: a spawned worker. It computes its leased tasks,
+  // publishes into the store, and stays silent on stdout — the
   // coordinator prints the one authoritative report.
-  bool WorkerMode = Cli.ShardSet;
-
   if (Cli.WorkerPull) {
     if (!Store)
       return 2; // nothing to coordinate through; supervisor compensates
@@ -445,15 +414,12 @@ int runBatch(const CliOptions &Cli, const char *Argv0) {
   BO.TimeBudgetMs = Cli.BudgetMs;
   BO.CacheBudgetBytes = Cli.CacheBudget;
   BO.Store = Store;
-  BO.ShardIndex = Cli.ShardIndex;
-  BO.ShardCount = Cli.ShardCount;
   BatchExecutor Exec(BO);
 
   BatchReport Report;
   for (unsigned Pass = 1; Pass <= Cli.Repeat; ++Pass) {
     Report = Exec.run(Entries);
-    if (!WorkerMode || Cli.Verbose)
-      printBatchStats(Report, Pass, Cli.Repeat);
+    printBatchStats(Report, Pass, Cli.Repeat);
   }
 
   // The authoritative report has consumed everything the fleet
@@ -480,8 +446,6 @@ int runBatch(const CliOptions &Cli, const char *Argv0) {
       uint64_t Served = 0, Total = 0;
       for (const BatchEntryResult &E : Report.Entries)
         for (const BatchRunResult &R : E.Runs) {
-          if (R.Skipped)
-            continue;
           ++Total;
           if (R.FromStore)
             ++Served;
@@ -490,9 +454,7 @@ int runBatch(const CliOptions &Cli, const char *Argv0) {
     }
   }
 
-  if (WorkerMode) {
-    // stdout stays silent; stderr already carried any statistics.
-  } else if (Cli.Json) {
+  if (Cli.Json) {
     std::printf("%s\n", Report.aggregateJson().c_str());
   } else {
     printBatchHuman(Report);
@@ -803,11 +765,6 @@ int main(int Argc, char **Argv) {
       if (!takeValue(Argc, Argv, I, "--workers", Val) ||
           !parsePositiveArg(Val, "--workers", Cli.Workers))
         return usage(Argv[0]);
-    } else if (matchesOpt(Argv[I], "--worker-shard")) {
-      if (!takeValue(Argc, Argv, I, "--worker-shard", Val) ||
-          !parseShardArg(Val, Cli.ShardIndex, Cli.ShardCount))
-        return usage(Argv[0]);
-      Cli.ShardSet = true;
     } else if (Arg == "--worker-pull") {
       Cli.WorkerPull = true;
     } else if (matchesOpt(Argv[I], "--lease-ttl")) {
@@ -894,18 +851,15 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(R.Bytes));
     return 0;
   }
-  if ((Cli.Workers > 0 || Cli.ShardSet || Cli.WorkerPull) &&
+  if ((Cli.Workers > 0 || Cli.WorkerPull) &&
       (Cli.BatchManifest.empty() || Cli.StoreDir.empty())) {
     std::fprintf(stderr, "error: %s requires --batch and --store\n",
-                 Cli.Workers > 0      ? "--workers"
-                 : Cli.WorkerPull     ? "--worker-pull"
-                                      : "--worker-shard");
+                 Cli.Workers > 0 ? "--workers" : "--worker-pull");
     return usage(Argv[0]);
   }
-  if ((Cli.Workers > 0 && (Cli.ShardSet || Cli.WorkerPull)) ||
-      (Cli.ShardSet && Cli.WorkerPull)) {
-    std::fprintf(stderr, "error: --workers, --worker-shard, and "
-                         "--worker-pull are mutually exclusive\n");
+  if (Cli.Workers > 0 && Cli.WorkerPull) {
+    std::fprintf(stderr, "error: --workers and --worker-pull are mutually "
+                         "exclusive\n");
     return usage(Argv[0]);
   }
   if (Cli.StoreDir.empty() &&
