@@ -6,7 +6,9 @@
 #      table plus extra AnalysisRegistry registrations) must be
 #      documented in docs/CLI.md,
 #   3. every --flag the cscpta driver accepts must be documented in
-#      docs/CLI.md, and
+#      docs/CLI.md, and every `--flag` row of docs/CLI.md's option tables
+#      must be a flag the driver accepts (a deleted flag cannot stay
+#      documented), and
 #   4. every request op the analysis server dispatches on must be
 #      documented in docs/CLI.md.
 # Usage: scripts/check_docs.sh
@@ -80,6 +82,23 @@ for flag in $flags; do
   if ! grep -qE -- "\`$flag" docs/CLI.md; then
     echo "error: cscpta flag '$flag' is not documented in docs/CLI.md" \
          "(add it as \`$flag\`)"
+    fail=1
+  fi
+done
+
+# ...and every documented option row names a flag the driver accepts.
+documented="$(
+  { grep -oE '^\| `--[a-z-]+' docs/CLI.md | sed -E 's/^\| `//'; } || true
+)"
+if [ -z "$documented" ]; then
+  echo "error: could not extract any option rows from docs/CLI.md" \
+       "(did the table syntax change?)"
+  fail=1
+fi
+for flag in $documented; do
+  if ! grep -qxF -- "$flag" <<< "$flags"; then
+    echo "error: docs/CLI.md documents '$flag' but the cscpta driver" \
+         "does not accept it (remove the row)"
     fail=1
   fi
 done

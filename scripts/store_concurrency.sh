@@ -2,8 +2,8 @@
 # Cross-process contract of the persistent result store: uncoordinated
 # cscpta processes racing one store directory must each emit the
 # storeless aggregate byte for byte, leave only checksum-valid entries
-# behind, serve a warm repeat entirely from the store, and agree with a
-# --workers fleet. Registered with CTest as cscpta_store_concurrency;
+# behind, serve a warm repeat (batch and single run) entirely from the
+# store, and agree with a --workers fleet. Registered with CTest as cscpta_store_concurrency;
 # tests/store/StoreConcurrencyTest.cpp covers the in-process half.
 #
 # Usage: store_concurrency.sh <path-to-cscpta> <examples-dir>
@@ -56,6 +56,11 @@ grep -q ", 0 corrupt" "$TMP/scrub.txt"
   --stats > "$TMP/warm.json" 2> "$TMP/warm.log"
 cmp "$TMP/ref.json" "$TMP/warm.json"
 grep -q "store stats: served 6/6 runs" "$TMP/warm.log"
+
+# A single run shares the batch's entries: one key for every mode.
+"$CSCPTA" "$EXAMPLES/figure1.jir" --analyses ci,csc,2obj \
+  --store "$TMP/store" --stats > /dev/null 2> "$TMP/single.log"
+grep -q "store stats: served 3/3 runs" "$TMP/single.log"
 
 # A worker fleet over a fresh store agrees with everything above, and
 # the pinned fleet stats line classifies every worker's exit cause.

@@ -7,8 +7,6 @@
 #include "client/BatchExecutor.h"
 
 #include "client/Report.h"
-#include "ir/Printer.h"
-#include "store/ResultStore.h"
 #include "support/Hash.h"
 #include "support/JsonParse.h"
 #include "support/ThreadPool.h"
@@ -33,75 +31,24 @@
 using namespace csc;
 
 //===----------------------------------------------------------------------===//
-// Program fingerprint
-//===----------------------------------------------------------------------===//
-
-uint64_t csc::programFingerprint(const Program &P) {
-  // FNV-1a over the printed IR: stable across how the program was built
-  // (files, inline source, IRBuilder) and cheap relative to one solve.
-  std::string Text = printProgram(P);
-  uint64_t H = 1469598103934665603ULL;
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
-//===----------------------------------------------------------------------===//
 // ResultCache
 //===----------------------------------------------------------------------===//
 
-uint64_t ResultCache::entryBytes(const std::string &Key, const Value &V) {
-  // Estimated resident cost: the strings dominate; the constant stands in
-  // for list/map node and bookkeeping overhead.
-  return Key.size() + V.RunJson.size() + V.Error.size() + 64;
-}
-
-void ResultCache::evictOverBudgetLocked() {
-  if (Budget == 0)
-    return;
-  while (Bytes > Budget && !Lru.empty()) {
-    const auto &[Key, V] = Lru.back();
-    Bytes -= entryBytes(Key, V);
-    Index.erase(Key);
-    Lru.pop_back();
-    ++Evictions;
-  }
-}
-
-void ResultCache::setByteBudget(uint64_t BytesIn) {
+bool ResultCache::lookup(const std::string &Key, BatchRunResult &Out) {
   std::lock_guard<std::mutex> G(M);
-  Budget = BytesIn;
-  evictOverBudgetLocked();
-}
-
-uint64_t ResultCache::byteBudget() const {
-  std::lock_guard<std::mutex> G(M);
-  return Budget;
-}
-
-bool ResultCache::lookup(const std::string &Key, Value &Out) {
-  std::lock_guard<std::mutex> G(M);
-  auto It = Index.find(Key);
-  if (It == Index.end()) {
+  auto It = Rows.find(Key);
+  if (It == Rows.end()) {
     ++Misses;
     return false;
   }
   ++Hits;
-  Lru.splice(Lru.begin(), Lru, It->second); // refresh recency
-  Out = It->second->second;
+  Out = It->second;
   return true;
 }
 
-void ResultCache::store(const std::string &Key, Value V) {
+void ResultCache::store(const std::string &Key, const BatchRunResult &Row) {
   std::lock_guard<std::mutex> G(M);
-  if (Index.count(Key))
-    return; // first writer wins on a race
-  Bytes += entryBytes(Key, V);
-  Lru.emplace_front(Key, std::move(V));
-  Index.emplace(Key, Lru.begin());
-  evictOverBudgetLocked();
+  Rows.emplace(Key, Row); // first writer wins on a race
 }
 
 uint64_t ResultCache::hits() const {
@@ -114,27 +61,9 @@ uint64_t ResultCache::misses() const {
   return Misses;
 }
 
-uint64_t ResultCache::evictions() const {
-  std::lock_guard<std::mutex> G(M);
-  return Evictions;
-}
-
-uint64_t ResultCache::bytesUsed() const {
-  std::lock_guard<std::mutex> G(M);
-  return Bytes;
-}
-
 size_t ResultCache::size() const {
   std::lock_guard<std::mutex> G(M);
-  return Lru.size();
-}
-
-void ResultCache::clear() {
-  std::lock_guard<std::mutex> G(M);
-  Lru.clear();
-  Index.clear();
-  Bytes = 0;
-  Hits = Misses = Evictions = 0;
+  return Rows.size();
 }
 
 //===----------------------------------------------------------------------===//
@@ -394,9 +323,7 @@ void BatchExecutor::loadSlot(ProgramSlot &Slot, const BatchEntry &E) {
   }
   if (!Slot.S)
     return;
-  Slot.Fingerprint = programFingerprint(Slot.S->program());
-  if (Opts.Store)
-    Slot.RegistryFp = registryFingerprint(Slot.S->registry());
+  Slot.Keys.emplace(*Slot.S);
   JsonWriter J;
   appendProgramSummaryJson(J, Slot.S->program());
   Slot.ProgramJson = J.take();
@@ -404,107 +331,40 @@ void BatchExecutor::loadSlot(ProgramSlot &Slot, const BatchEntry &E) {
 
 void BatchExecutor::runSpec(ProgramSlot &Slot, const std::string &Spec,
                             BatchRunResult &Out) {
+  // The one reuse path: the in-process cache, then the persistent store
+  // (a hit also fills the cache, so repeats stay off the disk), then
+  // compute and publish. An unparsable spec skips both lookups; the
+  // session turns it into a SpecError run with the same diagnostic.
   Timer T;
+  const ResultKeys &Keys = *Slot.Keys;
+  ResultKey K;
+  bool Keyed = Keys.key(Spec, K);
+  StoredResult SR;
+  if (Keyed && Cache.lookup(K.Key, Out)) {
+    Out.FromCache = true;
+  } else if (Keyed && Opts.Store && Opts.Store->lookup(K.Key, SR)) {
+    Out.Status = SR.Status;
+    Out.Error = std::move(SR.Error);
+    Out.Metrics = SR.Metrics;
+    Out.RunJson = std::move(SR.RunJson);
+    Out.StoreKey = K.Key;
+    Cache.store(K.Key, Out);
+    Out.FromStore = true;
+  } else {
+    AnalysisRun R = Slot.S->run(Spec);
+    Out.Status = R.Status;
+    Out.Error = R.Error;
+    Out.Metrics = R.Metrics;
+    bool Published = false;
+    Out.RunJson = Keys.publish(Opts.Store.get(), K, R, &Published);
+    if (Published)
+      Out.StoreKey = K.Key;
+    if (Keyed && Keys.reusable(R))
+      Cache.store(K.Key, Out);
+  }
   Out.Spec = Spec;
-  // Canonicalize for the cache key, resolving registry aliases so
-  // "k-type;k=3" and "2type;k=3" share one key (and one report name).
-  AnalysisSpec Parsed;
-  std::string CanonError;
-  bool HaveCanon = parseAnalysisSpec(Spec, Parsed, CanonError);
-  if (HaveCanon) {
-    Parsed.Name = Slot.S->registry().resolveName(Parsed.Name);
-    Out.Canonical = canonicalSpec(Parsed);
-  }
-
-  std::string Key;
-  ResultCache::Value V;
-  if (HaveCanon) {
-    // The key must cover everything the result depends on: program
-    // content, canonical spec, the budgets of the session that runs it
-    // (pre-built sessions may carry budgets differing from the
-    // executor's), and the registry resolving the spec (a custom
-    // Options::Registry may bind the same name to a different recipe;
-    // its address identifies it within this process) — otherwise
-    // entries differing in any of these could cross-serve results.
-    const AnalysisSession::Options &SO = Slot.S->options();
-    char Cfg[96];
-    std::snprintf(Cfg, sizeof(Cfg), "|w%llu|t%.17g|r%p|",
-                  static_cast<unsigned long long>(SO.WorkBudget),
-                  SO.TimeBudgetMs,
-                  static_cast<const void *>(&Slot.S->registry()));
-    Key = std::to_string(Slot.Fingerprint) + Cfg + Out.Canonical;
-    if (Cache.lookup(Key, V)) {
-      Out.FromCache = true;
-      Out.Status = V.Status;
-      Out.Error = V.Error;
-      Out.Metrics = V.Metrics;
-      Out.RunJson = V.RunJson;
-      Out.WallMs = T.elapsedMs();
-      return;
-    }
-  }
-
-  // L1 miss: consult the persistent store before solving. A hit also
-  // populates the in-process cache so repeats stay off the disk.
-  std::string SKey;
-  if (HaveCanon && Opts.Store) {
-    const AnalysisSession::Options &SO = Slot.S->options();
-    SKey = resultStoreKey(Slot.Fingerprint, SO.WorkBudget, SO.TimeBudgetMs,
-                          Slot.RegistryFp, Out.Canonical);
-    StoredResult SR;
-    if (Opts.Store->lookup(SKey, SR)) {
-      Out.FromStore = true;
-      Out.StoreKey = SKey;
-      Out.Status = SR.Status;
-      Out.Error = SR.Error;
-      Out.Metrics = SR.Metrics;
-      Out.RunJson = SR.RunJson;
-      Out.WallMs = T.elapsedMs();
-      V.Status = SR.Status;
-      V.Error = SR.Error;
-      V.Metrics = SR.Metrics;
-      V.RunJson = SR.RunJson;
-      Cache.store(Key, std::move(V));
-      return;
-    }
-  }
-
-  // Miss (or an unparsable spec, which the session turns into a
-  // SpecError run with the same diagnostic): compute, then publish.
-  AnalysisRun R = Slot.S->run(Spec);
-  // Serialize under the canonical name so the report is independent of
-  // which spelling computed first — required for byte-identical
-  // aggregates when duplicate work races under --jobs.
-  if (HaveCanon)
-    R.Name = Out.Canonical;
-  Out.Status = R.Status;
-  Out.Error = R.Error;
-  Out.Metrics = R.Metrics;
-  {
-    JsonWriter J;
-    appendRunJson(J, R, /*IncludeTimings=*/false);
-    Out.RunJson = J.take();
-  }
+  Out.Canonical = K.Canonical;
   Out.WallMs = T.elapsedMs();
-  // Wall-clock exhaustion is nondeterministic (a transiently loaded
-  // machine can time out a run that would normally complete); caching it
-  // would poison every later identical request in the process. Work
-  // -budget exhaustion (TimeBudgetMs == 0) is exact and safe to cache.
-  bool CacheableOutcome = R.Status != RunStatus::BudgetExhausted ||
-                          Slot.S->options().TimeBudgetMs == 0;
-  if (HaveCanon && CacheableOutcome) {
-    V.Status = R.Status;
-    V.Error = R.Error;
-    V.Metrics = R.Metrics;
-    V.RunJson = Out.RunJson;
-    Cache.store(Key, std::move(V));
-    // Publish to the persistent store under the same cacheability rule,
-    // except spec errors: they carry no result and cost nothing to
-    // rediagnose, so the store keeps only completed analyses.
-    if (Opts.Store && !SKey.empty() && R.Status != RunStatus::SpecError &&
-        Opts.Store->publish(SKey, storedFromRun(R, Out.RunJson)))
-      Out.StoreKey = SKey;
-  }
 }
 
 BatchReport BatchExecutor::run(const std::vector<BatchEntry> &Entries) {

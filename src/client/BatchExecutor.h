@@ -12,10 +12,12 @@
 ///    loaded once (compute-once under contention) and shared by every
 ///    spec task over it, including the session's internally synchronized
 ///    Zipper pre-analysis cache, and
-///  * an in-process ResultCache keyed by (program content fingerprint,
-///    canonicalized spec) — a repeated (program, spec) pair anywhere in
-///    the batch, or across run() calls on one executor, reuses the
-///    serialized result instead of re-solving.
+///  * an in-process ResultCache keyed by the one result key
+///    (store/ResultStore.h: program content, canonical spec, budgets,
+///    registry) — a repeated (program, spec) pair anywhere in the batch,
+///    or across run() calls on one executor, reuses the serialized result
+///    instead of re-solving. With Options::Store the same key then
+///    consults the persistent store before computing.
 ///
 /// Results are written into pre-assigned slots and sequenced after the
 /// pool drains, and the per-run JSON is timing-free, so the aggregate
@@ -35,83 +37,18 @@
 #define CSC_CLIENT_BATCHEXECUTOR_H
 
 #include "client/AnalysisSession.h"
+#include "store/ResultStore.h"
 #include "store/TaskLedger.h"
 
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace csc {
-
-class ResultStore;
-
-/// 64-bit FNV-1a hash over the printed program — the program half of the
-/// result-cache key. Two programs with identical IR content (regardless
-/// of how they were built: files, inline source, IRBuilder) fingerprint
-/// identically.
-uint64_t programFingerprint(const Program &P);
-
-/// Thread-safe in-process cache of completed analysis results. Values
-/// carry everything a report needs (status, metrics, extras, and the
-/// deterministic run JSON) — never the PTAResult itself, so a cached
-/// batch stays cheap in memory.
-///
-/// Residency is bounded by an optional byte budget (setByteBudget):
-/// entries are kept in least-recently-used order (lookups refresh
-/// recency) and evicted oldest-first once the estimated resident size
-/// exceeds the budget. The default budget of 0 means unlimited — exactly
-/// the pre-budget behavior.
-class ResultCache {
-public:
-  struct Value {
-    RunStatus Status = RunStatus::Completed;
-    std::string Error; ///< Populated for SpecError.
-    PrecisionMetrics Metrics;
-    std::string RunJson; ///< Timing-free run report (appendRunJson);
-                         ///< carries the cut/shortcut & Zipper extras.
-  };
-
-  /// Caps the estimated resident bytes (keys + serialized values + fixed
-  /// per-entry overhead); 0 = unlimited. Lowering the budget below the
-  /// current usage evicts immediately. An entry larger than the whole
-  /// budget is evicted as soon as it is stored — the cache never holds
-  /// more than the budget, at the price of such entries never hitting.
-  void setByteBudget(uint64_t Bytes);
-  uint64_t byteBudget() const;
-
-  /// True (and fills \p Out) when \p Key is cached; counts a hit/miss
-  /// and refreshes the entry's recency.
-  bool lookup(const std::string &Key, Value &Out);
-  /// Stores \p V under \p Key (first writer wins on a race; identical
-  /// values by construction, since the key fingerprints the inputs).
-  void store(const std::string &Key, Value V);
-
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
-  uint64_t bytesUsed() const;
-  size_t size() const;
-  void clear();
-
-private:
-  using LruList = std::list<std::pair<std::string, Value>>;
-
-  static uint64_t entryBytes(const std::string &Key, const Value &V);
-  void evictOverBudgetLocked();
-
-  mutable std::mutex M;
-  LruList Lru; ///< Front = most recently used.
-  std::unordered_map<std::string, LruList::iterator> Index;
-  uint64_t Budget = 0; ///< 0 = unlimited.
-  uint64_t Bytes = 0;  ///< Estimated resident size of Lru.
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-};
 
 /// One unit of batch work: a program (given as files, inline source, or a
 /// pre-built session) plus the specs to run over it.
@@ -120,7 +57,9 @@ struct BatchEntry {
   std::vector<std::string> Files; ///< `.jir` paths, or ...
   std::string SourceName;         ///< ... an inline source, or ...
   std::string SourceText;
-  std::shared_ptr<AnalysisSession> Session; ///< ... a pre-built session.
+  /// ... a pre-built session. Its budgets are part of the result key
+  /// and are read once, when an executor first loads the entry.
+  std::shared_ptr<AnalysisSession> Session;
   std::vector<std::string> Specs; ///< Analysis specs to run.
 };
 
@@ -139,7 +78,7 @@ bool loadBatchManifest(const std::string &Path,
 /// The outcome of one (entry, spec) task.
 struct BatchRunResult {
   std::string Spec;      ///< As requested in the entry.
-  std::string Canonical; ///< Cache spelling (canonicalSpec).
+  std::string Canonical; ///< Report name (ResultKey::Canonical).
   RunStatus Status = RunStatus::Completed;
   std::string Error;
   PrecisionMetrics Metrics; ///< Valid only when Status == Completed.
@@ -151,10 +90,35 @@ struct BatchRunResult {
   bool Skipped = false;
   std::string RunJson; ///< Deterministic per-run report.
   /// The persistent-store key this result lives under — set when the
-  /// run was served from the store or published into it; empty
-  /// otherwise. Pull workers record it on the task lease so store GC
-  /// pins the entry until the coordinator consumes it.
+  /// row was served from the store or published into it (a cache hit
+  /// keeps the cached row's key); empty otherwise. Pull workers record
+  /// it on the task lease so store GC pins the entry until the
+  /// coordinator consumes it.
   std::string StoreKey;
+};
+
+/// Thread-safe in-process cache of batch rows, keyed by ResultKey::Key —
+/// the string the persistent store uses too. A row carries the report
+/// (status, metrics, timing-free run JSON), never the PTAResult, so a
+/// cached batch stays cheap in memory. Only ResultKeys::reusable outcomes
+/// are stored.
+class ResultCache {
+public:
+  /// True (and fills \p Out) when \p Key is cached; counts a hit/miss.
+  bool lookup(const std::string &Key, BatchRunResult &Out);
+  /// Stores \p Row under \p Key (first writer wins on a race; identical
+  /// rows by construction, since the key fingerprints the inputs).
+  void store(const std::string &Key, const BatchRunResult &Row);
+
+  uint64_t hits() const;
+  uint64_t misses() const;
+  size_t size() const;
+
+private:
+  mutable std::mutex M;
+  std::unordered_map<std::string, BatchRunResult> Rows;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
 };
 
 /// The outcome of one batch entry: the load result plus one
@@ -198,18 +162,14 @@ public:
     bool WithStdlib = true; ///< Prepend the modelled stdlib when loading.
     uint64_t WorkBudget = ~0ULL; ///< Per-run insertion budget.
     double TimeBudgetMs = 0;     ///< Per-run wall budget (0 = unlimited).
-    /// Result-cache byte budget (ResultCache::setByteBudget); 0 = unlimited.
-    uint64_t CacheBudgetBytes = 0;
     /// Optional persistent L2 under the in-process cache: misses consult
-    /// the store before computing, and cacheable computed results are
+    /// the store before computing, and reusable computed results are
     /// published back. Shared freely across executors and processes.
     std::shared_ptr<ResultStore> Store;
   };
 
   BatchExecutor() = default;
-  explicit BatchExecutor(Options O) : Opts(std::move(O)) {
-    Cache.setByteBudget(Opts.CacheBudgetBytes);
-  }
+  explicit BatchExecutor(Options O) : Opts(std::move(O)) {}
 
   /// Runs every (entry, spec) pair, loading each distinct program once
   /// and consulting the result cache per pair. Sessions and cache persist
@@ -237,8 +197,7 @@ private:
     std::string Key;
     std::once_flag Once;
     std::shared_ptr<AnalysisSession> S;
-    uint64_t Fingerprint = 0;
-    uint64_t RegistryFp = 0; ///< Store-key half; set when a store is on.
+    std::optional<ResultKeys> Keys; ///< Set once S loaded.
     std::vector<std::string> Diags;
     std::string ProgramJson;
   };

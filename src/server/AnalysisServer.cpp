@@ -6,8 +6,6 @@
 
 #include "server/AnalysisServer.h"
 
-#include "client/BatchExecutor.h"
-#include "client/Report.h"
 #include "frontend/Parser.h"
 #include "ir/Verifier.h"
 #include "stdlib/Stdlib.h"
@@ -17,6 +15,7 @@
 #include <cassert>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -164,7 +163,6 @@ AnalysisServer::specState(const std::string &SpecText, std::string &Error) {
     return &It->second;
 
   SpecState St;
-  St.StoreCanon = Key;
   if (!registry().build(Spec, St.Recipe, Error))
     return nullptr;
   if (IncrementalSolver::eligible(St.Recipe)) {
@@ -174,22 +172,6 @@ AnalysisServer::specState(const std::string &SpecText, std::string &Error) {
     St.Inc = std::make_unique<IncrementalSolver>(*Prog, St.Recipe, IOpts);
   }
   return &Specs.emplace(std::move(Key), std::move(St)).first->second;
-}
-
-uint64_t AnalysisServer::programFp() {
-  if (ProgFpVersion != Version) {
-    ProgFp = programFingerprint(*Prog);
-    ProgFpVersion = Version;
-  }
-  return ProgFp;
-}
-
-uint64_t AnalysisServer::registryFp() {
-  if (!RegFpSet) {
-    RegFp = registryFingerprint(registry());
-    RegFpSet = true;
-  }
-  return RegFp;
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,45 +281,30 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
   } else {
     // Plugin / pre-analysis recipes: cached from-scratch run per version.
     if (St->RunVersion != Version) {
-      // Persistent store first: a batch run or an earlier server session
-      // over the same program may already hold this exact result.
-      std::string SKey;
-      if (Opts.Store) {
-        SKey = resultStoreKey(programFp(), Opts.WorkBudget,
-                              Opts.TimeBudgetMs, registryFp(),
-                              St->StoreCanon);
-        StoredResult SR;
-        if (Opts.Store->lookup(SKey, SR)) {
-          St->Run = runFromStored(SR);
-          St->Run.Name = St->Recipe.Name;
-          St->RunVersion = Version;
-        }
-      }
-      if (St->RunVersion != Version) {
-        AnalysisSession::Options SOpts;
-        SOpts.WithStdlib = Opts.WithStdlib;
-        SOpts.WorkBudget = Opts.WorkBudget;
-        SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
-        SOpts.Registry = Opts.Registry;
-        AnalysisSession Sess(*Prog, SOpts);
+      AnalysisSession::Options SOpts;
+      SOpts.WithStdlib = Opts.WithStdlib;
+      SOpts.WorkBudget = Opts.WorkBudget;
+      SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
+      SOpts.Registry = Opts.Registry;
+      AnalysisSession Sess(*Prog, SOpts);
+      // The persistent store holds results of the loaded program only
+      // (see Options::Store): a batch, a single run or an earlier server
+      // session over it may already hold this exact result.
+      ResultStore *Store = Version == 1 ? Opts.Store.get() : nullptr;
+      std::optional<ResultKeys> Keys;
+      ResultKey K;
+      StoredResult SR;
+      if (Store)
+        Keys.emplace(Sess).key(SpecText, K);
+      if (Store && Store->lookup(K.Key, SR)) {
+        St->Run = runFromStored(SR);
+        St->Run.Name = St->Recipe.Name;
+      } else {
         St->Run = Sess.run(St->Recipe);
-        St->RunVersion = Version;
-        // Publish under the batch executor's rules: never wall-clock
-        // exhaustion (nondeterministic), never spec errors. The RunJson
-        // is serialized under the canonical name so batch aggregates
-        // served from this entry stay byte-identical.
-        bool Cacheable = St->Run.Status != RunStatus::BudgetExhausted ||
-                         Opts.TimeBudgetMs == 0;
-        if (Opts.Store && Cacheable &&
-            St->Run.Status != RunStatus::SpecError) {
-          std::string Display = St->Run.Name;
-          St->Run.Name = St->StoreCanon;
-          JsonWriter RJ;
-          appendRunJson(RJ, St->Run, /*IncludeTimings=*/false);
-          Opts.Store->publish(SKey, storedFromRun(St->Run, RJ.take()));
-          St->Run.Name = Display;
-        }
+        if (Store)
+          Keys->publish(Store, K, St->Run);
       }
+      St->RunVersion = Version;
     }
     if (St->Run.Status != RunStatus::Completed)
       return errorResponse("analysis budget exhausted");

@@ -65,10 +65,10 @@ public:
     double TimeBudgetMs = 0;     ///< Per solve; 0 = unlimited.
     const AnalysisRegistry *Registry = nullptr; ///< null = global().
     /// Optional persistent result store: the fallback full-run path
-    /// (non-incremental recipes at the unmodified program, version 1)
-    /// consults it before solving and publishes after. Demand slices and
-    /// post-delta programs are never stored — their results are not
-    /// whole-program facts of an on-disk-addressable input.
+    /// (non-incremental recipes) consults it before solving and publishes
+    /// after, at the loaded program (version 1) only. Demand slices and
+    /// post-delta programs are never looked up or stored — their results
+    /// are not whole-program facts of an on-disk-addressable input.
     std::shared_ptr<ResultStore> Store;
   };
 
@@ -103,7 +103,6 @@ private:
   /// recipes) or the version-keyed full-run cache is active.
   struct SpecState {
     AnalysisRecipe Recipe;
-    std::string StoreCanon; ///< canonicalSpec text (the Specs map key).
     std::unique_ptr<IncrementalSolver> Inc;
     AnalysisRun Run;            ///< Fallback path: last full run.
     uint64_t RunVersion = 0;    ///< Version Run was computed at; 0 = none.
@@ -119,20 +118,11 @@ private:
   std::string handleAddDelta(const JsonValue &Req);
   std::string handleStats();
 
-  /// Store-key halves, computed lazily (the program one per version,
-  /// the registry one once) — only touched when Options::Store is set.
-  uint64_t programFp();
-  uint64_t registryFp();
-
   Options Opts;
   std::unique_ptr<Program> Prog;
   std::unique_ptr<DemandSlicer> Slicer;
   uint64_t Version = 0;
   uint64_t Deltas = 0;
-  uint64_t ProgFp = 0;
-  uint64_t ProgFpVersion = 0; ///< Version ProgFp was computed at.
-  uint64_t RegFp = 0;
-  bool RegFpSet = false;
   std::map<std::string, SpecState> Specs; ///< Keyed by canonical spec.
 };
 

@@ -7,6 +7,8 @@
 #include "store/ResultStore.h"
 
 #include "client/AnalysisRegistry.h"
+#include "client/Report.h"
+#include "ir/Printer.h"
 #include "store/TaskLedger.h"
 #include "support/Hash.h"
 
@@ -35,6 +37,13 @@ using namespace csc;
 // Keys
 //===----------------------------------------------------------------------===//
 
+uint64_t csc::programFingerprint(const Program &P) {
+  // Over the printed IR: stable across how the program was built (files,
+  // inline source, IRBuilder) and cheap relative to one solve.
+  std::string Text = printProgram(P);
+  return fnv1a64(Text.data(), Text.size());
+}
+
 uint64_t csc::registryFingerprint(const AnalysisRegistry &R) {
   // list() is sorted by name, so the fingerprint is iteration-order
   // independent; NUL separators keep (name, description) unambiguous.
@@ -52,15 +61,56 @@ std::string csc::resultStoreKey(uint64_t ProgramFingerprint,
                                 uint64_t WorkBudget, double TimeBudgetMs,
                                 uint64_t RegistryFingerprint,
                                 const std::string &CanonicalSpec) {
-  // Same coverage as the batch executor's in-process key, with the
-  // registry address replaced by its content fingerprint so the key
-  // means the same thing in every process.
+  // Everything a result depends on: program content, the budgets of the
+  // session that runs it, the registry resolving the spec, the spec.
   char Buf[128];
   std::snprintf(Buf, sizeof(Buf), "p%016llx|w%llu|t%.17g|g%016llx|",
                 static_cast<unsigned long long>(ProgramFingerprint),
                 static_cast<unsigned long long>(WorkBudget), TimeBudgetMs,
                 static_cast<unsigned long long>(RegistryFingerprint));
   return Buf + CanonicalSpec;
+}
+
+ResultKeys::ResultKeys(const AnalysisSession &S)
+    : Registry(S.registry()), ProgramFp(programFingerprint(S.program())),
+      RegistryFp(registryFingerprint(Registry)),
+      WorkBudget(S.options().WorkBudget),
+      TimeBudgetMs(S.options().TimeBudgetMs) {}
+
+bool ResultKeys::key(const std::string &Spec, ResultKey &Out) const {
+  // Alias resolution makes "k-type;k=3" and "2type;k=3" one key and one
+  // report name.
+  AnalysisSpec Parsed;
+  std::string Error;
+  if (!parseAnalysisSpec(Spec, Parsed, Error)) {
+    Out = {Spec, std::string()};
+    return false;
+  }
+  Parsed.Name = Registry.resolveName(Parsed.Name);
+  Out.Canonical = canonicalSpec(Parsed);
+  Out.Key = resultStoreKey(ProgramFp, WorkBudget, TimeBudgetMs, RegistryFp,
+                           Out.Canonical);
+  return true;
+}
+
+bool ResultKeys::reusable(const AnalysisRun &Run) const {
+  return Run.Status == RunStatus::Completed ||
+         (Run.Status == RunStatus::BudgetExhausted && TimeBudgetMs == 0);
+}
+
+std::string ResultKeys::publish(ResultStore *Store, const ResultKey &K,
+                                AnalysisRun &Run, bool *Published) const {
+  std::string Display = std::move(Run.Name);
+  Run.Name = K.Canonical;
+  JsonWriter J;
+  appendRunJson(J, Run, /*IncludeTimings=*/false);
+  Run.Name = std::move(Display);
+  std::string RunJson = J.take();
+  bool Ok = Store && !K.Key.empty() && reusable(Run) &&
+            Store->publish(K.Key, storedFromRun(Run, RunJson));
+  if (Published)
+    *Published = Ok;
+  return RunJson;
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// An on-disk, content-addressed cache of completed analysis results —
-/// the L2 layer under the in-process ResultCache LRU. Keys fingerprint
+/// the L2 layer under the batch executor's in-process ResultCache — and
+/// the one result-reuse path every client shares (ResultKeys): one key
+/// string for both layers, one reuse rule, one publish. Keys fingerprint
 /// everything a result depends on (program content, canonical spec,
-/// budgets, registry identity — see resultStoreKey); values are
+/// budgets, registry content — see resultStoreKey); values are
 /// checksummed binary StoredResult entries (store/ResultCodec.h).
 ///
 /// Layout under the store directory:
@@ -61,24 +63,72 @@
 
 namespace csc {
 
-class AnalysisRegistry;
+/// 64-bit FNV-1a hash over the printed program — the program half of the
+/// result key. Two programs with identical IR content (regardless of how
+/// they were built: files, inline source, IRBuilder) fingerprint
+/// identically.
+uint64_t programFingerprint(const Program &P);
 
-/// FNV-1a fingerprint of a registry's identity — the sorted (name,
-/// description) listing. Two processes resolve a spec identically when
-/// their registries fingerprint identically (adding, removing, or
-/// redefining an analysis changes the value), which is what makes the
-/// fingerprint a safe cross-process stand-in for the in-process
-/// registry-address component of the L1 cache key.
+/// FNV-1a fingerprint of a registry's content — the sorted (name,
+/// description) listing. Two registries resolve a spec identically when
+/// they fingerprint identically (adding, removing, or redefining an
+/// analysis changes the value), so the key means the same thing in every
+/// process.
 uint64_t registryFingerprint(const AnalysisRegistry &R);
 
-/// Composes the portable store key for one (program, spec, budgets)
+/// Composes the key string for one (program, spec, budgets, registry)
 /// request. \p CanonicalSpec must already be alias-resolved and
-/// canonicalized (AnalysisRegistry::resolveName + canonicalSpec), exactly
-/// as the batch executor's L1 key does.
+/// canonicalized (AnalysisRegistry::resolveName + canonicalSpec);
+/// ResultKeys::key does both.
 std::string resultStoreKey(uint64_t ProgramFingerprint,
                            uint64_t WorkBudget, double TimeBudgetMs,
                            uint64_t RegistryFingerprint,
                            const std::string &CanonicalSpec);
+
+/// One request's identity, shared by the in-process ResultCache and the
+/// on-disk store.
+struct ResultKey {
+  /// Alias-resolved canonical spec: the name every client serializes the
+  /// report under. The requested text when the spec does not parse.
+  std::string Canonical;
+  /// resultStoreKey over the session and Canonical; empty when the spec
+  /// does not parse (nothing is looked up or published then).
+  std::string Key;
+};
+
+class ResultStore;
+
+/// The one result-reuse path of --batch, single runs and --serve. Binds
+/// what a loaded session contributes to every key — program fingerprint,
+/// budgets, registry fingerprint — once, then keys specs, decides which
+/// outcomes may be reused, and publishes them.
+class ResultKeys {
+public:
+  explicit ResultKeys(const AnalysisSession &S);
+
+  /// Fills \p Out for \p Spec; false (Key empty) when the spec does not
+  /// parse — the session then reports it as a SpecError.
+  bool key(const std::string &Spec, ResultKey &Out) const;
+
+  /// The one reuse rule. A completed run and a work-budget exhaustion are
+  /// exact, so they are reused; a wall-clock exhaustion (it depends on
+  /// machine load) and a spec error (no result, free to rediagnose) never
+  /// are.
+  bool reusable(const AnalysisRun &Run) const;
+
+  /// Serializes \p Run's timing-free report under \p K.Canonical — the
+  /// bytes batch aggregates splice, independent of which spelling
+  /// computed first — and, when \p Store is set, \p K is keyed and the run
+  /// reusable, publishes it. Returns the report; \p Published (if set)
+  /// tells whether the store took the entry.
+  std::string publish(ResultStore *Store, const ResultKey &K,
+                      AnalysisRun &Run, bool *Published = nullptr) const;
+
+private:
+  const AnalysisRegistry &Registry;
+  uint64_t ProgramFp, RegistryFp, WorkBudget;
+  double TimeBudgetMs;
+};
 
 class ResultStore {
 public:

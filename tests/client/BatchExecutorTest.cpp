@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+
 using namespace csc;
 
 namespace {
@@ -222,25 +225,57 @@ TEST(BatchExecutorTest, AliasedSpellingsShareOneCacheKey) {
 }
 
 TEST(BatchExecutorTest, WallClockExhaustionIsNotCached) {
-  // Wall-clock timeouts are machine/load-dependent; caching one would
-  // poison every later identical request. (A work-budget exhaustion, by
-  // contrast, is exact — CacheKeyCoversSessionBudgets relies on it.)
-  BatchExecutor::Options O;
-  O.Jobs = 1;
-  O.TimeBudgetMs = 1e-9; // exhausts at the solver's first budget check
-  BatchExecutor Exec(O);
-  BatchEntry E;
-  E.Label = "timeout";
-  E.SourceName = "fig.jir";
-  E.SourceText = FigSource;
-  E.Specs = {"ci"};
-  BatchReport First = Exec.run({E});
-  ASSERT_EQ(First.Entries[0].Runs.size(), 1u);
-  EXPECT_EQ(First.Entries[0].Runs[0].Status, RunStatus::BudgetExhausted);
-  BatchReport Second = Exec.run({E});
-  EXPECT_EQ(Second.CacheHits, 0u) << "timed-out result must recompute";
-  EXPECT_EQ(Second.Entries[0].Runs[0].Status,
-            RunStatus::BudgetExhausted);
+  // The one reuse rule, through both layers. Completed runs and
+  // work-budget exhaustions are exact: the second run hits the cache and
+  // the store took the entry. A wall-clock timeout depends on machine
+  // load, and a spec error carries no result: neither is cached nor
+  // published. (CacheKeyCoversSessionBudgets relies on the second row.)
+  struct Case {
+    const char *Name;
+    const char *Spec;
+    uint64_t WorkBudget;
+    double TimeBudgetMs;
+    RunStatus Status;
+    bool Reused;
+  };
+  const Case Cases[] = {
+      {"completed", "ci", ~0ULL, 0, RunStatus::Completed, true},
+      {"work-budget", "ci", 1, 0, RunStatus::BudgetExhausted, true},
+      // Exhausts at the solver's first budget check.
+      {"wall-clock", "ci", ~0ULL, 1e-9, RunStatus::BudgetExhausted, false},
+      {"spec-error", "no-such-analysis", ~0ULL, 0, RunStatus::SpecError,
+       false},
+  };
+  char Template[] = "reuse-rule-XXXXXX";
+  ASSERT_NE(::mkdtemp(Template), nullptr);
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    BatchExecutor::Options O;
+    O.WorkBudget = C.WorkBudget;
+    O.TimeBudgetMs = C.TimeBudgetMs;
+    ResultStore::Options SO;
+    SO.Dir = std::string(Template) + "/" + C.Name;
+    O.Store = std::make_shared<ResultStore>(SO);
+    BatchExecutor Exec(O);
+    BatchEntry E;
+    E.Label = C.Name;
+    E.SourceName = "fig.jir";
+    E.SourceText = FigSource;
+    E.Specs = {C.Spec};
+    BatchReport First = Exec.run({E});
+    ASSERT_EQ(First.Entries[0].Runs.size(), 1u);
+    EXPECT_EQ(First.Entries[0].Runs[0].Status, C.Status);
+    BatchReport Second = Exec.run({E});
+    ASSERT_EQ(Second.Entries[0].Runs.size(), 1u);
+    EXPECT_EQ(Second.Entries[0].Runs[0].Status, C.Status);
+    EXPECT_EQ(Second.CacheHits, C.Reused ? 1u : 0u);
+    EXPECT_EQ(Second.Entries[0].Runs[0].FromCache, C.Reused);
+    EXPECT_EQ(O.Store->counters().Publishes, C.Reused ? 1u : 0u);
+    if (C.Reused) {
+      EXPECT_EQ(First.aggregateJson(), Second.aggregateJson());
+    }
+  }
+  std::filesystem::remove_all(Template);
 }
 
 TEST(BatchExecutorTest, CacheKeyCoversSessionBudgets) {
@@ -283,110 +318,6 @@ TEST(BatchExecutorTest, FingerprintTracksContentNotIdentity) {
             programFingerprint(B->program()));
   EXPECT_NE(programFingerprint(A->program()),
             programFingerprint(C->program()));
-}
-
-//===----------------------------------------------------------------------===//
-// Result-cache byte budget (LRU)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-// One entry of this shape costs key(1) + json(100) + error(0) + 64
-// fixed overhead = 165 estimated bytes.
-ResultCache::Value valueOfJsonBytes(size_t N) {
-  ResultCache::Value V;
-  V.RunJson.assign(N, 'x');
-  return V;
-}
-constexpr uint64_t EntryCost = 1 + 100 + 64;
-
-} // namespace
-
-TEST(ResultCacheTest, ZeroBudgetIsUnlimited) {
-  ResultCache C;
-  EXPECT_EQ(C.byteBudget(), 0u);
-  for (int I = 0; I != 32; ++I)
-    C.store(std::string(1, static_cast<char>('a' + I)),
-            valueOfJsonBytes(100));
-  EXPECT_EQ(C.size(), 32u);
-  EXPECT_EQ(C.evictions(), 0u);
-  EXPECT_EQ(C.bytesUsed(), 32 * EntryCost);
-}
-
-TEST(ResultCacheTest, EvictsLeastRecentlyStoredOverBudget) {
-  ResultCache C;
-  C.setByteBudget(2 * EntryCost); // room for exactly two entries
-  C.store("a", valueOfJsonBytes(100));
-  C.store("b", valueOfJsonBytes(100));
-  EXPECT_EQ(C.size(), 2u);
-  EXPECT_EQ(C.evictions(), 0u);
-  C.store("c", valueOfJsonBytes(100)); // evicts "a", the oldest
-  EXPECT_EQ(C.size(), 2u);
-  EXPECT_EQ(C.evictions(), 1u);
-  EXPECT_EQ(C.bytesUsed(), 2 * EntryCost);
-  ResultCache::Value Out;
-  EXPECT_FALSE(C.lookup("a", Out));
-  EXPECT_TRUE(C.lookup("b", Out));
-  EXPECT_TRUE(C.lookup("c", Out));
-  EXPECT_EQ(C.hits(), 2u);
-  EXPECT_EQ(C.misses(), 1u);
-}
-
-TEST(ResultCacheTest, LookupRefreshesRecency) {
-  ResultCache C;
-  C.setByteBudget(2 * EntryCost);
-  C.store("a", valueOfJsonBytes(100));
-  C.store("b", valueOfJsonBytes(100));
-  ResultCache::Value Out;
-  ASSERT_TRUE(C.lookup("a", Out)); // "a" becomes most recently used
-  C.store("c", valueOfJsonBytes(100)); // so "b" is the one evicted
-  EXPECT_TRUE(C.lookup("a", Out));
-  EXPECT_FALSE(C.lookup("b", Out));
-  EXPECT_TRUE(C.lookup("c", Out));
-}
-
-TEST(ResultCacheTest, LoweringTheBudgetEvictsImmediately) {
-  ResultCache C;
-  C.store("a", valueOfJsonBytes(100));
-  C.store("b", valueOfJsonBytes(100));
-  C.store("c", valueOfJsonBytes(100));
-  C.setByteBudget(EntryCost); // keeps only the most recent entry
-  EXPECT_EQ(C.size(), 1u);
-  EXPECT_EQ(C.evictions(), 2u);
-  ResultCache::Value Out;
-  EXPECT_TRUE(C.lookup("c", Out));
-  EXPECT_FALSE(C.lookup("a", Out));
-}
-
-TEST(ResultCacheTest, OversizedEntryNeverBecomesResident) {
-  ResultCache C;
-  C.setByteBudget(EntryCost - 1);
-  C.store("a", valueOfJsonBytes(100)); // larger than the whole budget
-  EXPECT_EQ(C.size(), 0u);
-  EXPECT_EQ(C.evictions(), 1u);
-  EXPECT_EQ(C.bytesUsed(), 0u);
-  ResultCache::Value Out;
-  EXPECT_FALSE(C.lookup("a", Out));
-}
-
-TEST(BatchExecutorTest, TinyCacheBudgetOnlyCostsHits) {
-  // A budget too small to retain anything degrades hit rate, never
-  // results: the aggregate report stays byte-identical to the unlimited
-  // executor's, and a second identical run recomputes instead of hitting.
-  std::vector<BatchEntry> Entries = twoProgramBatch();
-  BatchExecutor::Options O;
-  O.Jobs = 2;
-  O.CacheBudgetBytes = 1;
-  BatchExecutor Tiny(O);
-  BatchReport First = Tiny.run(Entries);
-  BatchReport Second = Tiny.run(Entries);
-  EXPECT_EQ(Second.CacheHits, 0u);
-  EXPECT_EQ(Tiny.cache().size(), 0u);
-  EXPECT_GT(Tiny.cache().evictions(), 0u);
-
-  BatchReport Unlimited = BatchExecutor(withJobs(2)).run(Entries);
-  EXPECT_EQ(First.aggregateJson(), Unlimited.aggregateJson());
-  EXPECT_EQ(Second.aggregateJson(), Unlimited.aggregateJson());
 }
 
 //===----------------------------------------------------------------------===//

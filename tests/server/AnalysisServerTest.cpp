@@ -17,10 +17,13 @@
 #include "server/AnalysisServer.h"
 
 #include "TestUtil.h"
+#include "store/ResultStore.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -310,6 +313,40 @@ TEST(AnalysisServerTest, StatsDocumentTracksSpecsAndSolves) {
   EXPECT_FALSE(Csc.get("incremental")->B);
   EXPECT_EQ(Csc.get("full_solves")->Num, 1);
   EXPECT_TRUE(Csc.get("current")->B);
+}
+
+TEST(AnalysisServerTest, StoreIsUsedOnlyAtTheLoadedProgram) {
+  // Post-delta results are not whole-program facts of an on-disk input:
+  // the csc query after a delta recomputes without touching the store.
+  char Template[] = "server-store-XXXXXX";
+  ASSERT_NE(::mkdtemp(Template), nullptr);
+  std::string Dir = Template;
+  ResultStore::Options SO;
+  SO.Dir = Dir + "/store";
+  AnalysisServer::Options Opts;
+  Opts.Store = std::make_shared<ResultStore>(SO);
+  auto S = makeServer({{"fig.jir", figure1Source()}}, Opts);
+  ASSERT_NE(S, nullptr);
+  const char *Query =
+      R"({"op":"query","kind":"points-to","var":"Main.main.result1","spec":"csc"})";
+  EXPECT_TRUE(okOf(parsed(S->handleLine(Query))));
+  JsonWriter W;
+  W.beginObject().kv("op", "add-delta").kv("source", DispatchDelta);
+  W.endObject();
+  EXPECT_TRUE(okOf(parsed(S->handleLine(W.take()))));
+  EXPECT_TRUE(okOf(parsed(S->handleLine(Query))));
+
+  JsonValue V = parsed(S->handleLine(R"({"op":"stats"})"));
+  const JsonValue *Store = V.get("store");
+  ASSERT_TRUE(Store && Store->isObject());
+  EXPECT_EQ(Store->get("hits")->Num, 0);
+  EXPECT_EQ(Store->get("misses")->Num, 1);
+  EXPECT_EQ(Store->get("publishes")->Num, 1);
+  ResultStore::ScrubReport R = Opts.Store->scrub();
+  EXPECT_EQ(R.Valid, 1u);
+  S.reset();
+  Opts.Store.reset();
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(AnalysisServerTest, ServeLoopStopsAtShutdown) {

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "client/BatchExecutor.h"
+#include "server/AnalysisServer.h"
 #include "store/ResultStore.h"
 #include "store/TaskLedger.h"
 #include "support/Rng.h"
@@ -184,6 +185,40 @@ TEST_F(StoreFaultTest, ColdThenWarmIsByteIdenticalAndFullyServed) {
     for (const BatchRunResult &R : E.Runs)
       Served += R.FromStore ? 1 : 0;
   EXPECT_EQ(Served, 6u);
+}
+
+TEST_F(StoreFaultTest, BatchAndServerShareEntries) {
+  // One key and one entry format for every client: a batch-warmed store
+  // serves the server's full-run path, and a server-published entry
+  // serves the batch, byte-identically.
+  const BatchEntry &E = Entries.front();
+  auto Query = [&](std::shared_ptr<ResultStore> Store) {
+    AnalysisServer::Options SO;
+    SO.Store = std::move(Store);
+    AnalysisServer Server(SO);
+    std::vector<std::string> Diags;
+    ASSERT_TRUE(Server.load({{E.SourceName, E.SourceText}}, Diags));
+    std::string Response = Server.handleLine(
+        R"({"op":"query","kind":"callees","method":"Main.main","spec":"csc"})");
+    EXPECT_EQ(Response.rfind("{\"ok\":true", 0), 0u) << Response;
+  };
+
+  runWith(open());
+  {
+    std::shared_ptr<ResultStore> Warm = open();
+    Query(Warm);
+    EXPECT_EQ(Warm->counters().Hits, 1u);
+    EXPECT_EQ(Warm->counters().Publishes, 0u);
+  }
+
+  rmTree(Dir);
+  std::shared_ptr<ResultStore> Fresh = open();
+  Query(Fresh);
+  EXPECT_EQ(Fresh->counters().Publishes, 1u);
+  BatchReport Report = runWith(open());
+  ASSERT_EQ(Report.Entries.front().Runs.size(), 3u);
+  EXPECT_TRUE(Report.Entries.front().Runs[1].FromStore); // csc
+  EXPECT_EQ(Report.StoreHits, 1u);
 }
 
 TEST_F(StoreFaultTest, TruncationMidRecordDegradesToCountedMisses) {

@@ -28,7 +28,6 @@
 //     --batch <manifest>   run a {program, specs[]} manifest (see
 //                          docs/CLI.md for the schema)
 //     --repeat <n>         run the batch n times in-process (cache demo)
-//     --cache-budget <n>   batch result-cache byte budget (0 = unlimited)
 //     --store <dir>        persistent result store: completed runs are
 //                          published to <dir> and served back on later
 //                          invocations (single runs, --batch, --serve)
@@ -93,7 +92,6 @@ int usage(const char *Prog) {
       "  --jobs <n>         run analyses on up to n pool threads\n"
       "  --batch <manifest> run a {program, specs[]} manifest\n"
       "  --repeat <n>       run the batch n times in-process\n"
-      "  --cache-budget <n> batch result-cache byte budget (0 = unlimited)\n"
       "  --store <dir>      persistent result store (serves repeat runs\n"
       "                     across processes; see docs/CLI.md)\n"
       "  --workers <n>      distribute --batch over n pull-mode workers\n"
@@ -128,8 +126,6 @@ struct CliOptions {
   bool Scrub = false;
   double BudgetMs = 0;
   uint64_t WorkBudget = ~0ULL;
-  uint64_t CacheBudget = 0;
-  bool CacheBudgetSet = false;
   unsigned Jobs = 1;
   unsigned Repeat = 1;
   bool Json = false;
@@ -346,7 +342,6 @@ int runBatch(const CliOptions &Cli, const char *Argv0) {
     WO.WithStdlib = !Cli.NoStdlib;
     WO.WorkBudget = Cli.WorkBudget;
     WO.TimeBudgetMs = Cli.BudgetMs;
-    WO.CacheBudgetBytes = Cli.CacheBudget;
     WO.Store = Store;
     return runPullWorker(Entries, WO, Cli.StoreDir + "/ledger.bin",
                          batchFingerprint(Entries));
@@ -412,7 +407,6 @@ int runBatch(const CliOptions &Cli, const char *Argv0) {
   BO.WithStdlib = !Cli.NoStdlib;
   BO.WorkBudget = Cli.WorkBudget;
   BO.TimeBudgetMs = Cli.BudgetMs;
-  BO.CacheBudgetBytes = Cli.CacheBudget;
   BO.Store = Store;
   BatchExecutor Exec(BO);
 
@@ -435,13 +429,10 @@ int runBatch(const CliOptions &Cli, const char *Argv0) {
   if (Cli.Stats) {
     const ResultCache &C = Exec.cache();
     std::fprintf(stderr,
-                 "[cscpta] cache stats: hits %llu, misses %llu, evictions "
-                 "%llu, resident %llu bytes in %zu entries (budget %llu)\n",
+                 "[cscpta] cache stats: hits %llu, misses %llu, %zu "
+                 "entries\n",
                  static_cast<unsigned long long>(C.hits()),
-                 static_cast<unsigned long long>(C.misses()),
-                 static_cast<unsigned long long>(C.evictions()),
-                 static_cast<unsigned long long>(C.bytesUsed()), C.size(),
-                 static_cast<unsigned long long>(C.byteBudget()));
+                 static_cast<unsigned long long>(C.misses()), C.size());
     if (Store) {
       uint64_t Served = 0, Total = 0;
       for (const BatchEntryResult &E : Report.Entries)
@@ -639,7 +630,7 @@ int runDemand(const CliOptions &Cli, const AnalysisSession &S) {
 }
 
 /// Single-run path with a persistent store: per-spec store lookups, one
-/// runAll over the misses, publish-back of the cacheable computed runs.
+/// runAll over the misses, publish-back of the computed runs.
 /// \p Served counts the specs answered straight from the store.
 std::vector<AnalysisRun> runAllWithStore(AnalysisSession &S,
                                          const CliOptions &Cli,
@@ -649,28 +640,17 @@ std::vector<AnalysisRun> runAllWithStore(AnalysisSession &S,
   std::vector<AnalysisRun> Runs(Specs.size());
   if (Specs.empty())
     return Runs;
-  uint64_t ProgFp = programFingerprint(S.program());
-  uint64_t RegFp = registryFingerprint(S.registry());
-  const AnalysisSession::Options &SO = S.options();
-
-  std::vector<std::string> Keys(Specs.size()), Canons(Specs.size());
+  ResultKeys Keys(S);
+  std::vector<ResultKey> K(Specs.size());
   std::vector<size_t> MissIdx;
   std::string MissList;
   for (size_t I = 0; I != Specs.size(); ++I) {
-    AnalysisSpec Parsed;
-    std::string Error;
-    if (parseAnalysisSpec(Specs[I], Parsed, Error)) {
-      Parsed.Name = S.registry().resolveName(Parsed.Name);
-      Canons[I] = canonicalSpec(Parsed);
-      Keys[I] = resultStoreKey(ProgFp, SO.WorkBudget, SO.TimeBudgetMs,
-                               RegFp, Canons[I]);
-      StoredResult SR;
-      if (Store.lookup(Keys[I], SR)) {
-        Runs[I] = runFromStored(SR);
-        Runs[I].Name = Parsed.Text; // display the requested spelling
-        ++Served;
-        continue;
-      }
+    StoredResult SR;
+    if (Keys.key(Specs[I], K[I]) && Store.lookup(K[I].Key, SR)) {
+      Runs[I] = runFromStored(SR);
+      Runs[I].Name = Specs[I]; // display the requested spelling
+      ++Served;
+      continue;
     }
     // Misses (and unparsable specs, which runAll turns into SpecError
     // runs carrying the same diagnostic) compute below in one pass.
@@ -682,25 +662,10 @@ std::vector<AnalysisRun> runAllWithStore(AnalysisSession &S,
 
   if (!MissIdx.empty()) {
     std::vector<AnalysisRun> Computed = S.runAll(MissList, Cli.Jobs);
-    for (size_t K = 0; K != MissIdx.size() && K != Computed.size(); ++K) {
-      size_t I = MissIdx[K];
-      Runs[I] = std::move(Computed[K]);
-      AnalysisRun &R = Runs[I];
-      // Same cacheability rule as the batch executor: wall-clock
-      // exhaustion is nondeterministic, spec errors carry no result.
-      bool Cacheable = R.Status != RunStatus::BudgetExhausted ||
-                       SO.TimeBudgetMs == 0;
-      if (Keys[I].empty() || !Cacheable ||
-          R.Status == RunStatus::SpecError)
-        continue;
-      // Serialize the timing-free report under the canonical name, as
-      // the batch executor does, so every client mode shares entries.
-      std::string DisplayName = R.Name;
-      R.Name = Canons[I];
-      JsonWriter J;
-      appendRunJson(J, R, /*IncludeTimings=*/false);
-      Store.publish(Keys[I], storedFromRun(R, J.take()));
-      R.Name = DisplayName;
+    for (size_t J = 0; J != MissIdx.size() && J != Computed.size(); ++J) {
+      size_t I = MissIdx[J];
+      Runs[I] = std::move(Computed[J]);
+      Keys.publish(&Store, K[I], Runs[I]);
     }
   }
   return Runs;
@@ -733,11 +698,6 @@ int main(int Argc, char **Argv) {
           break;
         Start = Comma + 1;
       }
-    } else if (matchesOpt(Argv[I], "--cache-budget")) {
-      if (!takeValue(Argc, Argv, I, "--cache-budget", Val) ||
-          !parseUint64Arg(Val, "--cache-budget", Cli.CacheBudget))
-        return usage(Argv[0]);
-      Cli.CacheBudgetSet = true;
     } else if (matchesOpt(Argv[I], "--budget-ms")) {
       if (!takeValue(Argc, Argv, I, "--budget-ms", Val) ||
           !parseDoubleArg(Val, "--budget-ms", Cli.BudgetMs))
@@ -892,10 +852,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: --repeat requires --batch\n");
       return usage(Argv[0]);
     }
-    if (Cli.CacheBudgetSet) {
-      std::fprintf(stderr, "error: --cache-budget requires --batch\n");
-      return usage(Argv[0]);
-    }
     if (Cli.Files.empty())
       return usage(Argv[0]);
     AnalysisServer::Options AO;
@@ -954,10 +910,6 @@ int main(int Argc, char **Argv) {
   }
   if (Cli.Repeat != 1) {
     std::fprintf(stderr, "error: --repeat requires --batch\n");
-    return usage(Argv[0]);
-  }
-  if (Cli.CacheBudgetSet) {
-    std::fprintf(stderr, "error: --cache-budget requires --batch\n");
     return usage(Argv[0]);
   }
   if (Cli.Demand && Cli.PointsToQueries.empty()) {
