@@ -3,7 +3,9 @@
 # cscpta processes racing one store directory must each emit the
 # storeless aggregate byte for byte, leave only checksum-valid entries
 # behind, serve a warm repeat (batch and single run) entirely from the
-# store, and agree with a --workers fleet. Registered with CTest as cscpta_store_concurrency;
+# store, and agree with a --workers fleet. After every pass the store
+# directory holds nothing but objects/: the entry files are its only
+# state. Registered with CTest as cscpta_store_concurrency;
 # tests/store/StoreConcurrencyTest.cpp covers the in-process half.
 #
 # Usage: store_concurrency.sh <path-to-cscpta> <examples-dir>
@@ -18,6 +20,16 @@ EXAMPLES=$(cd "$EXAMPLES" && pwd)
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+
+# Fails unless store directory $1 lists exactly "objects".
+only_objects() {
+  local Listing
+  Listing=$(ls -A "$1")
+  if [ "$Listing" != "objects" ]; then
+    echo "store_concurrency: $1 holds more than objects/:" $Listing >&2
+    exit 1
+  fi
+}
 
 # Six runs, no duplicate (program, spec) pairs — every task is a store
 # interaction, so the warm pass must report served 6/6.
@@ -46,21 +58,25 @@ wait "$PID_A"
 wait "$PID_B"
 cmp "$TMP/ref.json" "$TMP/a.json"
 cmp "$TMP/ref.json" "$TMP/b.json"
+only_objects "$TMP/store"
 
 # Only checksum-valid entries may survive the race.
 "$CSCPTA" --scrub --store "$TMP/store" | tee "$TMP/scrub.txt"
 grep -q ", 0 corrupt" "$TMP/scrub.txt"
+only_objects "$TMP/store"
 
 # Warm repeat: byte-identical and fully store-served.
 "$CSCPTA" --batch "$TMP/manifest.json" --json --store "$TMP/store" \
   --stats > "$TMP/warm.json" 2> "$TMP/warm.log"
 cmp "$TMP/ref.json" "$TMP/warm.json"
 grep -q "store stats: served 6/6 runs" "$TMP/warm.log"
+only_objects "$TMP/store"
 
 # A single run shares the batch's entries: one key for every mode.
 "$CSCPTA" "$EXAMPLES/figure1.jir" --analyses ci,csc,2obj \
   --store "$TMP/store" --stats > /dev/null 2> "$TMP/single.log"
 grep -q "store stats: served 3/3 runs" "$TMP/single.log"
+only_objects "$TMP/store"
 
 # A worker fleet over a fresh store agrees with everything above, and
 # the pinned fleet stats line classifies every worker's exit cause.
@@ -70,5 +86,6 @@ cmp "$TMP/ref.json" "$TMP/fleet.json"
 grep -q "fleet stats: spawned 2 workers (0 respawns), 2 exited clean" \
   "$TMP/fleet.log"
 grep -q "tasks 6 done, 0 quarantined" "$TMP/fleet.log"
+only_objects "$TMP/store2"
 
 echo "store_concurrency: OK"

@@ -34,34 +34,3 @@ std::vector<StmtId> ResultView::mayFailCasts() const {
 std::vector<CallSiteId> ResultView::polyCallSites() const {
   return csc::polyCallSites(P, R);
 }
-
-MethodId ResultView::findMethod(std::string_view Qualified) const {
-  size_t Dot = Qualified.rfind('.');
-  if (Dot == std::string_view::npos)
-    return InvalidId;
-  TypeId T = P.typeByName(std::string(Qualified.substr(0, Dot)));
-  if (T == InvalidId)
-    return InvalidId;
-  std::string_view Name = Qualified.substr(Dot + 1);
-  for (MethodId M : P.type(T).Methods)
-    if (P.method(M).Name == Name)
-      return M;
-  return InvalidId;
-}
-
-VarId ResultView::findVar(MethodId M, std::string_view Name) const {
-  if (M == InvalidId)
-    return InvalidId;
-  for (VarId V : P.method(M).Vars)
-    if (P.var(V).Name == Name)
-      return V;
-  return InvalidId;
-}
-
-VarId ResultView::findVar(std::string_view Qualified) const {
-  size_t Dot = Qualified.rfind('.');
-  if (Dot == std::string_view::npos)
-    return InvalidId;
-  return findVar(findMethod(Qualified.substr(0, Dot)),
-                 Qualified.substr(Dot + 1));
-}

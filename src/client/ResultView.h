@@ -74,12 +74,16 @@ public:
   // Name-based lookups
   //===--------------------------------------------------------------------===
 
-  /// Finds a method "Class.name" (any arity); InvalidId if absent.
-  MethodId findMethod(std::string_view Qualified) const;
-  /// Finds a local variable by name within a method; InvalidId if absent.
-  VarId findVar(MethodId M, std::string_view Name) const;
-  /// Finds a variable "Class.method.var"; InvalidId if absent.
-  VarId findVar(std::string_view Qualified) const;
+  /// Program::methodByName / varByName over the borrowed program.
+  MethodId findMethod(std::string_view Qualified) const {
+    return P.methodByName(Qualified);
+  }
+  VarId findVar(MethodId M, std::string_view Name) const {
+    return P.varByName(M, Name);
+  }
+  VarId findVar(std::string_view Qualified) const {
+    return P.varByName(Qualified);
+  }
 
 private:
   const Program &P;

@@ -203,3 +203,34 @@ std::string Program::methodString(MethodId M) const {
   return Types[MI.Owner].Name + "." + MI.Name + "/" +
          std::to_string(MI.ParamTypes.size());
 }
+
+MethodId Program::methodByName(std::string_view Qualified) const {
+  size_t Dot = Qualified.rfind('.');
+  if (Dot == std::string_view::npos)
+    return InvalidId;
+  TypeId T = typeByName(std::string(Qualified.substr(0, Dot)));
+  if (T == InvalidId)
+    return InvalidId;
+  std::string_view Name = Qualified.substr(Dot + 1);
+  for (MethodId M : Types[T].Methods)
+    if (Methods[M].Name == Name)
+      return M;
+  return InvalidId;
+}
+
+VarId Program::varByName(MethodId M, std::string_view Name) const {
+  if (M == InvalidId)
+    return InvalidId;
+  for (VarId V : Methods[M].Vars)
+    if (Vars[V].Name == Name)
+      return V;
+  return InvalidId;
+}
+
+VarId Program::varByName(std::string_view Qualified) const {
+  size_t Dot = Qualified.rfind('.');
+  if (Dot == std::string_view::npos)
+    return InvalidId;
+  return varByName(methodByName(Qualified.substr(0, Dot)),
+                   Qualified.substr(Dot + 1));
+}

@@ -25,6 +25,7 @@
 #include "support/Interner.h"
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -206,6 +207,17 @@ public:
 
   /// Human-readable method signature "Owner.name/arity".
   std::string methodString(MethodId M) const;
+
+  //===--------------------------------------------------------------------===
+  // Name-based lookups
+  //===--------------------------------------------------------------------===
+
+  /// Finds a method "Class.name" (any arity); InvalidId if absent.
+  MethodId methodByName(std::string_view Qualified) const;
+  /// Finds a local variable by name within a method; InvalidId if absent.
+  VarId varByName(MethodId M, std::string_view Name) const;
+  /// Finds a variable "Class.method.var"; InvalidId if absent.
+  VarId varByName(std::string_view Qualified) const;
 
 private:
   std::vector<TypeInfo> Types;

@@ -27,37 +27,6 @@ using namespace csc;
 
 namespace {
 
-/// Name-based lookups over the program alone (ResultView needs a result;
-/// demand queries resolve names before any solving happens). Semantics
-/// match ResultView::findMethod / findVar exactly.
-MethodId findMethodByName(const Program &P, std::string_view Qualified) {
-  size_t Dot = Qualified.rfind('.');
-  if (Dot == std::string_view::npos)
-    return InvalidId;
-  TypeId T = P.typeByName(std::string(Qualified.substr(0, Dot)));
-  if (T == InvalidId)
-    return InvalidId;
-  std::string_view Name = Qualified.substr(Dot + 1);
-  for (MethodId M : P.type(T).Methods)
-    if (P.method(M).Name == Name)
-      return M;
-  return InvalidId;
-}
-
-VarId findVarByName(const Program &P, std::string_view Qualified) {
-  size_t Dot = Qualified.rfind('.');
-  if (Dot == std::string_view::npos)
-    return InvalidId;
-  MethodId M = findMethodByName(P, Qualified.substr(0, Dot));
-  if (M == InvalidId)
-    return InvalidId;
-  std::string_view Name = Qualified.substr(Dot + 1);
-  for (VarId V : P.method(M).Vars)
-    if (P.var(V).Name == Name)
-      return V;
-  return InvalidId;
-}
-
 std::string errorResponse(const std::string &Msg) {
   JsonWriter W;
   W.beginObject().kv("ok", false).kv("error", Msg).endObject();
@@ -213,7 +182,7 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
     if (!S)
       return errorResponse(Error);
     VarName = *S;
-    QueryVar = findVarByName(*Prog, VarName);
+    QueryVar = Prog->varByName(VarName);
     if (QueryVar == InvalidId)
       return errorResponse("unknown variable '" + VarName + "'");
   } else if (IsMayAlias) {
@@ -225,10 +194,10 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
       return errorResponse(Error);
     AName = *A;
     BName = *B;
-    AliasA = findVarByName(*Prog, AName);
+    AliasA = Prog->varByName(AName);
     if (AliasA == InvalidId)
       return errorResponse("unknown variable '" + AName + "'");
-    AliasB = findVarByName(*Prog, BName);
+    AliasB = Prog->varByName(BName);
     if (AliasB == InvalidId)
       return errorResponse("unknown variable '" + BName + "'");
   } else {
@@ -236,7 +205,7 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
     if (!S)
       return errorResponse(Error);
     MethodName = *S;
-    QueryMethod = findMethodByName(*Prog, MethodName);
+    QueryMethod = Prog->methodByName(MethodName);
     if (QueryMethod == InvalidId)
       return errorResponse("unknown method '" + MethodName + "'");
   }
@@ -301,6 +270,7 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
         St->Run.Name = St->Recipe.Name;
       } else {
         St->Run = Sess.run(St->Recipe);
+        ++St->FullRuns;
         if (Store)
           Keys->publish(Store, K, St->Run);
       }
@@ -468,8 +438,7 @@ std::string AnalysisServer::handleStats() {
           .kv("warm_resumes", St.Inc->warmResumes())
           .kv("current", St.Inc->current());
     } else {
-      W.kv("full_solves",
-           static_cast<uint64_t>(St.RunVersion != 0 ? 1 : 0))
+      W.kv("full_solves", St.FullRuns)
           .kv("current", St.RunVersion == Version);
     }
     W.kv("demand_solves", St.DemandSolves).endObject();
@@ -483,7 +452,6 @@ std::string AnalysisServer::handleStats() {
         .kv("misses", C.Misses)
         .kv("publishes", C.Publishes)
         .kv("corrupt_evictions", C.CorruptEvictions)
-        .kv("index_rebuilds", C.IndexRebuilds)
         .kv("gc_evictions", C.GcEvictions)
         .endObject();
   }

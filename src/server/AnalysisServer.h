@@ -106,6 +106,7 @@ private:
     std::unique_ptr<IncrementalSolver> Inc;
     AnalysisRun Run;            ///< Fallback path: last full run.
     uint64_t RunVersion = 0;    ///< Version Run was computed at; 0 = none.
+    uint64_t FullRuns = 0;      ///< Runs computed here (not store hits).
     uint64_t DemandSolves = 0;
   };
 

@@ -20,12 +20,12 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #ifndef _WIN32
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #define CSC_STORE_POSIX 1
@@ -124,10 +124,6 @@ namespace {
 // the fixed header is caught; flips inside the header fail the magic /
 // version / checksum comparison instead.
 constexpr char EntryMagic[8] = {'C', 'S', 'C', 'P', 'T', 'A', 'R', '1'};
-// X2 added the per-record access stamp for GC. An X1 index simply fails
-// to parse, which the existing rebuild sweep self-repairs (stamping
-// entries from their file mtimes) — no migration path needed.
-constexpr char IndexMagic[8] = {'C', 'S', 'C', 'P', 'T', 'A', 'X', '2'};
 constexpr uint32_t FormatVersion = 1;
 constexpr size_t HeaderBytes = 8 + 4 + 8; // magic + version + checksum
 
@@ -174,6 +170,22 @@ std::string hex16(uint64_t V) {
   return Buf;
 }
 
+/// Sets \p Path's mtime — the entry's LRU stamp — to \p Ms. Best effort:
+/// a failed stamp (say, on a read-only store) only ages the entry early.
+void stampMs(const std::string &Path, uint64_t Ms) {
+#ifdef CSC_STORE_POSIX
+  struct timespec Times[2];
+  Times[0].tv_sec = 0;
+  Times[0].tv_nsec = UTIME_OMIT; // atime is not ours to keep
+  Times[1].tv_sec = static_cast<time_t>(Ms / 1000);
+  Times[1].tv_nsec = static_cast<long>(Ms % 1000) * 1000000L;
+  (void)::utimensat(AT_FDCWD, Path.c_str(), Times, 0);
+#else
+  (void)Path;
+  (void)Ms;
+#endif
+}
+
 #ifdef CSC_STORE_POSIX
 
 bool ensureDir(const std::string &Path, std::string &Err) {
@@ -186,38 +198,7 @@ bool ensureDir(const std::string &Path, std::string &Err) {
   return false;
 }
 
-/// Advisory exclusive lock on the store's lock file for index rewrites.
-/// Lock failure degrades to lock-free best effort (index writes stay
-/// atomic via rename either way) rather than blocking the analysis.
-class ScopedFileLock {
-public:
-  explicit ScopedFileLock(const std::string &Path) {
-    Fd = ::open(Path.c_str(), O_RDWR | O_CREAT, 0644);
-    if (Fd >= 0 && ::flock(Fd, LOCK_EX) != 0) {
-      ::close(Fd);
-      Fd = -1;
-    }
-  }
-  ~ScopedFileLock() {
-    if (Fd >= 0) {
-      ::flock(Fd, LOCK_UN);
-      ::close(Fd);
-    }
-  }
-  ScopedFileLock(const ScopedFileLock &) = delete;
-  ScopedFileLock &operator=(const ScopedFileLock &) = delete;
-
-private:
-  int Fd = -1;
-};
-
-uint64_t fileMtimeMs(const std::string &Path) {
-  struct stat St;
-  if (::stat(Path.c_str(), &St) != 0)
-    return 0;
-  return static_cast<uint64_t>(St.st_mtime) * 1000ULL;
-}
-
+/// Full paths of the entry files under \p ObjectsDir, sorted by name.
 std::vector<std::string> listEntryFiles(const std::string &ObjectsDir) {
   std::vector<std::string> Files;
   DIR *D = ::opendir(ObjectsDir.c_str());
@@ -226,7 +207,7 @@ std::vector<std::string> listEntryFiles(const std::string &ObjectsDir) {
   while (struct dirent *E = ::readdir(D)) {
     std::string Name = E->d_name;
     if (Name.size() > 5 && Name.compare(Name.size() - 5, 5, ".csce") == 0)
-      Files.push_back(Name);
+      Files.push_back(ObjectsDir + "/" + Name);
   }
   ::closedir(D);
   std::sort(Files.begin(), Files.end());
@@ -251,17 +232,10 @@ ResultStore::ResultStore(Options O) : Opts(std::move(O)) {
       !ensureDir(Opts.Dir + "/objects", Err))
     return;
   std::lock_guard<std::mutex> G(M);
-  loadIndexLocked();
   gcLocked(); // enforce the configured bounds against what we inherited
 #else
   Err = "persistent result store requires a POSIX platform";
 #endif
-}
-
-ResultStore::~ResultStore() {
-  std::lock_guard<std::mutex> G(M);
-  if (usable() && AccessDirty)
-    flushAccessLocked();
 }
 
 bool ResultStore::usable() const { return Err.empty(); }
@@ -282,8 +256,7 @@ std::string ResultStore::objectPath(const std::string &Key) const {
 
 int ResultStore::readEntry(const std::string &Path,
                            const std::string &ExpectKey,
-                           std::string &KeyOut, std::string &PayloadOut,
-                           uint64_t &ChecksumOut) const {
+                           std::string &PayloadOut) const {
   std::string Bytes;
   if (!readWholeFile(Path, Bytes))
     return 1; // absent/unreadable: a plain miss, nothing to repair
@@ -291,22 +264,14 @@ int ResultStore::readEntry(const std::string &Path,
   if (!unframe(Bytes, EntryMagic, Body))
     return 2; // bad magic, version skew, truncation, or flipped bits
   BinaryReader R(Body);
+  std::string Key;
   uint64_t PayloadLen;
-  if (!R.str(KeyOut) || !R.u64(PayloadLen) || PayloadLen != R.remaining())
+  if (!R.str(Key) || !R.u64(PayloadLen) || PayloadLen != R.remaining())
     return 2;
-  if (!ExpectKey.empty() && KeyOut != ExpectKey)
+  if (!ExpectKey.empty() && Key != ExpectKey)
     return 3; // valid entry for another key: hash collision, not damage
   PayloadOut = Body.substr(Body.size() - PayloadLen);
-  ChecksumOut = fnv1a64(Body.data(), Body.size());
   return 0;
-}
-
-void ResultStore::evictLocked(const std::string &Path,
-                              const std::string &Key) {
-  if (Opts.Repair)
-    std::remove(Path.c_str());
-  if (!Key.empty())
-    Index.erase(Key);
 }
 
 bool ResultStore::lookup(const std::string &Key, StoredResult &Out) {
@@ -316,20 +281,15 @@ bool ResultStore::lookup(const std::string &Key, StoredResult &Out) {
     return false;
   }
   std::string Path = objectPath(Key);
-  std::string FileKey, Payload;
-  uint64_t Sum = 0;
-  int RC = readEntry(Path, Key, FileKey, Payload, Sum);
+  std::string Payload;
+  int RC = readEntry(Path, Key, Payload);
   if (RC == 0) {
     StoredResult Value;
     if (deserializeStoredResult(Payload, Value)) {
       ++Stats.Hits;
       // Stamp the access so GC's LRU order reflects use, not just
-      // publish time. Stamps batch in memory and flush at destruction.
-      auto It = Index.find(Key);
-      if (It != Index.end()) {
-        It->second.LastAccessMs = nowMs();
-        AccessDirty = true;
-      }
+      // publish time — on disk at once, where every handle sees it.
+      stampMs(Path, nowMs());
       Out = std::move(Value);
       return true;
     }
@@ -337,7 +297,7 @@ bool ResultStore::lookup(const std::string &Key, StoredResult &Out) {
   }
   if (RC == 2) {
     ++Stats.CorruptEvictions;
-    evictLocked(Path, Key);
+    std::remove(Path.c_str());
   }
   ++Stats.Misses;
   return false;
@@ -363,6 +323,7 @@ bool ResultStore::writeFileAtomic(const std::string &FinalPath,
       return false;
     }
   }
+  stampMs(TempPath, nowMs()); // the entry lands already stamped
   if (std::rename(TempPath.c_str(), FinalPath.c_str()) != 0) {
     std::remove(TempPath.c_str());
     return false;
@@ -388,10 +349,8 @@ bool ResultStore::publish(const std::string &Key,
   // An existing valid entry for this key holds identical bytes by
   // construction (the key fingerprints the inputs) — skip the rewrite.
   {
-    std::string FileKey, Existing;
-    uint64_t Sum = 0;
-    if (readEntry(Path, Key, FileKey, Existing, Sum) == 0 &&
-        Existing == Payload)
+    std::string Existing;
+    if (readEntry(Path, Key, Existing) == 0 && Existing == Payload)
       return true;
   }
 
@@ -399,154 +358,38 @@ bool ResultStore::publish(const std::string &Key,
   BodyW.str(Key);
   BodyW.u64(Payload.size());
   std::string Body = BodyW.take() + Payload;
-  std::string Bytes = frame(EntryMagic, Body);
-  if (!writeFileAtomic(Path, Bytes)) {
+  if (!writeFileAtomic(Path, frame(EntryMagic, Body))) {
     ++Stats.PublishFailures;
     return false;
   }
   ++Stats.Publishes;
-
-  IndexRecord Rec;
-  Rec.File = Path.substr(Path.rfind('/') + 1);
-  Rec.Checksum = fnv1a64(Body.data(), Body.size());
-  Rec.Bytes = Bytes.size();
-  Rec.LastAccessMs = nowMs();
-  Index[Key] = Rec;
-  mergeIndexOnDiskLocked(Key, Rec);
   gcLocked(); // keep the byte budget enforced as the store grows
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Index
-//===----------------------------------------------------------------------===//
-
-bool ResultStore::parseIndexBytes(
-    const std::string &Bytes, std::map<std::string, IndexRecord> &Out) const {
-  std::string Body;
-  if (!unframe(Bytes, IndexMagic, Body))
-    return false;
-  BinaryReader R(Body);
-  uint32_t Count;
-  if (!R.u32(Count) || !R.fits(Count, 4 + 4 + 8 + 8 + 8))
-    return false;
-  for (uint32_t I = 0; I != Count; ++I) {
-    std::string Key;
-    IndexRecord Rec;
-    if (!R.str(Key) || !R.str(Rec.File) || !R.u64(Rec.Checksum) ||
-        !R.u64(Rec.Bytes) || !R.u64(Rec.LastAccessMs))
-      return false;
-    Out.emplace(std::move(Key), std::move(Rec));
-  }
-  return R.atEnd();
-}
-
-std::string ResultStore::indexBytesLocked(
-    const std::map<std::string, IndexRecord> &Records) const {
-  BinaryWriter W;
-  W.u32(static_cast<uint32_t>(Records.size()));
-  for (const auto &[Key, Rec] : Records) {
-    W.str(Key);
-    W.str(Rec.File);
-    W.u64(Rec.Checksum);
-    W.u64(Rec.Bytes);
-    W.u64(Rec.LastAccessMs);
-  }
-  return frame(IndexMagic, W.take());
-}
-
-bool ResultStore::writeIndexLocked() const {
-  return writeFileAtomic(Opts.Dir + "/index.bin",
-                         indexBytesLocked(Index));
-}
-
-void ResultStore::mergeIndexOnDiskLocked(const std::string &Key,
-                                         const IndexRecord &Rec) {
-#ifdef CSC_STORE_POSIX
-  // Read-merge-write under the advisory lock so concurrent publishers
-  // never drop each other's records. The disk copy wins for keys this
-  // handle has not touched; our record wins for this key.
-  ScopedFileLock Lock(Opts.Dir + "/store.lock");
-  std::map<std::string, IndexRecord> Merged;
-  std::string Bytes;
-  if (readWholeFile(Opts.Dir + "/index.bin", Bytes))
-    parseIndexBytes(Bytes, Merged); // invalid disk index: start from ours
-  for (const auto &KV : Index)
-    Merged.insert(KV); // insert(): existing disk records win
-  Merged[Key] = Rec;
-  writeFileAtomic(Opts.Dir + "/index.bin", indexBytesLocked(Merged));
-#else
-  (void)Key;
-  (void)Rec;
-#endif
-}
-
-bool ResultStore::loadIndexLocked() {
-#ifdef CSC_STORE_POSIX
-  std::string Bytes;
-  bool HaveFile = readWholeFile(Opts.Dir + "/index.bin", Bytes);
-  if (HaveFile) {
-    std::map<std::string, IndexRecord> Parsed;
-    if (parseIndexBytes(Bytes, Parsed)) {
-      Index = std::move(Parsed);
-      return true;
-    }
-  } else if (listEntryFiles(Opts.Dir + "/objects").empty()) {
-    return true; // fresh (or fully empty) store: nothing to index
-  }
-  // Missing-with-entries or invalid: self-repair with a validation sweep
-  // that re-derives the manifest from the entries themselves.
-  ++Stats.IndexRebuilds;
-  Index.clear();
-  sweepLocked();
-  return false;
-#else
-  return false;
-#endif
-}
-
-ResultStore::ScrubReport ResultStore::sweepLocked() {
+ResultStore::ScrubReport ResultStore::scrub() {
+  std::lock_guard<std::mutex> G(M);
   ScrubReport Report;
 #ifdef CSC_STORE_POSIX
-  std::string ObjectsDir = Opts.Dir + "/objects";
-  for (const std::string &File : listEntryFiles(ObjectsDir)) {
-    std::string Path = ObjectsDir + "/" + File;
-    std::string Key, Payload;
-    uint64_t Sum = 0;
-    int RC = readEntry(Path, "", Key, Payload, Sum);
+  if (!usable())
+    return Report;
+  for (const std::string &Path : listEntryFiles(Opts.Dir + "/objects")) {
+    std::string Payload;
     StoredResult Value;
-    if (RC == 0 && deserializeStoredResult(Payload, Value)) {
+    struct stat St;
+    if (readEntry(Path, "", Payload) == 0 &&
+        deserializeStoredResult(Payload, Value) &&
+        ::stat(Path.c_str(), &St) == 0) {
       ++Report.Valid;
-      std::string Bytes;
-      readWholeFile(Path, Bytes);
-      Report.Bytes += Bytes.size();
-      IndexRecord Rec;
-      Rec.File = File;
-      Rec.Checksum = Sum;
-      Rec.Bytes = Bytes.size();
-      // A sweep has no access history (the index it would have lived in
-      // is gone) — approximate with the file mtime so GC's LRU order
-      // still prefers evicting genuinely old entries.
-      Rec.LastAccessMs = fileMtimeMs(Path);
-      Index[Key] = Rec;
+      Report.Bytes += static_cast<uint64_t>(St.st_size);
     } else {
       ++Report.Corrupt;
       ++Stats.CorruptEvictions;
-      evictLocked(Path, Key);
+      std::remove(Path.c_str());
     }
   }
-  ScopedFileLock Lock(Opts.Dir + "/store.lock");
-  writeIndexLocked();
 #endif
   return Report;
-}
-
-ResultStore::ScrubReport ResultStore::scrub() {
-  std::lock_guard<std::mutex> G(M);
-  if (!usable())
-    return ScrubReport();
-  Index.clear();
-  return sweepLocked();
 }
 
 //===----------------------------------------------------------------------===//
@@ -565,62 +408,40 @@ ResultStore::GcReport ResultStore::gcLocked() {
   // lease protocol exists to avoid).
   std::set<std::string> Pinned;
   for (const std::string &K : TaskLedger::pinnedKeys(Opts.Dir + "/ledger.bin"))
-    Pinned.insert(K);
+    Pinned.insert(objectPath(K));
 
-  uint64_t Now = nowMs();
+  // (stamp, path, bytes) from each entry's mtime and size: oldest-first
+  // eviction order for the size pass.
+  std::vector<std::tuple<uint64_t, std::string, uint64_t>> ByAge;
   uint64_t Total = 0;
-  // (LastAccess, Key): oldest-first eviction order for the size pass.
-  std::vector<std::pair<uint64_t, std::string>> ByAge;
-  for (const auto &[Key, Rec] : Index) {
-    Total += Rec.Bytes;
-    ByAge.emplace_back(Rec.LastAccessMs, Key);
+  for (std::string &Path : listEntryFiles(Opts.Dir + "/objects")) {
+    struct stat St;
+    if (::stat(Path.c_str(), &St) != 0)
+      continue; // removed by another handle since the listing
+    uint64_t Bytes = static_cast<uint64_t>(St.st_size);
+    uint64_t StampMs = static_cast<uint64_t>(St.st_mtim.tv_sec) * 1000ULL +
+                       static_cast<uint64_t>(St.st_mtim.tv_nsec) / 1000000ULL;
+    Total += Bytes;
+    ByAge.emplace_back(StampMs, std::move(Path), Bytes);
   }
   std::sort(ByAge.begin(), ByAge.end());
 
-  std::vector<std::string> Evict;
-  for (const auto &[Access, Key] : ByAge) {
-    bool TooOld = Opts.MaxAgeMs != 0 && Access + Opts.MaxAgeMs < Now;
+  uint64_t Now = nowMs();
+  for (const auto &[StampMs, Path, Bytes] : ByAge) {
+    bool TooOld = Opts.MaxAgeMs != 0 && StampMs + Opts.MaxAgeMs < Now;
     bool OverBudget = Opts.MaxBytes != 0 && Total > Opts.MaxBytes;
     if (!TooOld && !OverBudget)
       break; // ByAge is oldest-first: nothing later qualifies either
-    if (Pinned.count(Key)) {
+    if (Pinned.count(Path)) {
       ++Report.Pinned;
       continue;
     }
-    const IndexRecord &Rec = Index[Key];
-    Total -= Rec.Bytes;
-    Report.FreedBytes += Rec.Bytes;
-    Evict.push_back(Key);
-  }
-  if (Evict.empty())
-    return Report;
-
-  for (const std::string &Key : Evict) {
-    std::remove((Opts.Dir + "/objects/" + Index[Key].File).c_str());
-    Index.erase(Key);
-    ++Stats.GcEvictions;
+    std::remove(Path.c_str());
+    Total -= Bytes;
+    Report.FreedBytes += Bytes;
     ++Report.Evicted;
+    ++Stats.GcEvictions;
   }
-
-  // Deletions must propagate to the shared index — a plain merge would
-  // resurrect the evicted keys from the disk copy. Under the lock: drop
-  // them from the disk records, keep everything else disk-wins.
-  ScopedFileLock Lock(Opts.Dir + "/store.lock");
-  std::map<std::string, IndexRecord> Merged;
-  std::string Bytes;
-  bool DiskOk =
-      readWholeFile(Opts.Dir + "/index.bin", Bytes) &&
-      parseIndexBytes(Bytes, Merged);
-  for (const std::string &Key : Evict)
-    Merged.erase(Key);
-  // Keys a readable disk index lacks were evicted by another handle:
-  // re-inserting ours would resurrect records whose object files are
-  // gone and over-count the next GC pass's total. Only repair the index
-  // wholesale when there is no valid disk copy to defer to.
-  for (const auto &KV : Index)
-    if (!DiskOk || Merged.count(KV.first))
-      Merged.insert(KV); // insert(): existing disk records win
-  writeFileAtomic(Opts.Dir + "/index.bin", indexBytesLocked(Merged));
 #endif
   return Report;
 }
@@ -628,32 +449,6 @@ ResultStore::GcReport ResultStore::gcLocked() {
 ResultStore::GcReport ResultStore::gc() {
   std::lock_guard<std::mutex> G(M);
   return gcLocked();
-}
-
-void ResultStore::flushAccessLocked() {
-#ifdef CSC_STORE_POSIX
-  // Max-merge our access stamps into the shared index: another handle
-  // may have stamped the same keys later; never move a stamp backwards.
-  ScopedFileLock Lock(Opts.Dir + "/store.lock");
-  std::map<std::string, IndexRecord> Merged;
-  std::string Bytes;
-  bool DiskOk =
-      readWholeFile(Opts.Dir + "/index.bin", Bytes) &&
-      parseIndexBytes(Bytes, Merged);
-  for (const auto &[Key, Rec] : Index) {
-    auto It = Merged.find(Key);
-    if (It == Merged.end()) {
-      // Absent from a readable disk index means another handle GC'd the
-      // entry; an access stamp must not resurrect it. Without a valid
-      // disk copy, fall back to repairing from our records.
-      if (!DiskOk)
-        Merged[Key] = Rec;
-    } else if (It->second.LastAccessMs < Rec.LastAccessMs)
-      It->second.LastAccessMs = Rec.LastAccessMs;
-  }
-  writeFileAtomic(Opts.Dir + "/index.bin", indexBytesLocked(Merged));
-  AccessDirty = false;
-#endif
 }
 
 ResultStore::Counters ResultStore::counters() const {

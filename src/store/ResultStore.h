@@ -16,8 +16,12 @@
 /// Layout under the store directory:
 ///
 ///   objects/<fnv64(key) as 16 hex>.csce   one entry per key
-///   index.bin                             validated manifest of entries
-///   store.lock                            advisory flock for index writes
+///
+/// The entry files are the store's only state: an entry's size is its
+/// byte count for GC and its mtime is its LRU stamp (set from the
+/// store's clock on publish and on every lookup hit). A fleet run adds
+/// its transient task ledger (ledger.bin, store/TaskLedger.h) beside
+/// objects/ while it lasts.
 ///
 /// Entry file format: 8-byte magic, u32 format version, u64 FNV-1a body
 /// checksum, body (u32 key length + key bytes, u64 payload length,
@@ -29,25 +33,22 @@
 ///
 ///  * Every lookup re-validates the entry file end to end (magic,
 ///    version, checksum, key, decode). Any mismatch is a miss, counted
-///    as a corrupt eviction, and (with Options::Repair, the default) the
-///    bad file is unlinked so the next publish heals it.
+///    as a corrupt eviction, and the bad file is unlinked so the next
+///    publish heals it.
 ///  * Publishes are atomic: the entry is written to a temp file in the
 ///    same directory and rename()d into place, so concurrent readers and
 ///    writers — including other processes — see either the old complete
 ///    entry or the new complete entry, never a partial write. Racing
 ///    publishers of one key write identical bytes by construction (the
 ///    key fingerprints the inputs), so last-rename-wins is harmless.
-///  * The index is a manifest, not an authority: lookups trust only the
-///    entry files. A missing/corrupt index triggers a rebuild — a full
-///    directory sweep that validates every entry (evicting corrupt ones)
-///    and rewrites the manifest under the advisory lock.
 ///  * An unusable directory (not creatable/writable) degrades the whole
 ///    store to a no-op: usable() turns false, lookups miss, publishes
 ///    fail silently into counters.
 ///
 /// Thread-safety: one ResultStore handle is fully thread-safe (a single
 /// internal mutex). Any number of handles — in one process or many — may
-/// share a directory; cross-process index updates serialize on flock().
+/// share a directory: every state change is one rename(), unlink() or
+/// mtime update of one entry file, so no cross-process lock is needed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +58,6 @@
 #include "store/ResultCodec.h"
 
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 
@@ -134,21 +134,18 @@ class ResultStore {
 public:
   struct Options {
     std::string Dir; ///< Store directory; created if absent.
-    /// Unlink entries that fail validation and rebuild the index when it
-    /// does — the self-repair mode. Off, corrupt files are left in place
-    /// (still misses) for post-mortem inspection.
-    bool Repair = true;
-    /// GC byte budget for objects/ (0 = unbounded). When the validated
-    /// entries exceed it, the least-recently-accessed ones are evicted
-    /// until the survivors fit — except entries pinned by a live task
-    /// ledger (`<Dir>/ledger.bin`), which a coordinator still needs.
+    /// GC byte budget for objects/ (0 = unbounded). When the entries
+    /// exceed it, the least-recently-accessed ones are evicted until the
+    /// survivors fit — except entries pinned by a live task ledger
+    /// (`<Dir>/ledger.bin`), which a coordinator still needs.
     uint64_t MaxBytes = 0;
     /// GC age bound in milliseconds (0 = unbounded): entries not
     /// accessed for longer are evicted regardless of the byte budget.
     uint64_t MaxAgeMs = 0;
-    /// Clock in milliseconds for access stamps and age math (wall clock
-    /// by default — stamps are shared across processes). Tests inject a
-    /// fake clock to step through age schedules.
+    /// Clock in milliseconds for access stamps (entry mtimes) and age
+    /// math (wall clock by default — stamps are shared across
+    /// processes). Tests inject a fake clock to step through age
+    /// schedules.
     std::function<uint64_t()> NowMs;
     /// Fault injection: fail every file write, as ENOSPC would. The
     /// store must degrade to counted publish failures, never crash.
@@ -162,14 +159,13 @@ public:
     uint64_t Publishes = 0;
     uint64_t PublishFailures = 0;
     uint64_t CorruptEvictions = 0; ///< Entries failing validation.
-    uint64_t IndexRebuilds = 0;    ///< Invalid-index recovery sweeps.
     uint64_t GcEvictions = 0;      ///< Entries retired by age/size GC.
   };
 
   /// One full-store validation sweep's outcome.
   struct ScrubReport {
     uint64_t Valid = 0;
-    uint64_t Corrupt = 0; ///< Failed validation (evicted under Repair).
+    uint64_t Corrupt = 0; ///< Failed validation (evicted).
     uint64_t Bytes = 0;   ///< Total size of the valid entries.
   };
 
@@ -180,16 +176,11 @@ public:
     uint64_t Pinned = 0; ///< Over-budget entries spared by a live lease.
   };
 
-  /// Opens (creating if needed) the store at Options::Dir and loads the
-  /// index, rebuilding it when invalid; when GC bounds are configured,
-  /// runs a GC pass over the loaded index. Never throws: an unusable
-  /// directory leaves the handle in the degraded no-op state.
+  /// Opens (creating if needed) the store at Options::Dir; when GC
+  /// bounds are configured, runs a GC pass over what it inherited. Never
+  /// throws: an unusable directory leaves the handle in the degraded
+  /// no-op state.
   explicit ResultStore(Options O);
-
-  /// Flushes access-time stamps accumulated by lookups into the on-disk
-  /// index (max-merge under the advisory lock), so LRU order survives
-  /// the handle.
-  ~ResultStore();
 
   /// False when the directory could not be created/used; error() says
   /// why. A degraded store misses every lookup and drops every publish.
@@ -198,17 +189,17 @@ public:
   const Options &options() const { return Opts; }
 
   /// True (filling \p Out) when a fully validated entry for \p Key
-  /// exists. Any validation failure is a miss; corrupt entries are
-  /// counted and, under Repair, unlinked.
+  /// exists; a hit stamps the entry's mtime (best effort: a read-only
+  /// store still serves). Any validation failure is a miss; corrupt
+  /// entries are counted and unlinked.
   bool lookup(const std::string &Key, StoredResult &Out);
 
-  /// Atomically writes the entry for \p Key and records it in the index.
-  /// False (counted) on I/O failure. An existing valid entry is left
-  /// untouched — identical bytes by construction.
+  /// Atomically writes the entry for \p Key, stamped with the store's
+  /// clock. False (counted) on I/O failure. An existing valid entry is
+  /// left untouched — identical bytes by construction.
   bool publish(const std::string &Key, const StoredResult &Value);
 
-  /// Validates every entry in the directory (evicting corrupt ones under
-  /// Repair) and rewrites the index from the survivors.
+  /// Validates every entry in the directory, evicting corrupt ones.
   ScrubReport scrub();
 
   /// Runs one age/size GC pass against Options::MaxBytes / MaxAgeMs:
@@ -220,44 +211,24 @@ public:
   Counters counters() const;
 
 private:
-  struct IndexRecord {
-    std::string File; ///< Basename under objects/.
-    uint64_t Checksum = 0;
-    uint64_t Bytes = 0;
-    uint64_t LastAccessMs = 0; ///< LRU stamp for GC eviction order.
-  };
-
   uint64_t nowMs() const;
   GcReport gcLocked();
-  void flushAccessLocked();
   std::string objectPath(const std::string &Key) const;
-  /// Reads + fully validates one entry file. Returns 0 on a valid entry
-  /// (key + payload out), 1 when the file is absent (plain miss), 2 on
-  /// corruption (caller counts/evicts), 3 on a key-hash collision (valid
-  /// entry for some other key: plain miss, never evicted).
+  /// Reads + fully validates one entry file's framing. Returns 0 on a
+  /// valid entry (payload out), 1 when the file is absent (plain miss),
+  /// 2 on corruption (caller counts/evicts), 3 on a key-hash collision
+  /// (valid entry for some other key: plain miss, never evicted). An
+  /// empty \p ExpectKey accepts any key.
   int readEntry(const std::string &Path, const std::string &ExpectKey,
-                std::string &KeyOut, std::string &PayloadOut,
-                uint64_t &ChecksumOut) const;
-  void evictLocked(const std::string &Path, const std::string &Key);
-  ScrubReport sweepLocked();
-  bool loadIndexLocked();
-  bool writeIndexLocked() const;
-  void mergeIndexOnDiskLocked(const std::string &Key,
-                              const IndexRecord &Rec);
-  bool parseIndexBytes(const std::string &Bytes,
-                       std::map<std::string, IndexRecord> &Out) const;
-  std::string indexBytesLocked(
-      const std::map<std::string, IndexRecord> &Records) const;
+                std::string &PayloadOut) const;
   bool writeFileAtomic(const std::string &FinalPath,
                        const std::string &Bytes) const;
 
   Options Opts;
   std::string Err; ///< Non-empty when the store is degraded.
   mutable std::mutex M;
-  std::map<std::string, IndexRecord> Index; ///< Key -> manifest record.
   Counters Stats;
   mutable uint64_t TempSeq = 0; ///< Uniquifies temp names in the handle.
-  bool AccessDirty = false; ///< Lookup stamps not yet flushed to disk.
 };
 
 } // namespace csc

@@ -27,7 +27,7 @@ using namespace csc;
 
 namespace {
 
-// Framing mirrors the result store's entry/index files: magic, format
+// Framing mirrors the result store's entry files: magic, format
 // version, FNV-1a body checksum, body. A torn or flipped ledger fails
 // the checksum and degrades to Error statuses instead of mis-leasing.
 constexpr char LedgerMagic[8] = {'C', 'S', 'C', 'P', 'T', 'A', 'L', '1'};

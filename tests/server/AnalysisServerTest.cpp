@@ -315,6 +315,30 @@ TEST(AnalysisServerTest, StatsDocumentTracksSpecsAndSolves) {
   EXPECT_TRUE(Csc.get("current")->B);
 }
 
+TEST(AnalysisServerTest, FallbackFullSolvesCountEveryRecompute) {
+  // csc has no incremental solver: every program version re-runs it from
+  // scratch, and each of those runs is a full solve.
+  auto S = makeServer({{"fig.jir", figure1Source()}});
+  ASSERT_NE(S, nullptr);
+  const char *Query =
+      R"({"op":"query","kind":"points-to","var":"Main.main.result1","spec":"csc"})";
+  EXPECT_TRUE(okOf(parsed(S->handleLine(Query))));
+  JsonWriter W;
+  W.beginObject().kv("op", "add-delta").kv("source", WarmDelta);
+  W.endObject();
+  EXPECT_TRUE(okOf(parsed(S->handleLine(W.take()))));
+  EXPECT_TRUE(okOf(parsed(S->handleLine(Query))));
+  EXPECT_TRUE(okOf(parsed(S->handleLine(Query)))); // same version: cached
+
+  JsonValue V = parsed(S->handleLine(R"({"op":"stats"})"));
+  const JsonValue *Specs = V.get("specs");
+  ASSERT_TRUE(Specs && Specs->isArray());
+  ASSERT_EQ(Specs->Arr.size(), 1u);
+  EXPECT_EQ(Specs->Arr[0].get("spec")->Str, "csc");
+  EXPECT_EQ(Specs->Arr[0].get("full_solves")->Num, 2);
+  EXPECT_TRUE(Specs->Arr[0].get("current")->B);
+}
+
 TEST(AnalysisServerTest, StoreIsUsedOnlyAtTheLoadedProgram) {
   // Post-delta results are not whole-program facts of an on-disk input:
   // the csc query after a delta recomputes without touching the store.
@@ -342,6 +366,7 @@ TEST(AnalysisServerTest, StoreIsUsedOnlyAtTheLoadedProgram) {
   EXPECT_EQ(Store->get("hits")->Num, 0);
   EXPECT_EQ(Store->get("misses")->Num, 1);
   EXPECT_EQ(Store->get("publishes")->Num, 1);
+  EXPECT_EQ(V.get("specs")->Arr[0].get("full_solves")->Num, 2);
   ResultStore::ScrubReport R = Opts.Store->scrub();
   EXPECT_EQ(R.Valid, 1u);
   S.reset();

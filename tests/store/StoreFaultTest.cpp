@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // The store's failure discipline, exercised adversarially: truncate
-// entries mid-record, flip random bytes, corrupt the index, bump the
-// format version, delete files behind a live handle, point the store at
-// an unusable path. Every injected fault must degrade to a counted miss
-// that recomputes — the warm aggregate stays byte-identical to a
-// storeless run — and none may crash, hang, or serve a wrong answer.
-// The suite runs under ASan+UBSan in CI's sanitize job, so "never
-// crashes" is checked with teeth.
+// entries mid-record, flip random bytes, leave an older store's index
+// files behind, bump the format version, delete files behind a live
+// handle, point the store at an unusable path. Every injected fault
+// must degrade to a counted miss that recomputes — the warm aggregate
+// stays byte-identical to a storeless run — and none may crash, hang,
+// or serve a wrong answer. The suite runs under ASan+UBSan in CI's
+// sanitize job, so "never crashes" is checked with teeth.
 //
 //===----------------------------------------------------------------------===//
 
@@ -191,8 +191,9 @@ TEST_F(StoreFaultTest, BatchAndServerShareEntries) {
   // One key and one entry format for every client: a batch-warmed store
   // serves the server's full-run path, and a server-published entry
   // serves the batch, byte-identically.
+  // A store hit is not a full solve of the server's own.
   const BatchEntry &E = Entries.front();
-  auto Query = [&](std::shared_ptr<ResultStore> Store) {
+  auto Query = [&](std::shared_ptr<ResultStore> Store, int FullSolves) {
     AnalysisServer::Options SO;
     SO.Store = std::move(Store);
     AnalysisServer Server(SO);
@@ -201,19 +202,23 @@ TEST_F(StoreFaultTest, BatchAndServerShareEntries) {
     std::string Response = Server.handleLine(
         R"({"op":"query","kind":"callees","method":"Main.main","spec":"csc"})");
     EXPECT_EQ(Response.rfind("{\"ok\":true", 0), 0u) << Response;
+    std::string Stats = Server.handleLine(R"({"op":"stats"})");
+    EXPECT_NE(Stats.find("\"full_solves\":" + std::to_string(FullSolves)),
+              std::string::npos)
+        << Stats;
   };
 
   runWith(open());
   {
     std::shared_ptr<ResultStore> Warm = open();
-    Query(Warm);
+    Query(Warm, 0);
     EXPECT_EQ(Warm->counters().Hits, 1u);
     EXPECT_EQ(Warm->counters().Publishes, 0u);
   }
 
   rmTree(Dir);
   std::shared_ptr<ResultStore> Fresh = open();
-  Query(Fresh);
+  Query(Fresh, 1);
   EXPECT_EQ(Fresh->counters().Publishes, 1u);
   BatchReport Report = runWith(open());
   ASSERT_EQ(Report.Entries.front().Runs.size(), 3u);
@@ -257,19 +262,18 @@ TEST_F(StoreFaultTest, RandomBitFlipsNeverServeWrongBytes) {
   }
 }
 
-TEST_F(StoreFaultTest, CorruptIndexTriggersRebuildNotWrongAnswers) {
+TEST_F(StoreFaultTest, LeftoverIndexFilesAreIgnored) {
+  // Older stores also kept an index manifest and its lock file beside
+  // objects/. The entry files are the only state now: whatever those
+  // leftovers hold, every entry is served and scrubs clean.
   warmObjects();
   writeFile(Dir + "/index.bin", "this is not an index");
+  writeFile(Dir + "/store.lock", "");
   std::shared_ptr<ResultStore> Store = open();
-  EXPECT_GE(Store->counters().IndexRebuilds, 1u);
-  // Entries were untouched: the rebuilt manifest serves all of them.
   EXPECT_EQ(runWith(Store).StoreHits, 6u);
-
-  // A deleted index with surviving entries rebuilds the same way.
-  std::remove((Dir + "/index.bin").c_str());
-  std::shared_ptr<ResultStore> Store2 = open();
-  EXPECT_GE(Store2->counters().IndexRebuilds, 1u);
-  EXPECT_EQ(runWith(Store2).StoreHits, 6u);
+  ResultStore::ScrubReport S = Store->scrub();
+  EXPECT_EQ(S.Valid, 6u);
+  EXPECT_EQ(S.Corrupt, 0u);
 }
 
 TEST_F(StoreFaultTest, FormatVersionBumpIsCorruptionNotACrash) {
@@ -287,7 +291,7 @@ TEST_F(StoreFaultTest, FormatVersionBumpIsCorruptionNotACrash) {
 
 TEST_F(StoreFaultTest, DeletionBehindALiveHandleIsAPlainMiss) {
   warmObjects();
-  std::shared_ptr<ResultStore> Store = open(); // index loaded, files gone:
+  std::shared_ptr<ResultStore> Store = open(); // handle open, files gone:
   for (const std::string &Obj : listFiles(Dir + "/objects"))
     std::remove(Obj.c_str());
   BatchReport Report = runWith(Store);
@@ -402,7 +406,7 @@ TEST_F(StoreFaultTest, GcByteBudgetEvictsLeastRecentlyUsedFirst) {
     StoredResult R;
     EXPECT_TRUE(Toucher->lookup(Keys[1], R));
     EXPECT_TRUE(Toucher->lookup(Keys[4], R));
-  } // destructor flushes the access stamps into the index
+  } // each hit stamped its entry's mtime
 
   Clock += 1000;
   uint64_t Budget = Total / 2; // room for ~3 of 6 entries
@@ -419,6 +423,31 @@ TEST_F(StoreFaultTest, GcByteBudgetEvictsLeastRecentlyUsedFirst) {
   BatchReport Report = runWith(Store);
   EXPECT_GE(Report.StoreHits, 2u);
   EXPECT_LE(objectBytes(), Budget); // per-publish GC re-enforces
+}
+
+TEST_F(StoreFaultTest, AccessStampIsVisibleToOtherLiveHandles) {
+  // A hit stamps the entry on disk at once, not when its handle closes:
+  // a GC through another live handle must already rank those entries as
+  // the most recently used.
+  std::vector<std::string> Keys = storeKeys(runWith(openGc(0, 0)));
+  ASSERT_EQ(Keys.size(), 6u);
+  uint64_t Total = objectBytes();
+  ASSERT_GT(Total, 0u);
+
+  Clock += 60000;
+  std::shared_ptr<ResultStore> A = openGc(0, 0);
+  StoredResult R;
+  EXPECT_TRUE(A->lookup(Keys[1], R));
+  EXPECT_TRUE(A->lookup(Keys[4], R));
+
+  Clock += 1000;
+  uint64_t Budget = Total / 2;
+  std::shared_ptr<ResultStore> B = openGc(Budget, 0);
+  EXPECT_GE(B->counters().GcEvictions, 1u);
+  EXPECT_LE(objectBytes(), Budget);
+  EXPECT_TRUE(B->lookup(Keys[1], R));
+  EXPECT_TRUE(B->lookup(Keys[4], R));
+  EXPECT_TRUE(A->lookup(Keys[1], R)); // A, still open, shares the state
 }
 
 TEST_F(StoreFaultTest, GcAgeBoundEvictsEntriesNotAccessedInTime) {
@@ -440,10 +469,10 @@ TEST_F(StoreFaultTest, GcAgeBoundEvictsEntriesNotAccessedInTime) {
 
 TEST_F(StoreFaultTest, AccessFlushDoesNotResurrectGcEvictedEntries) {
   // Regression: a handle's destructor used to flush its in-memory
-  // access stamps by re-inserting whole index records for keys missing
-  // from the disk index — resurrecting entries another handle had
-  // already GC-evicted, as phantom records pointing at deleted object
-  // files whose bytes inflated the next GC pass into over-eviction.
+  // access stamps into a shared index, resurrecting entries another
+  // handle had already GC-evicted as phantom records whose bytes
+  // inflated the next GC pass into over-eviction. Stamps now live in the
+  // entry files, which an eviction removes together with the entry.
   runWith(openGc(0, 0)); // warm at the fake clock's T0
   {
     std::shared_ptr<ResultStore> Reader = openGc(0, 0);
@@ -455,12 +484,11 @@ TEST_F(StoreFaultTest, AccessFlushDoesNotResurrectGcEvictedEntries) {
     std::shared_ptr<ResultStore> Collector = openGc(0, /*MaxAgeMs=*/5000);
     EXPECT_EQ(Collector->counters().GcEvictions, 6u);
     EXPECT_EQ(listFiles(Dir + "/objects").size(), 0u);
-    // Scope exit: Collector closes first, then Reader's destructor
-    // flushes its stale stamps against the post-eviction disk index.
+    // Scope exit: Collector closes first, then Reader.
   }
 
-  // A fresh handle under a 1-byte budget inherits the index as written:
-  // resurrection would hand it six phantom records to "evict" again.
+  // A fresh handle under a 1-byte budget sees the store as left:
+  // resurrection would hand it six phantom entries to "evict" again.
   std::shared_ptr<ResultStore> Fresh = openGc(/*MaxBytes=*/1, 0);
   EXPECT_EQ(Fresh->counters().GcEvictions, 0u);
   EXPECT_EQ(runWith(Fresh).StoreMisses, 6u); // recomputes; still oracle

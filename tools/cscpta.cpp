@@ -234,14 +234,13 @@ void printStoreStats(const ResultStore &Store, uint64_t Served,
   std::fprintf(stderr,
                "[cscpta] store stats: served %llu/%llu runs, hits %llu, "
                "misses %llu, publishes %llu, corrupt_evictions %llu, "
-               "index_rebuilds %llu, gc_evictions %llu\n",
+               "gc_evictions %llu\n",
                static_cast<unsigned long long>(Served),
                static_cast<unsigned long long>(Total),
                static_cast<unsigned long long>(C.Hits),
                static_cast<unsigned long long>(C.Misses),
                static_cast<unsigned long long>(C.Publishes),
                static_cast<unsigned long long>(C.CorruptEvictions),
-               static_cast<unsigned long long>(C.IndexRebuilds),
                static_cast<unsigned long long>(C.GcEvictions));
 }
 
@@ -542,11 +541,9 @@ int runDemand(const CliOptions &Cli, const AnalysisSession &S) {
     return 2;
   }
 
-  PTAResult NoResult; // name lookups only touch the program
-  ResultView Names(P, NoResult);
   std::vector<VarId> Roots;
   for (const std::string &Q : Cli.PointsToQueries) {
-    VarId V = Names.findVar(Q);
+    VarId V = P.varByName(Q);
     if (V != InvalidId)
       Roots.push_back(V);
   }
