@@ -10,7 +10,11 @@
 #      must be a flag the driver accepts (a deleted flag cannot stay
 #      documented), and
 #   4. every request op the analysis server dispatches on must be
-#      documented in docs/CLI.md.
+#      documented in docs/CLI.md, and
+#   5. every spec parameter key some analysis accepts (the Known[] lists
+#      of src/client/AnalysisRegistry.cpp) must have a row in docs/CLI.md's
+#      spec-parameter table, and every row of that table must be a key
+#      some analysis accepts.
 # Usage: scripts/check_docs.sh
 set -euo pipefail
 
@@ -121,10 +125,48 @@ for op in $ops; do
   fi
 done
 
+# --- 5. Spec parameters <-> docs/CLI.md's spec-parameter table -------------
+# Keys are the string literals of every `Known[] = {...}` list (which may
+# span lines); rows are the table that starts at the `| Key |` header.
+params="$(
+  { awk '/Known\[\] = \{/,/nullptr\}/' src/client/AnalysisRegistry.cpp \
+      | grep -oE '"[a-z]+"' | tr -d '"' | sort -u; } || true
+)"
+if [ -z "$params" ]; then
+  echo "error: could not extract any spec parameters from" \
+       "src/client/AnalysisRegistry.cpp (did the Known[] syntax change?)"
+  fail=1
+fi
+param_rows="$(
+  { awk '/^\| Key \|/ {t=1; next} t && !/^\|/ {exit} t' docs/CLI.md \
+      | grep -oE '^\| `[a-z]+`' | sed -E 's/^\| `//; s/`$//'; } || true
+)"
+if [ -z "$param_rows" ]; then
+  echo "error: could not extract any rows from docs/CLI.md's" \
+       "spec-parameter table (did the table syntax change?)"
+  fail=1
+fi
+for key in $params; do
+  if ! grep -qxF -- "$key" <<< "$param_rows"; then
+    echo "error: spec parameter '$key' has no row in docs/CLI.md's" \
+         "spec-parameter table"
+    fail=1
+  fi
+done
+for key in $param_rows; do
+  if ! grep -qxF -- "$key" <<< "$params"; then
+    echo "error: docs/CLI.md documents spec parameter '$key' but no" \
+         "analysis accepts it (remove the row)"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
 echo "docs check OK ($(echo "$names" | wc -l) analysis names," \
      "$(echo "$flags" | sort -u | wc -l) driver flags," \
-     "$(echo "$ops" | wc -l) server ops, links in README.md + docs/*.md)"
+     "$(echo "$ops" | wc -l) server ops," \
+     "$(echo "$params" | wc -l) spec parameters, links in README.md +" \
+     "docs/*.md)"

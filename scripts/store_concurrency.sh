@@ -3,7 +3,8 @@
 # cscpta processes racing one store directory must each emit the
 # storeless aggregate byte for byte, leave only checksum-valid entries
 # behind, serve a warm repeat (batch and single run) entirely from the
-# store, and agree with a --workers fleet. After every pass the store
+# store, keep it under the largest --store-max-age, and agree with a
+# --workers fleet. After every pass the store
 # directory holds nothing but objects/: the entry files are its only
 # state. Registered with CTest as cscpta_store_concurrency;
 # tests/store/StoreConcurrencyTest.cpp covers the in-process half.
@@ -76,6 +77,21 @@ only_objects "$TMP/store"
 "$CSCPTA" "$EXAMPLES/figure1.jir" --analyses ci,csc,2obj \
   --store "$TMP/store" --stats > /dev/null 2> "$TMP/single.log"
 grep -q "store stats: served 3/3 runs" "$TMP/single.log"
+only_objects "$TMP/store"
+
+# The largest accepted age bound keeps every entry (the GC age test
+# must not wrap); one past it is a usage error (exit 2).
+"$CSCPTA" "$EXAMPLES/figure1.jir" --analyses ci,csc,2obj \
+  --store "$TMP/store" --store-max-age 18446744073709551 --stats \
+  > /dev/null 2> "$TMP/maxage.log"
+grep -q "store stats: served 3/3 runs" "$TMP/maxage.log"
+RC=0
+"$CSCPTA" "$EXAMPLES/figure1.jir" --store "$TMP/store" \
+  --store-max-age 18446744073709551615 > /dev/null 2>&1 || RC=$?
+if [ "$RC" -ne 2 ]; then
+  echo "store_concurrency: --store-max-age overflow exited $RC, not 2" >&2
+  exit 1
+fi
 only_objects "$TMP/store"
 
 # A worker fleet over a fresh store agrees with everything above, and

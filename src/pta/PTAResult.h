@@ -25,15 +25,15 @@
 
 namespace csc {
 
-/// Online cycle-elimination counters (SolverOptions::CycleElimination).
+/// Cycle-elimination counters (SolverOptions::CycleElimination).
 /// Scheduling diagnostics like SolverStats::WorklistPops: reported via
 /// `cscpta --stats` and benches, never serialized into result reports —
 /// result JSON must stay a pure function of the computed fixpoint.
 struct SccStats {
-  uint64_t SccsFound = 0;        ///< Collapse events (online + full pass).
+  uint64_t SccsFound = 0;        ///< Collapse events (one per merged SCC).
   uint64_t MembersCollapsed = 0; ///< Pointers absorbed into another rep.
-  uint64_t OnlineCollapses = 0;  ///< Found by the edge-insertion probe.
-  uint64_t FullPasses = 0;       ///< Periodic whole-graph SCC passes.
+  /// Whole-graph Tarjan passes: scheduled ones plus the fixpoint pass.
+  uint64_t FullPasses = 0;
   /// Estimated (pointer, object) insertions the collapsed classes would
   /// have performed separately: each delta merged into a k-member class
   /// saves k-1 re-insertions plus their downstream re-propagation.

@@ -1,4 +1,4 @@
-//===- SccCollapser.cpp - Online PFG cycle elimination --------------------===//
+//===- SccCollapser.cpp - PFG cycle elimination ---------------------------===//
 //
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
@@ -28,77 +28,6 @@ void SccCollapser::ensureNode(PtrId P) {
   // fewer SCCs than there are nodes), so post-pass nodes sort last.
   for (std::size_t I = Old; I <= P; ++I)
     Order[I] = static_cast<uint32_t>(I);
-}
-
-bool SccCollapser::findCycle(PtrId S, PtrId T, std::vector<PtrId> &CycleOut) {
-  CycleOut.clear();
-  std::size_t N = Order.size();
-  if (VisitMark.size() < N)
-    VisitMark.resize(N, 0);
-  if (++VisitEpoch == 0) { // Epoch wrap: invalidate all marks.
-    std::fill(VisitMark.begin(), VisitMark.end(), 0);
-    VisitEpoch = 1;
-  }
-
-  // DFS from T over unfiltered representative edges looking for S. The
-  // stack holds the current path, so a hit turns directly into the cycle
-  // T -> ... -> S (closed by the just-inserted S -> T edge). Two prunes
-  // keep probes cheap: big collapsed classes are never entered (their
-  // merged successor snapshot alone can dwarf the whole probe; the full
-  // pass collapses through them instead), and a hard node budget caps
-  // the walk. An order-based Pearce/Kelly region prune was tried and
-  // dropped: the approximate order goes stale enough mid-run that it
-  // mostly pruned genuine cycles into the slow path. Each frame
-  // snapshots its successor list once (scratch pooled by depth).
-  uint32_t Budget = ProbeBudget;
-  ProbeStack.clear();
-  ProbeStack.push_back({T, 0});
-  if (ProbeSuccScratch.empty())
-    ProbeSuccScratch.emplace_back();
-  ProbeSuccScratch[0].clear();
-  forEachUnfilteredSucc(T, [&](PtrId Nxt) {
-    ProbeSuccScratch[0].push_back(Nxt);
-    return true;
-  });
-  VisitMark[T] = VisitEpoch;
-  while (!ProbeStack.empty()) {
-    std::size_t Depth = ProbeStack.size() - 1;
-    ProbeFrame &F = ProbeStack.back();
-    const std::vector<PtrId> &Out = ProbeSuccScratch[Depth];
-    bool Descended = false;
-    while (F.EdgeIx < Out.size()) {
-      PtrId Nxt = Out[F.EdgeIx++];
-      if (Nxt == S) {
-        for (const ProbeFrame &PF : ProbeStack)
-          CycleOut.push_back(PF.Node);
-        CycleOut.push_back(S);
-        ++Stats.OnlineCollapses;
-        return true;
-      }
-      if (Nxt >= VisitMark.size() || VisitMark[Nxt] == VisitEpoch ||
-          classSize(Nxt) > ProbeClassBound)
-        continue;
-      if (Budget == 0) {
-        ++AbortedProbes; // The periodic full pass will mop up.
-        return false;
-      }
-      --Budget;
-      VisitMark[Nxt] = VisitEpoch;
-      ProbeStack.push_back({Nxt, 0});
-      if (ProbeSuccScratch.size() <= Depth + 1)
-        ProbeSuccScratch.emplace_back();
-      ProbeSuccScratch[Depth + 1].clear();
-      forEachUnfilteredSucc(Nxt, [&](PtrId N2) {
-        ProbeSuccScratch[Depth + 1].push_back(N2);
-        return true;
-      });
-      Descended = true;
-      break;
-    }
-    if (!Descended && F.EdgeIx >= Out.size())
-      ProbeStack.pop_back();
-  }
-  return false;
 }
 
 void SccCollapser::fullPass(std::vector<std::vector<PtrId>> &SccsOut,
@@ -200,13 +129,12 @@ void SccCollapser::fullPass(std::vector<std::vector<PtrId>> &SccsOut,
       Order[P] = NumSccs - 1 - SccIx[P];
 
   EdgesSincePass = 0;
-  AbortedProbes = 0;
-  PassEdgeThreshold = std::max<uint64_t>(512, NumEdges);
+  PassEdgeThreshold = std::max<uint64_t>(256, NumEdges);
   // Productive passes re-check soon (×2 work); unproductive ones back
   // off (×4), and after two unproductive passes in a row the work
   // trigger retires entirely — the standing cycles are collapsed, and
   // genuinely new structure re-arms scheduling through the edge-growth
-  // trigger (and aborted probes) instead.
+  // trigger (and the fixpoint pass) instead.
   if (SccsOut.empty()) {
     if (++UnproductivePasses >= 2)
       NextPassWork = ~0ULL;

@@ -1,13 +1,13 @@
-//===- SccCollapser.h - Online PFG cycle elimination ------------*- C++ -*-===//
+//===- SccCollapser.h - PFG cycle elimination -------------------*- C++ -*-===//
 //
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Online cycle elimination for the solver's pointer-flow graph. Every
-/// pointer in a cycle of unfiltered copy edges provably converges to the
-/// same points-to set, so the solver keeps one set per strongly connected
+/// Cycle elimination for the solver's pointer-flow graph. Every pointer
+/// in a cycle of unfiltered copy edges provably converges to the same
+/// points-to set, so the solver keeps one set per strongly connected
 /// component and propagates between component representatives instead of
 /// individual pointers — the classic integer-factor speedup for
 /// Andersen-style solvers.
@@ -30,15 +30,16 @@
 ///    one cache-resident bit test,
 ///  * member lists and class sizes for collapsed classes,
 ///  * an approximate topological order over pointers, which drives the
-///    solver's two-level worklist and the online back-edge trigger.
+///    solver's two-level worklist.
 ///
-/// Detection is two-tier, Pearce-style: an unfiltered edge that lands
-/// against the approximate order (within a bounded affected region) runs
-/// a budgeted DFS probe for a closing path, collapsing the found path
-/// immediately; a periodic full Tarjan pass — scheduled on graph growth,
-/// aborted probes, and, decisively, solver work milestones so cycles
-/// collapse before the bulk of propagation circulates them — catches
-/// everything the probes miss and refreshes the topological order.
+/// Detection is one whole-graph Tarjan pass (fullPass), as in
+/// wave-propagation solvers. The solver runs it on a schedule — graph
+/// growth and, decisively, solver work milestones, so cycles collapse
+/// before the bulk of propagation circulates them — and once more when
+/// the worklist drains at a completed fixpoint if the graph grew since
+/// the last pass. A cycle's members already hold equal sets there, so
+/// that last pass adds no propagation work, and a completed solve leaves
+/// no unfiltered PFG cycle uncollapsed.
 ///
 /// The collapser never touches solver state (points-to sets, pending
 /// work, plugin callbacks); the solver drives merges via mergeClass() and
@@ -63,7 +64,7 @@ namespace csc {
 class SccCollapser {
 public:
   /// The collapser reads (never writes) the solver's original PFG: it is
-  /// the edge set probes, full passes, and member-edge enumeration walk.
+  /// the edge set full passes walk.
   explicit SccCollapser(const PointerFlowGraph &PFG) : PFG(PFG) {}
 
   /// Pre-sizes the order/size tables.
@@ -118,39 +119,25 @@ public:
     return Rep < Order.size() ? Order[Rep] : Rep;
   }
 
-  /// True when \p S -> \p T does not advance the approximate order — the
-  /// cheap trigger for an online cycle probe. Probes additionally refuse
-  /// to enter large collapsed classes (enumerating a big class's merged
-  /// out-edges per probe costs more than the periodic pass that would
-  /// catch the cycle anyway); see findCycle.
-  bool looksLikeBackEdge(PtrId S, PtrId T) const {
-    return order(T) <= order(S) && classSize(T) <= ProbeClassBound;
-  }
-
   //===--------------------------------------------------------------------===
   // Detection
   //===--------------------------------------------------------------------===
 
-  /// Bounded DFS over unfiltered representative edges from \p T looking
-  /// for \p S (the insertion of S -> T closed a cycle iff T reaches S).
-  /// On success fills \p CycleOut with the representatives on the found
-  /// path (T ... S) — all provably on one cycle — and returns true.
-  /// Gives up (false, and schedules the full pass sooner) once the probe
-  /// budget is exhausted.
-  bool findCycle(PtrId S, PtrId T, std::vector<PtrId> &CycleOut);
-
-  /// True when a whole-graph Tarjan sweep is worth it: the graph grew,
-  /// too many probes aborted, or — the decisive trigger — the solver
-  /// performed enough insertion work since the last pass. Work-based
-  /// scheduling (geometric, from a small initial threshold) runs the
-  /// first passes right after the initial reachability cascade, i.e.
-  /// BEFORE the bulk of propagation circulates redundantly around any
-  /// cycle; edge-based scheduling alone fires too late because the PFG
-  /// skeleton appears in one early burst.
+  /// True when a scheduled whole-graph Tarjan sweep is worth it: the
+  /// graph grew, or — the decisive trigger — the solver performed enough
+  /// insertion work since the last pass. Work-based scheduling
+  /// (geometric, from a small initial threshold) runs the first passes
+  /// right after the initial reachability cascade, i.e. BEFORE the bulk
+  /// of propagation circulates redundantly around any cycle; edge-based
+  /// scheduling alone fires too late because the PFG skeleton appears in
+  /// one early burst.
   bool fullPassDue(uint64_t WorkDone) const {
-    return EdgesSincePass >= PassEdgeThreshold ||
-           WorkDone >= NextPassWork || AbortedProbes >= 48;
+    return EdgesSincePass >= PassEdgeThreshold || WorkDone >= NextPassWork;
   }
+
+  /// True when an edge arrived since the last pass: the fixpoint pass
+  /// runs only then (an unchanged graph has no uncollapsed cycle).
+  bool grewSincePass() const { return EdgesSincePass != 0; }
 
   /// Iterative Tarjan over the unfiltered representative subgraph:
   /// appends every multi-node SCC to \p SccsOut (for the solver to
@@ -177,41 +164,6 @@ public:
 private:
   void ensureNode(PtrId P);
 
-  /// Enumerates \p Rep's representative-level unfiltered successors:
-  /// every member's original unfiltered out-edge, target mapped through
-  /// rep(), intra-class edges skipped. Fn(PtrId) returning false stops.
-  template <typename F> bool forEachUnfilteredSucc(PtrId Rep, F &&Fn) {
-    const std::vector<PtrId> *M = membersOrNull(Rep);
-    if (!M) {
-      for (const PFGEdge &E : PFG.succ(Rep)) {
-        if (E.Filter != InvalidId)
-          continue;
-        PtrId T = rep(E.To);
-        if (T != Rep && !Fn(T))
-          return false;
-      }
-      return true;
-    }
-    for (PtrId Member : *M)
-      for (const PFGEdge &E : PFG.succ(Member)) {
-        if (E.Filter != InvalidId)
-          continue;
-        PtrId T = rep(E.To);
-        if (T != Rep && !Fn(T))
-          return false;
-      }
-    return true;
-  }
-
-  /// Max nodes an online probe may visit before giving up. Cycles the
-  /// probes are after are short copy/assign loops; long-range ones are
-  /// the full pass's job.
-  static constexpr uint32_t ProbeBudget = 192;
-  /// Max members a class may have for a probe to start at or descend
-  /// into it (big classes make per-frame successor enumeration costly;
-  /// their cycles wait for the full pass).
-  static constexpr uint32_t ProbeClassBound = 64;
-
   const PointerFlowGraph &PFG;
   UnionFind UF;
   std::vector<uint32_t> Size;  ///< Class size by representative.
@@ -222,25 +174,12 @@ private:
   /// never-merged run keeps this at a few words.
   std::vector<uint64_t> Absorbed;
 
-  // Probe scratch (epoch-stamped visit marks reused across probes).
-  std::vector<uint32_t> VisitMark;
-  uint32_t VisitEpoch = 0;
-  struct ProbeFrame {
-    PtrId Node;
-    uint32_t EdgeIx; ///< Index into the flattened member-edge sequence.
-  };
-  std::vector<ProbeFrame> ProbeStack;
-  /// Per-frame successor snapshots for the probe DFS (frames enumerate
-  /// their successors once; the graph must not change mid-probe).
-  std::vector<std::vector<PtrId>> ProbeSuccScratch;
-
   // Full-pass scheduling.
   uint64_t NumEdges = 0;
   uint64_t EdgesSincePass = 0;
-  uint64_t PassEdgeThreshold = 512;
+  uint64_t PassEdgeThreshold = 256;
   uint64_t NextPassWork = 16 * 1024; ///< Insertion milestone (doubles).
   uint32_t UnproductivePasses = 0;   ///< Consecutive empty passes.
-  uint32_t AbortedProbes = 0;
 
   SccStats Stats;
 };

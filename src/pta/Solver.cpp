@@ -241,13 +241,6 @@ bool Solver::addPFGEdge(PtrId Src, PtrId Dst, TypeId Filter,
   const PointsToSet &SrcPts = Pts[RS];
   if (!SrcPts.empty())
     enqueueSet(RT, SrcPts, Filter);
-  // Online detection: only unfiltered edges can close a collapsible
-  // cycle, and only when the edge runs against the approximate topo
-  // order is a probe worth it. Detection is suppressed while a collapse
-  // is in flight (the full pass mops up anything missed).
-  if (!InCollapse && Filter == InvalidId && Scc->looksLikeBackEdge(RS, RT) &&
-      Scc->findCycle(RS, RT, CycleScratch))
-    collapseClass(CycleScratch);
   return true;
 }
 
@@ -455,38 +448,21 @@ void Solver::propagateAlongEdges(PtrId Rep, const PointsToSet &Set) {
 }
 
 void Solver::processClass(PtrId Rep, const PointsToSet &Delta) {
-  if (!Scc) {
-    processPointer(Rep, Delta);
-    return;
-  }
-  const std::vector<PtrId> *Members = Scc->membersOrNull(Rep);
+  const std::vector<PtrId> *Members = Scc ? Scc->membersOrNull(Rep) : nullptr;
   if (!Members) {
     processPointer(Rep, Delta);
     return;
   }
   // Un-collapsed view for statements and plugins: the delta reaches every
-  // member pointer, exactly as if each still carried its own set. Copy —
-  // a nested online collapse (processPointer adds edges) rewrites the
-  // collapser's member table.
-  std::vector<PtrId> Snapshot = *Members;
-  for (PtrId M : Snapshot)
+  // member pointer, exactly as if each still carried its own set.
+  // Collapses happen only between pops, so the member list is stable.
+  for (PtrId M : *Members)
     processPointer(M, Delta);
 }
 
-void Solver::collapseClass(const std::vector<PtrId> &Reps) {
-  // Canonicalize defensively: remap through current representatives and
-  // dedup (a probe path can touch a class twice through stale edges).
-  std::vector<PtrId> Classes;
-  Classes.reserve(Reps.size());
-  for (PtrId R : Reps)
-    Classes.push_back(Scc->rep(R));
+void Solver::collapseClass(std::vector<PtrId> Classes) {
+  // Ascending ids, so the union-find elects the same winner every run.
   std::sort(Classes.begin(), Classes.end());
-  Classes.erase(std::unique(Classes.begin(), Classes.end()),
-                Classes.end());
-  if (Classes.size() < 2)
-    return;
-
-  InCollapse = true;
 
   // (a) Semantic snapshot: the merged set, and per class the catch-up
   // delta its members are missing plus the member list (mergeClass
@@ -548,8 +524,7 @@ void Solver::collapseClass(const std::vector<PtrId> &Reps) {
   // was missing facts: statement reprocessing and plugin callbacks
   // observe exactly the growth a collapse-free run would have propagated
   // around the cycle. Logical insertions count per catching-up member.
-  // Nested edge insertions self-propagate; nested detection stays off
-  // until the collapse completes.
+  // Nested edge insertions self-propagate.
   propagateAlongEdges(W, Pts[W]);
   for (const CatchUp &CU : CatchUps) {
     Stats.PtsInsertions +=
@@ -559,15 +534,13 @@ void Solver::collapseClass(const std::vector<PtrId> &Reps) {
     for (PtrId M : CU.Members)
       processPointer(M, CU.Delta);
   }
-
-  InCollapse = false;
 }
 
 void Solver::runFullSccPass() {
   std::vector<std::vector<PtrId>> Sccs;
   Scc->fullPass(Sccs, Stats.PtsInsertions);
-  for (const std::vector<PtrId> &Cycle : Sccs)
-    collapseClass(Cycle);
+  for (std::vector<PtrId> &Cycle : Sccs)
+    collapseClass(std::move(Cycle));
 }
 
 PTAResult Solver::solve() {
@@ -714,9 +687,9 @@ void Solver::runFixpointLoop() {
         Exhausted = true;
         break;
       }
-      // Periodic fallback: a bounded full Tarjan pass over the
-      // representative graph (scheduled on edge growth / aborted
-      // probes), which also refreshes the worklist's topological order.
+      // Scheduled cycle detection: a full Tarjan pass over the
+      // representative graph (on edge growth and work milestones), which
+      // also refreshes the worklist's topological order.
       if (Scc && Scc->fullPassDue(Stats.PtsInsertions))
         runFullSccPass();
 
@@ -760,6 +733,11 @@ void Solver::runFixpointLoop() {
     // added anything.
     if (Exhausted)
       break;
+    // The fixpoint pass: at a drained worklist every cycle's members hold
+    // equal sets, so collapsing costs no propagation, and a completed
+    // solve leaves no unfiltered cycle uncollapsed.
+    if (Scc && Scc->grewSincePass())
+      runFullSccPass();
     for (SolverPlugin *Pl : Plugins)
       Pl->onFixpoint();
     MoreRounds = !Next.empty() || Cursor != Current.size();
@@ -778,7 +756,6 @@ PTAResult Solver::finishRun() {
     const SccStats &CS = Scc->stats();
     Stats.Scc.SccsFound = CS.SccsFound;
     Stats.Scc.MembersCollapsed = CS.MembersCollapsed;
-    Stats.Scc.OnlineCollapses = CS.OnlineCollapses;
     Stats.Scc.FullPasses = CS.FullPasses;
   }
   Stats.NumPtrs = CSM.numPtrs();

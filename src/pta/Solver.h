@@ -51,8 +51,8 @@ struct SolverOptions {
   ContextSelector *Selector = nullptr;
   /// Incremental (Tai-e-style) vs full re-propagation (Doop-style).
   bool DeltaPropagation = true;
-  /// Online cycle elimination: pointers on a cycle of unfiltered PFG
-  /// edges share one points-to set behind an SCC representative, and
+  /// Cycle elimination: pointers on a cycle of unfiltered PFG edges
+  /// share one points-to set behind an SCC representative, and
   /// propagation runs on the collapsed graph (see SccCollapser.h).
   /// Purely an engine optimization — results, precision metrics, the
   /// logical PtsInsertions counter, and every public query (ptsOf, pfg(),
@@ -231,9 +231,9 @@ private:
   void processClass(PtrId Rep, const PointsToSet &Delta);
   /// Semantic half of a collapse: merges member points-to/pending state
   /// into the winner, fires per-class catch-up deltas, and re-flushes
-  /// the merged out-edges. \p Reps holds current representatives (the
-  /// collapser canonicalizes/dedups them defensively).
-  void collapseClass(const std::vector<PtrId> &Reps);
+  /// the merged out-edges. \p Classes holds distinct current
+  /// representatives (one SCC of a full pass).
+  void collapseClass(std::vector<PtrId> Classes);
   void runFullSccPass();
   /// Moves Next into Current, sorted by (approximate topo order, id).
   void refillWorklist();
@@ -267,13 +267,8 @@ private:
   std::size_t Cursor = 0;
   std::vector<PtrId> Next;
 
-  // Online cycle elimination (null when Opts.CycleElimination is off).
+  // Cycle elimination (null when Opts.CycleElimination is off).
   std::unique_ptr<SccCollapser> Scc;
-  /// True while collapseClass runs: nested edge insertions must not
-  /// re-enter detection (they are picked up by later probes or the
-  /// periodic full pass instead).
-  bool InCollapse = false;
-  std::vector<PtrId> CycleScratch;
 
   // Lazily built per-type bitmaps over the CSObjId space: FilterMasks[T]
   // holds every interned object whose type is a subtype of T, so filtered

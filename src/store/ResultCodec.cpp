@@ -92,7 +92,6 @@ void csc::serializePTAResult(const PTAResult &R, BinaryWriter &W) {
   W.u32(S.ReachableCI);
   W.u64(S.Scc.SccsFound);
   W.u64(S.Scc.MembersCollapsed);
-  W.u64(S.Scc.OnlineCollapses);
   W.u64(S.Scc.FullPasses);
   W.u64(S.Scc.PropagationsSaved);
 
@@ -147,8 +146,7 @@ bool csc::deserializePTAResult(BinaryReader &R, PTAResult &Out) {
       !R.u32(S.NumPtrs) || !R.u32(S.NumCSObjs) || !R.u32(S.NumContexts) ||
       !R.u32(S.ReachableCS) || !R.u32(S.ReachableCI) ||
       !R.u64(S.Scc.SccsFound) || !R.u64(S.Scc.MembersCollapsed) ||
-      !R.u64(S.Scc.OnlineCollapses) || !R.u64(S.Scc.FullPasses) ||
-      !R.u64(S.Scc.PropagationsSaved))
+      !R.u64(S.Scc.FullPasses) || !R.u64(S.Scc.PropagationsSaved))
     return false;
 
   uint32_t N;
@@ -223,7 +221,6 @@ bool csc::resultsEqual(const PTAResult &A, const PTAResult &B) {
       SA.ReachableCI != SB.ReachableCI ||
       SA.Scc.SccsFound != SB.Scc.SccsFound ||
       SA.Scc.MembersCollapsed != SB.Scc.MembersCollapsed ||
-      SA.Scc.OnlineCollapses != SB.Scc.OnlineCollapses ||
       SA.Scc.FullPasses != SB.Scc.FullPasses ||
       SA.Scc.PropagationsSaved != SB.Scc.PropagationsSaved)
     return false;

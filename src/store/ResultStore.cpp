@@ -124,7 +124,7 @@ namespace {
 // the fixed header is caught; flips inside the header fail the magic /
 // version / checksum comparison instead.
 constexpr char EntryMagic[8] = {'C', 'S', 'C', 'P', 'T', 'A', 'R', '1'};
-constexpr uint32_t FormatVersion = 1;
+constexpr uint32_t FormatVersion = 2;
 constexpr size_t HeaderBytes = 8 + 4 + 8; // magic + version + checksum
 
 bool readWholeFile(const std::string &Path, std::string &Out) {
@@ -428,7 +428,8 @@ ResultStore::GcReport ResultStore::gcLocked() {
 
   uint64_t Now = nowMs();
   for (const auto &[StampMs, Path, Bytes] : ByAge) {
-    bool TooOld = Opts.MaxAgeMs != 0 && StampMs + Opts.MaxAgeMs < Now;
+    bool TooOld = Opts.MaxAgeMs != 0 && Now > StampMs &&
+                  Now - StampMs > Opts.MaxAgeMs;
     bool OverBudget = Opts.MaxBytes != 0 && Total > Opts.MaxBytes;
     if (!TooOld && !OverBudget)
       break; // ByAge is oldest-first: nothing later qualifies either

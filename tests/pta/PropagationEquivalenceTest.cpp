@@ -10,7 +10,7 @@
 // same files the cscpta acceptance pipeline uses), for both the plain CI
 // analysis and the full Cut-Shortcut configuration.
 //
-// The second half of the suite pins the online cycle-elimination contract
+// The second half of the suite pins the cycle-elimination contract
 // (SolverOptions::CycleElimination, spec parameter `scc`): for ci, csc,
 // and 2obj — on the examples and on the cycle-bearing scale-xs/scale-s
 // workload tiers — scc=on and scc=off must produce identical PTAResult
@@ -225,9 +225,10 @@ TEST(SccEquivalenceTest, BudgetExhaustionMidCollapseIsDeterministic) {
   auto S = tierSession("scale-s");
   ASSERT_NE(S, nullptr);
   const Program &P = S->program();
-  // scale-s/ci completes around ~1.7k insertions with several online
-  // collapses along the way: the small budgets land mid-run, the large
-  // one completes (covering both interrupted and finished runs).
+  // scale-s/ci completes around ~1.7k insertions, with scheduled Tarjan
+  // passes along the way and the fixpoint pass at the end: the small
+  // budgets land mid-run, the large one completes (covering both
+  // interrupted and finished runs).
   bool SawExhaustion = false;
   for (uint64_t Budget : {300ULL, 900ULL, 60000ULL}) {
     S->setWorkBudget(Budget);

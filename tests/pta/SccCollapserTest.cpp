@@ -4,16 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Unit tests for the solver's online cycle-elimination subsystem: the
-// UnionFind forest, the SccCollapser's detection/merge mechanics over a
-// hand-built PFG, and the solver-level regression pinned by ISSUE 5 —
-// shortcut-edge queries (Solver::isShortcutEdge, graph dumps) must stay
-// correct after a cycle containing a shortcut endpoint collapses, because
-// the ShortcutEdgeKeys set is keyed on original (un-collapsed) pointers
-// and the representative layer never rewrites it.
+// Unit tests for the solver's cycle-elimination subsystem: the UnionFind
+// forest, the SccCollapser's detection/merge mechanics over a hand-built
+// PFG, the solver-level rule that a completed solve leaves no unfiltered
+// PFG cycle uncollapsed, and the regression that shortcut-edge queries
+// (Solver::isShortcutEdge, graph dumps) must stay correct after a cycle
+// containing a shortcut endpoint collapses, because the ShortcutEdgeKeys
+// set is keyed on original (un-collapsed) pointers and the representative
+// layer never rewrites it.
 //
 //===----------------------------------------------------------------------===//
 
+#include "client/AnalysisRegistry.h"
+#include "client/AnalysisSession.h"
 #include "csc/CutShortcutPlugin.h"
 #include "frontend/Parser.h"
 #include "pta/GraphDump.h"
@@ -22,10 +25,13 @@
 #include "stdlib/ContainerSpec.h"
 #include "stdlib/Stdlib.h"
 #include "support/UnionFind.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
 using namespace csc;
 
@@ -104,14 +110,17 @@ struct TinyGraph {
 
 } // namespace
 
-TEST(SccCollapserTest, FindCycleOnClosingEdge) {
+TEST(SccCollapserTest, FullPassCycleMergesIntoOneClass) {
   TinyGraph G;
   // Insert 2 -> 0: closes 0 -> 1 -> 2 -> 0.
   ASSERT_TRUE(G.PFG.addEdge(2, 0, InvalidId));
   G.C.noteEdge(2, 0);
-  ASSERT_TRUE(G.C.looksLikeBackEdge(2, 0));
-  std::vector<PtrId> Cycle;
-  ASSERT_TRUE(G.C.findCycle(2, 0, Cycle));
+  ASSERT_TRUE(G.C.grewSincePass());
+  std::vector<std::vector<PtrId>> Sccs;
+  G.C.fullPass(Sccs);
+  EXPECT_FALSE(G.C.grewSincePass());
+  ASSERT_EQ(Sccs.size(), 1u);
+  std::vector<PtrId> Cycle = Sccs[0];
   std::sort(Cycle.begin(), Cycle.end());
   EXPECT_EQ(Cycle, (std::vector<PtrId>{0, 1, 2}));
 
@@ -133,8 +142,6 @@ TEST(SccCollapserTest, FilteredEdgesNeverCollapse) {
   // nothing may collapse (a cast filter breaks set equality).
   ASSERT_TRUE(G.PFG.addEdge(3, 0, InvalidId));
   G.C.noteEdge(3, 0);
-  std::vector<PtrId> Cycle;
-  EXPECT_FALSE(G.C.findCycle(3, 0, Cycle));
   std::vector<std::vector<PtrId>> Sccs;
   G.C.fullPass(Sccs);
   EXPECT_TRUE(Sccs.empty());
@@ -158,7 +165,107 @@ TEST(SccCollapserTest, FullPassFindsCyclesAndRefreshesOrder) {
 }
 
 //===----------------------------------------------------------------------===//
-// Solver-level regression: shortcut edges survive collapse (ISSUE 5)
+// Solver level: a completed solve leaves no cycle uncollapsed
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One `main` whose 300 locals form a single copy cycle a0 -> a1 -> ...
+/// -> a299 -> a0: longer than any bounded search would follow, and too
+/// few edges and too little work for a scheduled pass to fire.
+std::string longCycleSource() {
+  constexpr int N = 300;
+  std::string S = "class Main {\n  static method main(): void {\n";
+  for (int I = 0; I < N; ++I)
+    S += "    var a" + std::to_string(I) + ": Object;\n";
+  S += "    a0 = new Object;\n";
+  for (int I = 1; I < N; ++I)
+    S += "    a" + std::to_string(I) + " = a" + std::to_string(I - 1) +
+         ";\n";
+  S += "    a0 = a" + std::to_string(N - 1) + ";\n  }\n}\n";
+  return S;
+}
+
+/// Solves \p P under \p Spec exactly as a session run would wire it,
+/// then requires one pass of a fresh collapser over the final PFG to
+/// find exactly the members the solve collapsed: no cycle was left.
+void expectNoCycleLeft(const Program &P, const std::string &Spec,
+                       const std::string &Label) {
+  AnalysisRecipe R;
+  std::string Error;
+  ASSERT_TRUE(AnalysisRegistry::global().build(Spec, R, Error)) << Error;
+  SolverOptions Opts;
+  Opts.DeltaPropagation = !R.DoopMode;
+  Opts.CycleElimination = R.CycleElimination;
+  std::unique_ptr<ContextSelector> Sel;
+  if (R.MakeSelector)
+    Sel = R.MakeSelector();
+  Opts.Selector = Sel.get();
+  ContainerSpec CSpec = ContainerSpec::forProgram(P);
+  std::unique_ptr<CutShortcutPlugin> Plugin;
+  if (R.UseCsc)
+    Plugin = std::make_unique<CutShortcutPlugin>(P, CSpec, R.Csc);
+  Solver S(P, Opts);
+  if (Plugin)
+    S.addPlugin(Plugin.get());
+  PTAResult Res = S.solve();
+  ASSERT_FALSE(Res.Exhausted) << Label;
+  ASSERT_GT(Res.Stats.Scc.MembersCollapsed, 0u) << Label;
+
+  SccCollapser Fresh(S.pfg());
+  for (PtrId Src = 0; Src < Res.Stats.NumPtrs; ++Src)
+    for (const PFGEdge &E : S.pfg().succ(Src))
+      Fresh.noteEdge(Src, E.To);
+  std::vector<std::vector<PtrId>> Sccs;
+  Fresh.fullPass(Sccs);
+  uint64_t Members = 0;
+  for (const std::vector<PtrId> &C : Sccs)
+    Members += C.size() - 1;
+  EXPECT_EQ(Members, Res.Stats.Scc.MembersCollapsed) << Label;
+}
+
+std::unique_ptr<Program> tierProgram(const char *Name) {
+  for (const WorkloadConfig &C : scalingSuite()) {
+    if (C.Name != Name)
+      continue;
+    std::vector<std::string> Diags;
+    auto P = buildWorkloadProgram(C, Diags);
+    for (const std::string &D : Diags)
+      ADD_FAILURE() << Name << ": " << D;
+    return P;
+  }
+  ADD_FAILURE() << "no such tier: " << Name;
+  return nullptr;
+}
+
+} // namespace
+
+TEST(SccFixpointTest, LongCopyCycleCollapsesAtTheFixpoint) {
+  Program P;
+  std::vector<std::string> Diags;
+  ASSERT_TRUE(parseProgram(
+      P, {{"<stdlib>", stdlibSource()}, {"long.jir", longCycleSource()}},
+      Diags))
+      << (Diags.empty() ? "" : Diags.front());
+  AnalysisSession Session(P);
+  AnalysisRun Run = Session.run("ci");
+  ASSERT_TRUE(Run.completed());
+  EXPECT_EQ(Run.Result.Stats.Scc.SccsFound, 1u);
+  EXPECT_EQ(Run.Result.Stats.Scc.MembersCollapsed, 299u);
+  expectNoCycleLeft(P, "ci", "long-cycle");
+}
+
+TEST(SccFixpointTest, CompletedSolveLeavesNoCycleUncollapsed) {
+  for (const char *Tier : {"scale-s", "scale-m"}) {
+    auto P = tierProgram(Tier);
+    ASSERT_NE(P, nullptr);
+    for (const char *Spec : {"ci", "csc", "2obj", "csc-doop"})
+      expectNoCycleLeft(*P, Spec, std::string(Tier) + "/" + Spec);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Solver-level regression: shortcut edges survive collapse
 //===----------------------------------------------------------------------===//
 
 namespace {

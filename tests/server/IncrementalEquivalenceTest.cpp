@@ -276,6 +276,45 @@ TEST(IncrementalEquivalenceTest, DeltaSequenceStaysEquivalentAtEveryStep) {
 }
 
 //===----------------------------------------------------------------------===//
+// A delta that closes a copy cycle through already-reachable pointers
+//===----------------------------------------------------------------------===//
+
+TEST(IncrementalEquivalenceTest, DeltaClosingACopyCycleCollapsesIt) {
+  // item1 already flows to result1 through Carton's field; `item1 =
+  // result1` closes item1 -> setItem.item -> {c1,c2}.item -> getItem.r
+  // -> result1 -> item1, and `result2 = result1` hangs a tail off it.
+  // The resumed fixpoint must collapse the cycle before it completes.
+  std::string Base = readExample("figure1.jir");
+  ASSERT_FALSE(Base.empty());
+  const std::string Delta = "extend class Main {\n"
+                            "  append method main {\n"
+                            "    item1 = result1;\n"
+                            "    result2 = result1;\n"
+                            "  }\n"
+                            "}\n";
+  auto WarmP = parseAll({{"figure1.jir", Base}}, /*WithStdlib=*/true);
+  ASSERT_NE(WarmP, nullptr);
+  AnalysisRecipe R = recipeFor("ci;scc=1");
+  IncrementalSolver Warm(*WarmP, R, IncrementalSolver::Options());
+  uint64_t Before = Warm.ensureCurrent().Stats.Scc.MembersCollapsed;
+
+  ASSERT_TRUE(applyDelta(*WarmP, Delta, "<d1>"));
+  Warm.noteDelta(/*CanWarmStart=*/true);
+  const PTAResult &RW = Warm.ensureCurrent();
+  EXPECT_TRUE(Warm.lastWasWarm());
+
+  auto FreshP =
+      parseAll({{"figure1.jir", Base}, {"<d1>", Delta}}, /*WithStdlib=*/true);
+  ASSERT_NE(FreshP, nullptr);
+  IncrementalSolver Fresh(*FreshP, R, IncrementalSolver::Options());
+  const PTAResult &RF = Fresh.ensureCurrent();
+  expectIdenticalResults(*WarmP, RW, RF, "cycle-delta");
+  // Six pointers on the cycle: five join the representative's class.
+  EXPECT_EQ(RW.Stats.Scc.MembersCollapsed, Before + 5);
+  EXPECT_EQ(RW.Stats.Scc.MembersCollapsed, RF.Stats.Scc.MembersCollapsed);
+}
+
+//===----------------------------------------------------------------------===//
 // Workload tiers: warm resume at scale, scc on and off
 //===----------------------------------------------------------------------===//
 

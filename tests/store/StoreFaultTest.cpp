@@ -467,6 +467,17 @@ TEST_F(StoreFaultTest, GcAgeBoundEvictsEntriesNotAccessedInTime) {
   EXPECT_EQ(runWith(openGc(0, 5000)).StoreHits, 6u);
 }
 
+TEST_F(StoreFaultTest, GcAgeBoundAtTheTopOfItsRangeEvictsNothing) {
+  // Regression: the age test used to add the bound to the entry's stamp,
+  // which wrapped for bounds near 2^64 and evicted every entry.
+  runWith(openGc(0, 0)); // warm at the fake clock's T0
+  Clock += 10000;
+  std::shared_ptr<ResultStore> Store = openGc(0, /*MaxAgeMs=*/~0ULL);
+  EXPECT_EQ(Store->counters().GcEvictions, 0u);
+  EXPECT_EQ(listFiles(Dir + "/objects").size(), 6u);
+  EXPECT_EQ(runWith(Store).StoreHits, 6u);
+}
+
 TEST_F(StoreFaultTest, AccessFlushDoesNotResurrectGcEvictedEntries) {
   // Regression: a handle's destructor used to flush its in-memory
   // access stamps into a shared index, resurrecting entries another

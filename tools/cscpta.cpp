@@ -206,6 +206,9 @@ bool parsePositiveArg(const std::string &Val, const char *Opt,
 // Persistent result store
 //===----------------------------------------------------------------------===//
 
+/// Largest --store-max-age whose millisecond bound fits in 64 bits.
+constexpr uint64_t MaxStoreAgeS = ~0ULL / 1000;
+
 /// Opens --store, degrading to "no store" with a warning when the
 /// directory is unusable — a broken store must never fail the analysis.
 std::shared_ptr<ResultStore> openStore(const CliOptions &Cli) {
@@ -482,14 +485,13 @@ void printRunStats(const AnalysisRun &Run) {
   std::fprintf(
       stderr,
       "[cscpta] stats %s: pops %llu, pts-insertions %llu, pfg-edges %llu"
-      " | scc: %llu collapsed (%llu members; %llu online, %llu full "
-      "passes), ~%llu propagations saved\n",
+      " | scc: %llu collapsed (%llu members; %llu full passes), ~%llu "
+      "propagations saved\n",
       Run.Name.c_str(), static_cast<unsigned long long>(S.WorklistPops),
       static_cast<unsigned long long>(S.PtsInsertions),
       static_cast<unsigned long long>(S.PFGEdges),
       static_cast<unsigned long long>(C.SccsFound),
       static_cast<unsigned long long>(C.MembersCollapsed),
-      static_cast<unsigned long long>(C.OnlineCollapses),
       static_cast<unsigned long long>(C.FullPasses),
       static_cast<unsigned long long>(C.PropagationsSaved));
 }
@@ -746,6 +748,13 @@ int main(int Argc, char **Argv) {
       if (!takeValue(Argc, Argv, I, "--store-max-age", Val) ||
           !parseUint64Arg(Val, "--store-max-age", Cli.StoreMaxAgeS))
         return usage(Argv[0]);
+      if (Cli.StoreMaxAgeS > MaxStoreAgeS) {
+        std::fprintf(stderr,
+                     "error: --store-max-age expects a non-negative integer "
+                     "<= %llu\n",
+                     static_cast<unsigned long long>(MaxStoreAgeS));
+        return usage(Argv[0]);
+      }
     } else if (Arg == "--scrub") {
       Cli.Scrub = true;
     } else if (Arg == "--json") {
