@@ -34,7 +34,7 @@ AnalysisRecipe selectiveRecipe(std::unordered_set<MethodId> Selected,
   AnalysisRecipe R;
   R.Name = Name;
   R.Kind = AnalysisKind::TwoObj;
-  R.MakeSelector = [] { return std::make_unique<KObjSelector>(2); };
+  R.K = 2;
   R.SelectOnly = std::make_shared<const std::unordered_set<MethodId>>(
       std::move(Selected));
   return R;

@@ -8,7 +8,7 @@
 // collections and reports every downcast as possibly failing; Cut-Shortcut
 // proves the clean ones safe and still flags the one real bug.
 //
-// Run: build/examples/cast_checker
+// Run: build/examples/example_cast_checker
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,9 +93,8 @@ class Main {
 }
 )";
 
-void report(const char *Label, const ResultView &View) {
-  const Program &P = View.program();
-  std::vector<StmtId> Fails = View.mayFailCasts();
+void report(const char *Label, const Program &P, const AnalysisRun &Run) {
+  std::vector<StmtId> Fails = mayFailCasts(P, Run.Result);
   std::printf("%s: %zu of 3 downcasts may fail\n", Label, Fails.size());
   for (StmtId S : Fails)
     std::printf("  line %u: %s\n", P.stmt(S).Line,
@@ -114,13 +113,11 @@ int main() {
     return 1;
   }
 
-  AnalysisRun CI = S->run("ci");
-  report("context-insensitive", S->view(CI));
+  report("context-insensitive", S->program(), S->run("ci"));
 
   std::printf("\n");
 
-  AnalysisRun Csc = S->run("csc");
-  report("cut-shortcut       ", S->view(Csc));
+  report("cut-shortcut       ", S->program(), S->run("csc"));
 
   std::printf("\nCut-Shortcut separates the two collections, proving the "
               "two clean casts safe\nwhile still flagging the genuine "

@@ -8,7 +8,7 @@
 // how CI, Cut-Shortcut and 2obj resolve the call sites and prints the
 // container pattern's internal host map (ptH) for the iterator variables.
 //
-// Run: build/examples/container_audit
+// Run: build/examples/example_container_audit
 //
 //===----------------------------------------------------------------------===//
 
@@ -84,20 +84,20 @@ class Main {
 }
 )";
 
-void report(const char *Label, const ResultView &View) {
-  const Program &P = View.program();
-  std::vector<CallSiteId> Poly = View.polyCallSites();
-  std::printf("%s: %u polymorphic call site(s)\n", Label,
+void report(const Program &P, const AnalysisRun &Run) {
+  const PTAResult &R = Run.Result;
+  std::vector<CallSiteId> Poly = polyCallSites(P, R);
+  std::printf("%s: %u polymorphic call site(s)\n", Run.Name.c_str(),
               static_cast<uint32_t>(Poly.size()));
   for (CallSiteId CS = 0; CS < P.numCallSites(); ++CS) {
     const Stmt &S = P.stmt(P.callSite(CS).S);
-    if (S.IKind != InvokeKind::Virtual || !View.isReachable(S.Method))
+    if (S.IKind != InvokeKind::Virtual || !R.isReachable(S.Method))
       continue;
     const std::string &Sig = P.subsigName(S.Subsig);
     if (Sig.rfind("handle/", 0) != 0)
       continue;
     std::printf("  %-34s ->", printStmt(P, P.callSite(CS).S).c_str());
-    for (MethodId M : View.calleesAt(CS))
+    for (MethodId M : R.calleesOf(CS))
       std::printf(" %s", P.methodString(M).c_str());
     std::printf("\n");
   }
@@ -116,7 +116,7 @@ int main() {
   }
 
   for (const AnalysisRun &O : S->runAll("ci,csc,2obj")) {
-    report(O.Name.c_str(), S->view(O));
+    report(S->program(), O);
     std::printf("\n");
   }
 

@@ -95,18 +95,16 @@ int main() {
   std::printf("=== Context-insensitive analysis (Fig. 1a) ===\n");
   {
     AnalysisRun CI = S->run("ci");
-    ResultView View = S->view(CI);
-    printPts(P, "result1", View.pointsTo(Fig.Result1));
-    printPts(P, "result2", View.pointsTo(Fig.Result2));
+    printPts(P, "result1", CI.Result.pt(Fig.Result1));
+    printPts(P, "result2", CI.Result.pt(Fig.Result2));
     std::printf("  -> the two cartons' items are merged (imprecise)\n\n");
   }
 
   std::printf("=== Cut-Shortcut (Fig. 1b) ===\n");
   {
     AnalysisRun Csc = S->run("csc");
-    ResultView View = S->view(Csc);
-    printPts(P, "result1", View.pointsTo(Fig.Result1));
-    printPts(P, "result2", View.pointsTo(Fig.Result2));
+    printPts(P, "result1", Csc.Result.pt(Fig.Result1));
+    printPts(P, "result2", Csc.Result.pt(Fig.Result2));
     std::printf("  -> context-sensitive precision without contexts:\n");
     std::printf("     %llu store edge(s) cut, %llu return cut(s), "
                 "%llu shortcut edge(s)\n",

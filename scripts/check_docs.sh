@@ -2,17 +2,18 @@
 # Documentation guard, run by the CI docs job (and locally):
 #   1. every relative markdown link in README.md / docs/*.md must resolve
 #      to an existing file,
-#   2. every analysis name registered in the code (the AnalysisNames
-#      table plus extra AnalysisRegistry registrations) must be
-#      documented in docs/CLI.md,
+#   2. every analysis name of the one analysis table (the rows of
+#      AnalysisRegistry::entries() in src/client/AnalysisRegistry.cpp)
+#      must have a row in docs/CLI.md's registered-analyses table, and
+#      every row of that table must name a table row,
 #   3. every --flag the cscpta driver accepts must be documented in
 #      docs/CLI.md, and every `--flag` row of docs/CLI.md's option tables
 #      must be a flag the driver accepts (a deleted flag cannot stay
 #      documented), and
 #   4. every request op the analysis server dispatches on must be
 #      documented in docs/CLI.md, and
-#   5. every spec parameter key some analysis accepts (the Known[] lists
-#      of src/client/AnalysisRegistry.cpp) must have a row in docs/CLI.md's
+#   5. every spec parameter key some analysis accepts (the *Params[]
+#      lists of src/client/AnalysisRegistry.cpp) must have a row in docs/CLI.md's
 #      spec-parameter table, and every row of that table must be a key
 #      some analysis accepts.
 # Usage: scripts/check_docs.sh
@@ -42,28 +43,43 @@ for doc in README.md docs/*.md; do
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')
 done
 
-# --- 2. Every registered analysis name appears in docs/CLI.md ---------------
-# Canonical names come from the one kind<->name table; names registered
-# directly on the registry (csc-doop) from AnalysisRegistry.cpp.
+# --- 2. Analysis table <-> docs/CLI.md's registered-analyses table -------
+# Names are the first field of every table row ({"name", AnalysisKind::...);
+# rows are the table that starts at the `| Name | Aliases |` header.
 # `|| true` keeps set -e/pipefail from aborting the substitution when a
 # pattern stops matching — the empty-names diagnostic below must fire
 # instead.
 names="$(
-  { grep -oE '\{AnalysisKind::[A-Za-z]+, "[a-z0-9-]+"' \
-        src/client/AnalysisNames.cpp \
-      | grep -oE '"[a-z0-9-]+"' | tr -d '"'; } || true
-  { grep -oE 'R\.add\("[a-z0-9-]+"' src/client/AnalysisRegistry.cpp \
+  { grep -oE '^ *\{"[a-z0-9-]+", AnalysisKind::' \
+        src/client/AnalysisRegistry.cpp \
       | grep -oE '"[a-z0-9-]+"' | tr -d '"'; } || true
 )"
 if [ -z "$names" ]; then
-  echo "error: could not extract any analysis names from the sources" \
-       "(did the registration syntax change?)"
+  echo "error: could not extract any analysis names from" \
+       "src/client/AnalysisRegistry.cpp (did the table syntax change?)"
+  fail=1
+fi
+name_rows="$(
+  { awk '/^\| Name \| Aliases \|/ {t=1; next} t && !/^\|/ {exit} t' \
+        docs/CLI.md \
+      | grep -oE '^\| `[a-z0-9-]+`' | sed -E 's/^\| `//; s/`$//'; } || true
+)"
+if [ -z "$name_rows" ]; then
+  echo "error: could not extract any rows from docs/CLI.md's" \
+       "registered-analyses table (did the table syntax change?)"
   fail=1
 fi
 for name in $names; do
-  if ! grep -qE "\`$name\`" docs/CLI.md; then
-    echo "error: registered analysis '$name' is not documented in" \
-         "docs/CLI.md (add it as \`$name\`)"
+  if ! grep -qxF -- "$name" <<< "$name_rows"; then
+    echo "error: analysis '$name' has no row in docs/CLI.md's" \
+         "registered-analyses table"
+    fail=1
+  fi
+done
+for name in $name_rows; do
+  if ! grep -qxF -- "$name" <<< "$names"; then
+    echo "error: docs/CLI.md documents analysis '$name' but the analysis" \
+         "table has no such row (remove the row)"
     fail=1
   fi
 done
@@ -126,15 +142,16 @@ for op in $ops; do
 done
 
 # --- 5. Spec parameters <-> docs/CLI.md's spec-parameter table -------------
-# Keys are the string literals of every `Known[] = {...}` list (which may
-# span lines); rows are the table that starts at the `| Key |` header.
+# Keys are the string literals of every `*Params[] = {...}` list (which
+# may span lines); rows are the table that starts at the `| Key |` header.
 params="$(
-  { awk '/Known\[\] = \{/,/nullptr\}/' src/client/AnalysisRegistry.cpp \
+  { awk '/Params\[\] = \{/,/nullptr\}/' src/client/AnalysisRegistry.cpp \
       | grep -oE '"[a-z]+"' | tr -d '"' | sort -u; } || true
 )"
 if [ -z "$params" ]; then
   echo "error: could not extract any spec parameters from" \
-       "src/client/AnalysisRegistry.cpp (did the Known[] syntax change?)"
+       "src/client/AnalysisRegistry.cpp (did the *Params[] syntax" \
+       "change?)"
   fail=1
 fi
 param_rows="$(

@@ -1,4 +1,4 @@
-//===- AnalysisRegistry.cpp - Named, pluggable analyses -------------------===//
+//===- AnalysisRegistry.cpp - The fixed table of named analyses -----------===//
 //
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 using namespace csc;
@@ -61,7 +62,8 @@ bool AnalysisSpec::paramUnsigned(std::string_view Key, unsigned &Out,
   return true;
 }
 
-bool AnalysisSpec::paramDouble(std::string_view Key, double &Out,
+bool AnalysisSpec::paramDouble(std::string_view Key, double Max,
+                               const char *Range, double &Out,
                                std::string &Error) const {
   const std::string *V = param(Key);
   if (!V)
@@ -72,6 +74,12 @@ bool AnalysisSpec::paramDouble(std::string_view Key, double &Out,
   if (errno != 0 || End == V->c_str() || *End != '\0') {
     Error = "parameter '" + std::string(Key) + "' expects a number, got '" +
             *V + "'";
+    return false;
+  }
+  // NaN fails both comparisons; infinities fail the second.
+  if (!(D >= 0 && D <= Max)) {
+    Error = "parameter '" + std::string(Key) + "' expects a number in " +
+            Range + ", got '" + *V + "'";
     return false;
   }
   Out = D;
@@ -198,169 +206,139 @@ std::vector<std::string> csc::splitSpecList(std::string_view ListText) {
 // Recipes
 //===----------------------------------------------------------------------===//
 
-AnalysisRecipe csc::makeKindRecipe(AnalysisKind Kind, unsigned K,
-                                   const ZipperOptions &Zipper,
-                                   const CutShortcutOptions &Csc) {
-  AnalysisRecipe R;
-  R.Name = analysisName(Kind);
-  R.Kind = Kind;
-  switch (Kind) {
+std::unique_ptr<ContextSelector> csc::makeSelector(const AnalysisRecipe &R) {
+  switch (R.Kind) {
   case AnalysisKind::CI:
-    break;
   case AnalysisKind::CSC:
-    R.UseCsc = true;
-    R.Csc = Csc;
-    break;
+    return nullptr;
   case AnalysisKind::ZipperE:
-    R.UseZipper = true;
-    R.Zipper = Zipper;
-    R.Zipper.K = K;
-    R.MakeSelector = [K] { return std::make_unique<KObjSelector>(K); };
-    break;
   case AnalysisKind::TwoObj:
-    R.MakeSelector = [K] { return std::make_unique<KObjSelector>(K); };
-    break;
+    return std::make_unique<KObjSelector>(R.K);
   case AnalysisKind::TwoType:
-    R.MakeSelector = [K] { return std::make_unique<KTypeSelector>(K); };
-    break;
+    return std::make_unique<KTypeSelector>(R.K);
   case AnalysisKind::TwoCallSite:
-    R.MakeSelector = [K] { return std::make_unique<KCallSiteSelector>(K); };
-    break;
+    return std::make_unique<KCallSiteSelector>(R.K);
   }
-  return R;
+  return nullptr;
 }
 
 //===----------------------------------------------------------------------===//
-// Registry
+// The table
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Applies the common "engine=doop|taie" parameter. Doop mode implies the
-/// Cut-Shortcut load pattern is off (the paper's Datalog limitation).
-bool applyEngineParam(const AnalysisSpec &Spec, AnalysisRecipe &Out,
-                      std::string &Error) {
-  const std::string *E = Spec.param("engine");
-  if (!E)
-    return true;
-  if (*E == "doop")
-    Out.DoopMode = true;
-  else if (*E == "taie" || *E == "tai-e")
-    Out.DoopMode = false;
-  else {
-    Error = "unknown engine '" + *E + "' (expected doop or taie)";
-    return false;
-  }
-  if (Out.DoopMode && Out.UseCsc)
-    Out.Csc.FieldLoad = false;
-  return true;
-}
-
-AnalysisRegistry::Factory kindFactory(AnalysisKind Kind) {
-  return [Kind](const AnalysisSpec &Spec, AnalysisRecipe &Out,
-                std::string &Error) {
-    unsigned K = 2;
-    ZipperOptions Z;
-    CutShortcutOptions C;
-    bool SccOn = true; // `scc`: solver cycle elimination, every analysis.
-    switch (Kind) {
-    case AnalysisKind::CI: {
-      static const char *Known[] = {"engine", "scc", nullptr};
-      if (!Spec.checkKnownParams(Known, Error))
-        return false;
-      break;
-    }
-    case AnalysisKind::CSC: {
-      static const char *Known[] = {"engine",    "scc",   "field", "load",
-                                    "container", "local", nullptr};
-      if (!Spec.checkKnownParams(Known, Error) ||
-          !Spec.paramBool("field", C.FieldStore, Error) ||
-          !Spec.paramBool("load", C.FieldLoad, Error) ||
-          !Spec.paramBool("container", C.Container, Error) ||
-          !Spec.paramBool("local", C.LocalFlow, Error))
-        return false;
-      break;
-    }
-    case AnalysisKind::ZipperE: {
-      static const char *Known[] = {"engine", "scc",   "k",    "pv",
+// Parameter keys per analysis, in the order the unknown-parameter
+// diagnostic lists them. `engine` and `scc` apply to every analysis.
+const char *const CiParams[] = {"engine", "scc", nullptr};
+const char *const CscParams[] = {"engine",    "scc",   "field", "load",
+                                 "container", "local", nullptr};
+const char *const ZipperParams[] = {"engine", "scc",   "k",    "pv",
                                     "cf",     "floor", nullptr};
-      double Floor = -1;
-      if (!Spec.checkKnownParams(Known, Error) ||
-          !Spec.paramUnsigned("k", K, Error) ||
-          !Spec.paramDouble("pv", Z.CostFraction, Error) ||
-          !Spec.paramDouble("cf", Z.CostFraction, Error) ||
-          !Spec.paramDouble("floor", Floor, Error))
-        return false;
-      if (Floor >= 0)
-        Z.MinCostFloor = static_cast<uint64_t>(Floor);
-      break;
-    }
-    case AnalysisKind::TwoObj:
-    case AnalysisKind::TwoType:
-    case AnalysisKind::TwoCallSite: {
-      static const char *Known[] = {"engine", "scc", "k", nullptr};
-      if (!Spec.checkKnownParams(Known, Error) ||
-          !Spec.paramUnsigned("k", K, Error))
-        return false;
-      break;
-    }
-    }
-    if (!Spec.paramBool("scc", SccOn, Error))
-      return false;
-    Out = makeKindRecipe(Kind, K, Z, C);
-    Out.Name = Spec.Text;
-    Out.CycleElimination = SccOn;
-    return applyEngineParam(Spec, Out, Error);
-  };
+const char *const KParams[] = {"engine", "scc", "k", nullptr};
+
+/// The largest double below 2^64: every value in [0, this] converts to
+/// uint64_t exactly.
+const double MaxFloor = std::nextafter(0x1p64, 0.0);
+
+const AnalysisEntry *findEntry(const std::string &Name) {
+  for (const AnalysisEntry &E : AnalysisRegistry::entries()) {
+    if (Name == E.Name)
+      return &E;
+    for (const char *A : E.Aliases)
+      if (A && Name == A)
+        return &E;
+  }
+  return nullptr;
 }
 
 } // namespace
 
-void AnalysisRegistry::add(std::string Name, std::string Description,
-                           Factory F) {
-  Entries[lowered(Name)] = Entry{std::move(Description), std::move(F)};
-}
-
-void AnalysisRegistry::addAlias(std::string Alias, std::string Canonical) {
-  Aliases[lowered(Alias)] = lowered(Canonical);
-}
-
-bool AnalysisRegistry::known(std::string_view Name) const {
-  std::string N = lowered(Name);
-  return Entries.count(N) != 0 || Aliases.count(N) != 0;
+const std::vector<AnalysisEntry> &AnalysisRegistry::entries() {
+  // Sorted by name: list(), the unknown-analysis diagnostic and the store
+  // keys' registry fingerprint read the rows in this order.
+  static const std::vector<AnalysisEntry> Table = {
+      {"2cs", AnalysisKind::TwoCallSite, false, {"k-cs", "2callsite"},
+       KParams, "k-call-site sensitivity (param: k, default 2)"},
+      {"2obj", AnalysisKind::TwoObj, false, {"k-obj", "obj"}, KParams,
+       "k-object sensitivity (param: k, default 2)"},
+      {"2type", AnalysisKind::TwoType, false, {"k-type", "type"}, KParams,
+       "k-type sensitivity (param: k, default 2)"},
+      {"ci", AnalysisKind::CI, false, {"context-insensitive"}, CiParams,
+       "context-insensitive baseline"},
+      {"csc", AnalysisKind::CSC, false, {"cut-shortcut"}, CscParams,
+       "Cut-Shortcut (params: field/load/container/local=0|1, "
+       "engine=doop|taie)"},
+      {"csc-doop", AnalysisKind::CSC, true, {}, CscParams,
+       "Cut-Shortcut, Doop variant (full re-propagation, no load pattern)"},
+      {"zipper-e", AnalysisKind::ZipperE, false, {"zipper", "zippere"},
+       ZipperParams,
+       "Zipper-e selective k-obj (params: k, pv|cf cost fraction, floor)"},
+  };
+  return Table;
 }
 
 std::string AnalysisRegistry::resolveName(std::string_view Name) const {
   std::string N = lowered(Name);
-  auto It = Aliases.find(N);
-  return It == Aliases.end() ? N : It->second;
+  const AnalysisEntry *E = findEntry(N);
+  return E ? E->Name : N;
 }
 
 std::vector<std::pair<std::string, std::string>>
 AnalysisRegistry::list() const {
   std::vector<std::pair<std::string, std::string>> Out;
-  for (const auto &[Name, E] : Entries)
-    Out.emplace_back(Name, E.Description);
-  return Out; // std::map iteration is already name-sorted.
+  for (const AnalysisEntry &E : entries())
+    Out.emplace_back(E.Name, E.Description);
+  return Out;
 }
 
 bool AnalysisRegistry::build(const AnalysisSpec &Spec, AnalysisRecipe &Out,
                              std::string &Error) const {
-  std::string Name = Spec.Name;
-  auto AliasIt = Aliases.find(Name);
-  if (AliasIt != Aliases.end())
-    Name = AliasIt->second;
-  auto It = Entries.find(Name);
-  if (It == Entries.end()) {
+  const AnalysisEntry *E = findEntry(Spec.Name);
+  if (!E) {
     Error = "unknown analysis '" + Spec.Name + "' (known:";
-    for (const auto &[N, E] : Entries) {
-      (void)E;
-      Error += " " + N;
-    }
+    for (const AnalysisEntry &Row : entries())
+      Error += std::string(" ") + Row.Name;
     Error += ")";
     return false;
   }
-  return It->second.F(Spec, Out, Error);
+  // Keys outside the row's list are rejected first, so each accessor
+  // below only ever reads a key its analysis accepts.
+  AnalysisRecipe R;
+  R.Name = Spec.Text;
+  R.Kind = E->Kind;
+  R.UseCsc = E->Kind == AnalysisKind::CSC;
+  R.UseZipper = E->Kind == AnalysisKind::ZipperE;
+  double Floor = static_cast<double>(R.Zipper.MinCostFloor);
+  if (!Spec.checkKnownParams(E->Params, Error) ||
+      !Spec.paramUnsigned("k", R.K, Error) ||
+      !Spec.paramBool("field", R.Csc.FieldStore, Error) ||
+      !Spec.paramBool("load", R.Csc.FieldLoad, Error) ||
+      !Spec.paramBool("container", R.Csc.Container, Error) ||
+      !Spec.paramBool("local", R.Csc.LocalFlow, Error) ||
+      !Spec.paramDouble("pv", 1, "[0, 1]", R.Zipper.CostFraction, Error) ||
+      !Spec.paramDouble("cf", 1, "[0, 1]", R.Zipper.CostFraction, Error) ||
+      !Spec.paramDouble("floor", MaxFloor, "[0, 2^64)", Floor, Error) ||
+      !Spec.paramBool("scc", R.CycleElimination, Error))
+    return false;
+  R.Zipper.K = R.K;
+  R.Zipper.MinCostFloor = static_cast<uint64_t>(Floor);
+
+  // "engine=doop|taie". Doop mode implies the Cut-Shortcut load pattern
+  // is off (the paper's Datalog limitation).
+  if (const std::string *Engine = Spec.param("engine")) {
+    if (*Engine == "doop") {
+      R.DoopMode = true;
+    } else if (*Engine != "taie" && *Engine != "tai-e") {
+      Error = "unknown engine '" + *Engine + "' (expected doop or taie)";
+      return false;
+    }
+  }
+  R.DoopMode = R.DoopMode || E->ForceDoop;
+  if (R.DoopMode && R.UseCsc)
+    R.Csc.FieldLoad = false;
+  Out = std::move(R);
+  return true;
 }
 
 bool AnalysisRegistry::build(std::string_view SpecText, AnalysisRecipe &Out,
@@ -371,33 +349,7 @@ bool AnalysisRegistry::build(std::string_view SpecText, AnalysisRecipe &Out,
   return build(Spec, Out, Error);
 }
 
-AnalysisRegistry AnalysisRegistry::withBuiltins() {
-  AnalysisRegistry R;
-  size_t Count = 0;
-  const AnalysisNameEntry *Table = analysisNameTable(Count);
-  for (size_t I = 0; I != Count; ++I) {
-    const AnalysisNameEntry &E = Table[I];
-    R.add(E.Canonical, E.Description, kindFactory(E.Kind));
-    for (const char *A : E.Aliases)
-      if (A)
-        R.addAlias(A, E.Canonical);
-  }
-  // The paper's Doop variant of Cut-Shortcut as a first-class name.
-  Factory CscF = kindFactory(AnalysisKind::CSC);
-  R.add("csc-doop",
-        "Cut-Shortcut, Doop variant (full re-propagation, no load pattern)",
-        [CscF](const AnalysisSpec &Spec, AnalysisRecipe &Out,
-               std::string &Error) {
-          if (!CscF(Spec, Out, Error))
-            return false;
-          Out.DoopMode = true;
-          Out.Csc.FieldLoad = false;
-          return true;
-        });
-  return R;
-}
-
 const AnalysisRegistry &AnalysisRegistry::global() {
-  static const AnalysisRegistry R = withBuiltins();
+  static const AnalysisRegistry R;
   return R;
 }

@@ -1,4 +1,4 @@
-//===- AnalysisRegistry.h - Named, pluggable analyses -----------*- C++ -*-===//
+//===- AnalysisRegistry.h - The fixed table of named analyses ---*- C++ -*-===//
 //
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
@@ -15,29 +15,29 @@
 /// Examples: "ci", "csc", "csc-doop", "2obj", "k-type;k=3",
 /// "zipper-e;pv=0.05", "csc;container=0;engine=doop".
 ///
-/// The registry maps spec names to factories producing an AnalysisRecipe —
-/// the selector/plugin/engine-mode wiring the AnalysisSession consumes.
-/// Built-in names come from the shared AnalysisNames table; clients may
-/// register additional analyses (or override built-ins in a copy).
+/// The registry is one fixed table: each row holds a name's kind,
+/// canonical name, aliases, accepted parameter keys and description.
+/// build() turns a spec into an AnalysisRecipe — plain data (kind, k,
+/// engine mode, plugin and pre-analysis options) that the AnalysisSession
+/// and the IncrementalSolver wire into a solver.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSC_CLIENT_ANALYSISREGISTRY_H
 #define CSC_CLIENT_ANALYSISREGISTRY_H
 
-#include "client/AnalysisNames.h"
 #include "csc/CutShortcutPlugin.h"
 #include "pta/ContextSelector.h"
 #include "zipper/Zipper.h"
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace csc {
+
+enum class AnalysisKind { CI, CSC, ZipperE, TwoObj, TwoType, TwoCallSite };
 
 /// A parsed "name;key=value;..." analysis spec.
 struct AnalysisSpec {
@@ -51,8 +51,10 @@ struct AnalysisSpec {
   /// is absent; false (with \p Error set) on a malformed value.
   bool paramUnsigned(std::string_view Key, unsigned &Out,
                      std::string &Error) const;
-  bool paramDouble(std::string_view Key, double &Out,
-                   std::string &Error) const;
+  /// Accepts a number in [0, \p Max]; NaN and infinities are out of
+  /// range. \p Range spells the interval in the diagnostic.
+  bool paramDouble(std::string_view Key, double Max, const char *Range,
+                   double &Out, std::string &Error) const;
   bool paramBool(std::string_view Key, bool &Out, std::string &Error) const;
   /// Rejects params whose key is not in \p Known (null-terminated array).
   bool checkKnownParams(const char *const *Known, std::string &Error) const;
@@ -67,10 +69,9 @@ bool parseAnalysisSpec(std::string_view Text, AnalysisSpec &Out,
 
 /// The canonical cache spelling of a parsed spec: lowercased name plus
 /// params sorted by key ("csc;container=0;engine=doop"). Normalizes
-/// case, whitespace, and parameter order; registry aliases are NOT
-/// resolved here (this is a registry-free function) — resolve the name
-/// through AnalysisRegistry::resolveName first when alias-insensitive
-/// keys are needed, as the batch executor's result cache does.
+/// case, whitespace, and parameter order; aliases are NOT resolved here
+/// — resolve the name through AnalysisRegistry::resolveName first when
+/// alias-insensitive keys are needed, as ResultKeys does.
 std::string canonicalSpec(const AnalysisSpec &Spec);
 /// Parses, then canonicalizes. False with \p Error on a malformed spec.
 bool canonicalSpec(std::string_view SpecText, std::string &Out,
@@ -81,14 +82,14 @@ bool canonicalSpec(std::string_view SpecText, std::string &Out,
 /// items are dropped.
 std::vector<std::string> splitSpecList(std::string_view ListText);
 
-/// Everything the session needs to run one analysis: the engine mode, an
-/// optional context-selector factory (null = context-insensitive), the
-/// Cut-Shortcut plugin configuration, and the Zipper-e pre-analysis
-/// request. Custom factories may combine the fields freely (e.g. CSC plus
-/// a selective selector).
+/// Everything the session needs to run one analysis, as plain data: the
+/// kind and k that fix the context selector (see makeSelector), the
+/// engine mode, the Cut-Shortcut plugin configuration, and the Zipper-e
+/// pre-analysis request.
 struct AnalysisRecipe {
-  std::string Name; ///< Display name (the canonical spec).
-  AnalysisKind Kind = AnalysisKind::CI; ///< Informational tag.
+  std::string Name; ///< Display name (the spec as written).
+  AnalysisKind Kind = AnalysisKind::CI;
+  unsigned K = 2;        ///< Context depth of the k-limited selectors.
   bool DoopMode = false; ///< Full re-propagation engine (Table 1).
   /// Online cycle elimination in the solver (spec parameter `scc`,
   /// default on). Engine-level only: results are identical either way.
@@ -97,49 +98,38 @@ struct AnalysisRecipe {
   CutShortcutOptions Csc;
   bool UseZipper = false; ///< Run (or reuse) the Zipper-e pre-analysis.
   ZipperOptions Zipper;
-  /// Builds the context selector (the inner selector for Zipper recipes);
-  /// null means context insensitivity.
-  std::function<std::unique_ptr<ContextSelector>()> MakeSelector;
   /// If set (and UseZipper is off), restrict the selector to exactly these
   /// methods via a SelectiveSelector — the §3.4 hybrid-selection knob.
   std::shared_ptr<const std::unordered_set<MethodId>> SelectOnly;
 };
 
-/// Builds the canonical recipe for a kind — the single place the
-/// selector/plugin wiring of the evaluated analyses lives. Used by the
-/// built-in factories, which apply the `engine` parameter on top.
-AnalysisRecipe makeKindRecipe(AnalysisKind Kind, unsigned K,
-                              const ZipperOptions &Zipper,
-                              const CutShortcutOptions &Csc);
+/// The context selector \p R's kind and k call for (the inner selector
+/// of a Zipper-e recipe); null for the context-insensitive kinds.
+std::unique_ptr<ContextSelector> makeSelector(const AnalysisRecipe &R);
 
-/// String-keyed analysis factory table.
-///
-/// Thread-safety: a fully built registry is immutable through its const
-/// API — build()/known()/list() are safe from any number of threads
-/// (this is how batch tasks resolve specs concurrently). add()/addAlias()
-/// mutate and must not race with readers; global() is a const magic
-/// static and always safe.
+/// One row of the analysis table: everything about a name.
+struct AnalysisEntry {
+  const char *Name; ///< Canonical spec name.
+  AnalysisKind Kind;
+  bool ForceDoop; ///< Always the Doop engine without the load pattern.
+  const char *Aliases[3]; ///< Null-terminated; matched case-insensitively.
+  const char *const *Params; ///< Accepted keys, null-terminated.
+  const char *Description;
+};
+
+/// The fixed table of analyses. Stateless: every member is a pure read,
+/// safe from any number of threads.
 class AnalysisRegistry {
 public:
-  /// Fills \p Out from \p Spec; returns false with \p Error on bad params.
-  using Factory = std::function<bool(const AnalysisSpec &Spec,
-                                     AnalysisRecipe &Out,
-                                     std::string &Error)>;
+  /// The table rows, sorted by name.
+  static const std::vector<AnalysisEntry> &entries();
 
-  /// Registers (or replaces) an analysis under \p Name (lowercased).
-  void add(std::string Name, std::string Description, Factory F);
-  /// Registers \p Alias to resolve to \p Canonical.
-  void addAlias(std::string Alias, std::string Canonical);
-
-  /// True when \p Name (or an alias, case-insensitively) is registered.
-  bool known(std::string_view Name) const;
-  /// Resolves an alias (case-insensitively) to its canonical registered
-  /// name; returns the lowercased input unchanged when it is not an
-  /// alias. The batch executor maps spec names through this before
-  /// canonicalSpec() so aliased spellings ("k-type" vs "2type") share
-  /// one result-cache key.
+  /// Resolves an alias (case-insensitively) to its canonical name;
+  /// returns the lowercased input unchanged when it is not an alias.
+  /// ResultKeys maps spec names through this before canonicalSpec() so
+  /// aliased spellings ("k-type" vs "2type") share one result key.
   std::string resolveName(std::string_view Name) const;
-  /// (name, description) pairs of primary entries, sorted by name.
+  /// (name, description) pairs of the rows, sorted by name.
   std::vector<std::pair<std::string, std::string>> list() const;
 
   /// Builds a recipe from a parsed spec / a spec string.
@@ -148,18 +138,8 @@ public:
   bool build(std::string_view SpecText, AnalysisRecipe &Out,
              std::string &Error) const;
 
-  /// A fresh registry preloaded with the built-in analyses.
-  static AnalysisRegistry withBuiltins();
-  /// The shared default registry (built-ins only).
+  /// The one registry.
   static const AnalysisRegistry &global();
-
-private:
-  struct Entry {
-    std::string Description;
-    Factory F;
-  };
-  std::map<std::string, Entry> Entries;
-  std::map<std::string, std::string> Aliases;
 };
 
 } // namespace csc

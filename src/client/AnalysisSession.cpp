@@ -38,18 +38,32 @@ AnalysisSession::AnalysisSession(const Program &P, Options O)
 AnalysisSession::AnalysisSession(std::unique_ptr<Program> OwnedP, Options O)
     : P(OwnedP.get()), Owned(std::move(OwnedP)), Opts(std::move(O)) {}
 
-const AnalysisRegistry &AnalysisSession::registry() const {
-  return Opts.Registry ? *Opts.Registry : AnalysisRegistry::global();
-}
-
 //===----------------------------------------------------------------------===//
 // Construction from sources / files / built programs
 //===----------------------------------------------------------------------===//
 
-namespace {
+bool csc::readSourceFiles(
+    const std::vector<std::string> &Paths,
+    std::vector<std::pair<std::string, std::string>> &Named,
+    std::vector<std::string> &Diags) {
+  for (const std::string &Path : Paths) {
+    std::ifstream In(Path);
+    if (!In) {
+      Diags.push_back("error: cannot open '" + Path + "'");
+      return false;
+    }
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Named.emplace_back(Path, Buf.str());
+  }
+  if (Named.empty()) {
+    Diags.push_back("error: no input files");
+    return false;
+  }
+  return true;
+}
 
-/// Verifies \p P and requires an entry point; appends to \p Diags.
-bool verifyForSession(const Program &P, std::vector<std::string> &Diags) {
+bool csc::verifyRunnable(const Program &P, std::vector<std::string> &Diags) {
   std::vector<std::string> Errors = verifyProgram(P);
   for (const std::string &E : Errors)
     Diags.push_back("verifier: " + E);
@@ -62,8 +76,6 @@ bool verifyForSession(const Program &P, std::vector<std::string> &Diags) {
   return true;
 }
 
-} // namespace
-
 std::unique_ptr<AnalysisSession>
 AnalysisSession::adopt(std::unique_ptr<Program> Prog, Options O,
                        std::vector<std::string> &Diags) {
@@ -72,7 +84,7 @@ AnalysisSession::adopt(std::unique_ptr<Program> Prog, Options O,
     return nullptr;
   }
   Timer V;
-  if (!verifyForSession(*Prog, Diags))
+  if (!verifyRunnable(*Prog, Diags))
     return nullptr;
   auto S = std::unique_ptr<AnalysisSession>(
       new AnalysisSession(std::move(Prog), std::move(O)));
@@ -99,7 +111,7 @@ std::unique_ptr<AnalysisSession> AnalysisSession::fromSources(
   if (O.Progress)
     O.Progress("verify", "");
   Timer VerifyT;
-  if (!verifyForSession(*Prog, Diags))
+  if (!verifyRunnable(*Prog, Diags))
     return nullptr;
   double VerifyMs = VerifyT.elapsedMs();
 
@@ -120,20 +132,8 @@ std::unique_ptr<AnalysisSession>
 AnalysisSession::fromFiles(const std::vector<std::string> &Paths, Options O,
                            std::vector<std::string> &Diags) {
   std::vector<std::pair<std::string, std::string>> Named;
-  for (const std::string &Path : Paths) {
-    std::ifstream In(Path);
-    if (!In) {
-      Diags.push_back("error: cannot open '" + Path + "'");
-      return nullptr;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Named.emplace_back(Path, Buf.str());
-  }
-  if (Named.empty()) {
-    Diags.push_back("error: no input files");
+  if (!readSourceFiles(Paths, Named, Diags))
     return nullptr;
-  }
   return fromSources(Named, std::move(O), Diags);
 }
 
@@ -218,13 +218,10 @@ AnalysisRun AnalysisSession::run(const AnalysisRecipe &Recipe) {
   SOpts.WorkBudget = Opts.WorkBudget;
   SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
 
-  std::unique_ptr<ContextSelector> Inner;
+  std::unique_ptr<ContextSelector> Inner = makeSelector(Recipe);
   std::unique_ptr<SelectiveSelector> Selective;
   std::unique_ptr<CutShortcutPlugin> Plugin;
   ContainerSpec Spec;
-
-  if (Recipe.MakeSelector)
-    Inner = Recipe.MakeSelector();
 
   if (Recipe.UseZipper) {
     ZipperOptions ZOpts = Recipe.Zipper;

@@ -8,13 +8,16 @@
 /// The client-facing entry point: a session owns (or borrows) one verified
 /// Program and runs any number of registered analyses over it, with
 ///
-///  * spec-string dispatch through an AnalysisRegistry ("csc",
+///  * spec-string dispatch through the AnalysisRegistry table ("csc",
 ///    "k-type;k=3", "zipper-e;pv=0.05", ...),
 ///  * caching of the Zipper-e pre-analysis across runs,
 ///  * structured phase timings, optional progress callbacks, and an
 ///    explicit run status (Completed / BudgetExhausted / SpecError)
-///    instead of metrics that are silently "not meaningful",
-///  * a ResultView query layer over each run's PTAResult.
+///    instead of metrics that are silently "not meaningful".
+///
+/// Clients query a run's PTAResult (pt, mayAlias, calleesOf, ...) together
+/// with program() for name lookups, and the Metrics.h clients
+/// (mayFailCasts, polyCallSites) for the derived precision facts.
 ///
 /// Thread-safety: once constructed, a session is safe to share across
 /// threads — the program is immutable (Program has no lazily filled
@@ -32,7 +35,6 @@
 
 #include "client/AnalysisRegistry.h"
 #include "client/Metrics.h"
-#include "client/ResultView.h"
 #include "csc/CutShortcutPlugin.h"
 #include "ir/Program.h"
 #include "pta/PTAResult.h"
@@ -77,6 +79,17 @@ struct AnalysisRun {
   bool exhausted() const { return Status == RunStatus::BudgetExhausted; }
 };
 
+/// Reads each of \p Paths as a named source (named by its path). False
+/// with \p Diags on an unreadable file or an empty list.
+bool readSourceFiles(const std::vector<std::string> &Paths,
+                     std::vector<std::pair<std::string, std::string>> &Named,
+                     std::vector<std::string> &Diags);
+
+/// Verifies \p P and requires a static main() entry point — what every
+/// program must pass before it is analyzed. False with \p Diags on either
+/// failure.
+bool verifyRunnable(const Program &P, std::vector<std::string> &Diags);
+
 /// Phase callback: ("parse"|"verify"|"zipper-pre"|"solve"|"metrics",
 /// detail). Invoked synchronously at phase starts.
 using ProgressFn = std::function<void(const char *Phase,
@@ -90,7 +103,6 @@ public:
     uint64_t WorkBudget = ~0ULL;
     double TimeBudgetMs = 0; ///< Wall-clock cap per run (0 = unlimited).
     ProgressFn Progress;
-    const AnalysisRegistry *Registry = nullptr; ///< Null = global().
   };
 
   /// Borrows an already-built (and externally verified) program.
@@ -125,8 +137,10 @@ public:
   void setWorkBudget(uint64_t B) { Opts.WorkBudget = B; }
   /// Adjusts the per-run wall-clock budget. NOT thread-safe (see above).
   void setTimeBudgetMs(double Ms) { Opts.TimeBudgetMs = Ms; }
-  /// The registry specs resolve against (Options::Registry or global()).
-  const AnalysisRegistry &registry() const;
+  /// The registry specs resolve against.
+  const AnalysisRegistry &registry() const {
+    return AnalysisRegistry::global();
+  }
 
   /// Wall time spent parsing / verifying at construction (0 for adopted
   /// or borrowed programs that skipped the phase).
@@ -151,12 +165,6 @@ public:
   /// the sequential runAll.
   std::vector<AnalysisRun> runAll(const std::string &SpecList,
                                   unsigned Jobs);
-
-  /// Query view over a run's result. The session and the run must both
-  /// outlive the view (it borrows, never copies).
-  ResultView view(const AnalysisRun &Run) const {
-    return ResultView(*P, Run.Result);
-  }
 
   /// The Zipper-e pre-analysis for \p ZOpts, computed on first use and
   /// cached across runs (keyed on k / cost fraction / floor / budget).

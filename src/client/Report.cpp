@@ -87,6 +87,18 @@ void csc::appendProgramSummaryJson(JsonWriter &J, const Program &P) {
       .endObject();
 }
 
+void csc::appendObjectsJson(JsonWriter &J, const Program &P,
+                            const PointsToSet &Pts) {
+  J.key("objects").beginArray();
+  Pts.forEach([&](ObjId O) {
+    J.beginObject()
+        .kv("obj", O)
+        .kv("type", P.type(P.obj(O).Type).Name)
+        .endObject();
+  });
+  J.endArray();
+}
+
 std::string csc::runJson(const AnalysisRun &Run) {
   JsonWriter J;
   appendRunJson(J, Run);

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Machine-readable reports: serializes metrics, solver statistics, phase
-/// timings and whole analysis runs to JSON. Shared by the cscpta driver
-/// and the bench harnesses' --json output.
+/// timings, whole analysis runs and points-to answers to JSON. Shared by
+/// the cscpta driver, the analysis server and the bench harnesses' --json
+/// output.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +44,12 @@ void appendRunJson(JsonWriter &J, const AnalysisRun &Run,
 
 /// Appends a program summary object (classes/methods/stmts/...).
 void appendProgramSummaryJson(JsonWriter &J, const Program &P);
+
+/// Appends the member "objects": [{"obj":id,"type":name},...] for a
+/// points-to set — the answer shape of `cscpta --points-to` and of the
+/// server's points-to query.
+void appendObjectsJson(JsonWriter &J, const Program &P,
+                       const PointsToSet &Pts);
 
 /// One run as a standalone JSON document (timings included).
 std::string runJson(const AnalysisRun &Run);

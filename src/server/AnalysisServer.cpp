@@ -6,6 +6,7 @@
 
 #include "server/AnalysisServer.h"
 
+#include "client/Report.h"
 #include "frontend/Parser.h"
 #include "ir/Verifier.h"
 #include "stdlib/Stdlib.h"
@@ -13,11 +14,9 @@
 #include "support/Json.h"
 
 #include <cassert>
-#include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
-#include <sstream>
 
 using namespace csc;
 
@@ -44,17 +43,6 @@ const std::string *stringField(const JsonValue &Req, const char *Key,
   return &V->Str;
 }
 
-void writeObjects(JsonWriter &W, const Program &P, const PointsToSet &Pts) {
-  W.key("objects").beginArray();
-  Pts.forEach([&](ObjId O) {
-    W.beginObject()
-        .kv("obj", O)
-        .kv("type", P.type(P.obj(O).Type).Name)
-        .endObject();
-  });
-  W.endArray();
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -65,10 +53,6 @@ AnalysisServer::AnalysisServer() : AnalysisServer(Options()) {}
 AnalysisServer::AnalysisServer(Options O) : Opts(std::move(O)) {}
 AnalysisServer::~AnalysisServer() = default;
 
-const AnalysisRegistry &AnalysisServer::registry() const {
-  return Opts.Registry ? *Opts.Registry : AnalysisRegistry::global();
-}
-
 bool AnalysisServer::load(
     const std::vector<std::pair<std::string, std::string>> &NamedSources,
     std::vector<std::string> &Diags) {
@@ -77,17 +61,9 @@ bool AnalysisServer::load(
   if (Opts.WithStdlib)
     All.emplace_back("<stdlib>", stdlibSource());
   All.insert(All.end(), NamedSources.begin(), NamedSources.end());
-  if (!parseProgram(*NewProg, All, Diags))
+  if (!parseProgram(*NewProg, All, Diags) ||
+      !verifyRunnable(*NewProg, Diags))
     return false;
-  std::vector<std::string> Errors = verifyProgram(*NewProg);
-  for (const std::string &E : Errors)
-    Diags.push_back("verifier: " + E);
-  if (!Errors.empty())
-    return false;
-  if (NewProg->entry() == InvalidId) {
-    Diags.push_back("error: no static main() entry point");
-    return false;
-  }
   Prog = std::move(NewProg);
   Slicer = std::make_unique<DemandSlicer>(*Prog);
   Specs.clear();
@@ -99,21 +75,7 @@ bool AnalysisServer::load(
 bool AnalysisServer::loadFiles(const std::vector<std::string> &Paths,
                                std::vector<std::string> &Diags) {
   std::vector<std::pair<std::string, std::string>> Named;
-  for (const std::string &Path : Paths) {
-    std::ifstream In(Path);
-    if (!In) {
-      Diags.push_back("error: cannot open '" + Path + "'");
-      return false;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Named.emplace_back(Path, Buf.str());
-  }
-  if (Named.empty()) {
-    Diags.push_back("error: no input files");
-    return false;
-  }
-  return load(Named, Diags);
+  return readSourceFiles(Paths, Named, Diags) && load(Named, Diags);
 }
 
 //===----------------------------------------------------------------------===//
@@ -125,14 +87,15 @@ AnalysisServer::specState(const std::string &SpecText, std::string &Error) {
   AnalysisSpec Spec;
   if (!parseAnalysisSpec(SpecText, Spec, Error))
     return nullptr;
-  Spec.Name = registry().resolveName(Spec.Name);
+  const AnalysisRegistry &Registry = AnalysisRegistry::global();
+  Spec.Name = Registry.resolveName(Spec.Name);
   std::string Key = canonicalSpec(Spec);
   auto It = Specs.find(Key);
   if (It != Specs.end())
     return &It->second;
 
   SpecState St;
-  if (!registry().build(Spec, St.Recipe, Error))
+  if (!Registry.build(Spec, St.Recipe, Error))
     return nullptr;
   if (IncrementalSolver::eligible(St.Recipe)) {
     IncrementalSolver::Options IOpts;
@@ -254,7 +217,6 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
       SOpts.WithStdlib = Opts.WithStdlib;
       SOpts.WorkBudget = Opts.WorkBudget;
       SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
-      SOpts.Registry = Opts.Registry;
       AnalysisSession Sess(*Prog, SOpts);
       // The persistent store holds results of the loaded program only
       // (see Options::Store): a batch, a single run or an earlier server
@@ -294,7 +256,7 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
     W.kv("var", VarName);
     const PointsToSet &Pts = R->pt(QueryVar);
     W.kv("size", static_cast<uint64_t>(Pts.size()));
-    writeObjects(W, *Prog, Pts);
+    appendObjectsJson(W, *Prog, Pts);
   } else if (IsMayAlias) {
     W.kv("a", AName).kv("b", BName).kv("alias", R->mayAlias(AliasA, AliasB));
   } else {

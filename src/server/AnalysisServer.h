@@ -63,7 +63,6 @@ public:
     bool WithStdlib = true;
     uint64_t WorkBudget = ~0ULL; ///< Per solve; ~0 = unlimited.
     double TimeBudgetMs = 0;     ///< Per solve; 0 = unlimited.
-    const AnalysisRegistry *Registry = nullptr; ///< null = global().
     /// Optional persistent result store: the fallback full-run path
     /// (non-incremental recipes) consults it before solving and publishes
     /// after, at the loaded program (version 1) only. Demand slices and
@@ -110,7 +109,6 @@ private:
     uint64_t DemandSolves = 0;
   };
 
-  const AnalysisRegistry &registry() const;
   /// Resolves \p SpecText to resident state (creating it on first use);
   /// null with \p Error set on a malformed/unknown spec.
   SpecState *specState(const std::string &SpecText, std::string &Error);

@@ -15,8 +15,7 @@ IncrementalSolver::IncrementalSolver(const Program &P,
     : P(P), Recipe(R), Opts(O) {
   assert(eligible(R) && "recipe needs plugins / pre-analysis; use a full "
                         "AnalysisSession instead");
-  if (Recipe.MakeSelector)
-    Inner = Recipe.MakeSelector();
+  Inner = makeSelector(Recipe);
   if (Inner && Recipe.SelectOnly) {
     Selective = std::make_unique<SelectiveSelector>(*Inner, *Recipe.SelectOnly);
     Selector = Selective.get();

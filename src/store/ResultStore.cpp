@@ -72,8 +72,8 @@ std::string csc::resultStoreKey(uint64_t ProgramFingerprint,
 }
 
 ResultKeys::ResultKeys(const AnalysisSession &S)
-    : Registry(S.registry()), ProgramFp(programFingerprint(S.program())),
-      RegistryFp(registryFingerprint(Registry)),
+    : ProgramFp(programFingerprint(S.program())),
+      RegistryFp(registryFingerprint(S.registry())),
       WorkBudget(S.options().WorkBudget),
       TimeBudgetMs(S.options().TimeBudgetMs) {}
 
@@ -86,7 +86,7 @@ bool ResultKeys::key(const std::string &Spec, ResultKey &Out) const {
     Out = {Spec, std::string()};
     return false;
   }
-  Parsed.Name = Registry.resolveName(Parsed.Name);
+  Parsed.Name = AnalysisRegistry::global().resolveName(Parsed.Name);
   Out.Canonical = canonicalSpec(Parsed);
   Out.Key = resultStoreKey(ProgramFp, WorkBudget, TimeBudgetMs, RegistryFp,
                            Out.Canonical);

@@ -69,11 +69,10 @@ namespace csc {
 /// identically.
 uint64_t programFingerprint(const Program &P);
 
-/// FNV-1a fingerprint of a registry's content — the sorted (name,
-/// description) listing. Two registries resolve a spec identically when
-/// they fingerprint identically (adding, removing, or redefining an
-/// analysis changes the value), so the key means the same thing in every
-/// process.
+/// FNV-1a fingerprint of the analysis table — the sorted (name,
+/// description) listing. Adding, removing, or redescribing an analysis
+/// changes the value, so a store filled by a build with a different table
+/// never serves this one.
 uint64_t registryFingerprint(const AnalysisRegistry &R);
 
 /// Composes the key string for one (program, spec, budgets, registry)
@@ -125,7 +124,6 @@ public:
                       AnalysisRun &Run, bool *Published = nullptr) const;
 
 private:
-  const AnalysisRegistry &Registry;
   uint64_t ProgramFp, RegistryFp, WorkBudget;
   double TimeBudgetMs;
 };

@@ -1,10 +1,10 @@
-//===- RegistryTest.cpp - Spec parser, name table, registry ---------------===//
+//===- RegistryTest.cpp - Spec parser and the analysis table --------------===//
 //
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
-// Covers the analysis-registry layer: the kind<->name round trips that pin
-// the enum and the strings together, the spec grammar, parameter handling,
-// error reporting, and custom registration.
+// Covers the analysis-registry layer: the table rows that pin the kinds,
+// names and aliases together, the spec grammar, parameter handling, and
+// error reporting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,18 +27,17 @@ AnalysisRecipe buildOrDie(const std::string &Spec) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Kind <-> name round trips (the enum and strings can never drift)
+// The table (kinds, names and aliases live in one row each)
 //===----------------------------------------------------------------------===//
 
 TEST(AnalysisNamesTest, EveryKindRoundTrips) {
-  size_t Count = 0;
-  const AnalysisNameEntry *Table = analysisNameTable(Count);
-  ASSERT_EQ(Count, 6u) << "update the table when adding kinds";
-  for (size_t I = 0; I != Count; ++I) {
-    AnalysisKind K = Table[I].Kind;
-    EXPECT_EQ(AnalysisRegistry::global().resolveName(analysisName(K)),
-              analysisName(K));
-    EXPECT_EQ(buildOrDie(analysisName(K)).Kind, K) << analysisName(K);
+  const std::vector<AnalysisEntry> &Table = AnalysisRegistry::entries();
+  ASSERT_EQ(Table.size(), 7u) << "update the table when adding analyses";
+  for (const AnalysisEntry &E : Table) {
+    EXPECT_EQ(AnalysisRegistry::global().resolveName(E.Name), E.Name);
+    AnalysisRecipe R = buildOrDie(E.Name);
+    EXPECT_EQ(R.Kind, E.Kind) << E.Name;
+    EXPECT_EQ(R.DoopMode, E.ForceDoop) << E.Name;
   }
 }
 
@@ -55,19 +54,27 @@ TEST(AnalysisNamesTest, AliasesAndCaseFoldResolve) {
   EXPECT_EQ(Reg.resolveName("2CallSite"), "2cs");
   EXPECT_EQ(buildOrDie("2CallSite").Kind, AnalysisKind::TwoCallSite);
   EXPECT_EQ(Reg.resolveName("3obj"), "3obj");
-  EXPECT_FALSE(Reg.known("3obj"));
-  EXPECT_FALSE(Reg.known(""));
+  AnalysisRecipe R;
+  std::string Error;
+  EXPECT_FALSE(Reg.build("3obj", R, Error));
+  EXPECT_FALSE(Reg.build("", R, Error));
 }
 
 TEST(AnalysisNamesTest, EveryCanonicalNameIsRegistered) {
-  size_t Count = 0;
-  const AnalysisNameEntry *Table = analysisNameTable(Count);
   const AnalysisRegistry &Reg = AnalysisRegistry::global();
-  for (size_t I = 0; I != Count; ++I) {
-    EXPECT_TRUE(Reg.known(Table[I].Canonical)) << Table[I].Canonical;
-    for (const char *A : Table[I].Aliases) {
+  std::vector<std::pair<std::string, std::string>> Listed = Reg.list();
+  ASSERT_EQ(Listed.size(), AnalysisRegistry::entries().size());
+  for (size_t I = 0; I != Listed.size(); ++I) {
+    const AnalysisEntry &E = AnalysisRegistry::entries()[I];
+    EXPECT_EQ(Listed[I].first, E.Name);
+    EXPECT_EQ(Listed[I].second, E.Description);
+    if (I > 0) {
+      EXPECT_LT(Listed[I - 1].first, Listed[I].first) << "table unsorted";
+    }
+    for (const char *A : E.Aliases) {
       if (A) {
-        EXPECT_TRUE(Reg.known(A)) << A;
+        EXPECT_EQ(Reg.resolveName(A), E.Name) << A;
+        EXPECT_EQ(buildOrDie(A).Kind, E.Kind) << A;
       }
     }
   }
@@ -134,7 +141,7 @@ TEST(RegistryTest, KindRecipesMatchHandRolledWiring) {
   AnalysisRecipe CI = buildOrDie("ci");
   EXPECT_FALSE(CI.UseCsc);
   EXPECT_FALSE(CI.UseZipper);
-  EXPECT_EQ(CI.MakeSelector, nullptr);
+  EXPECT_EQ(makeSelector(CI), nullptr);
   EXPECT_FALSE(CI.DoopMode);
 
   AnalysisRecipe Csc = buildOrDie("csc");
@@ -146,16 +153,18 @@ TEST(RegistryTest, KindRecipesMatchHandRolledWiring) {
   EXPECT_TRUE(CscDoop.UseCsc);
   EXPECT_TRUE(CscDoop.DoopMode);
   EXPECT_FALSE(CscDoop.Csc.FieldLoad) << "Datalog cannot express CutPropLoad";
+  EXPECT_TRUE(buildOrDie("csc-doop;engine=taie").DoopMode)
+      << "csc-doop always runs the Doop engine";
 
   AnalysisRecipe Z = buildOrDie("zipper-e;pv=0.05;k=3");
   EXPECT_TRUE(Z.UseZipper);
   EXPECT_EQ(Z.Zipper.K, 3u);
   EXPECT_DOUBLE_EQ(Z.Zipper.CostFraction, 0.05);
-  EXPECT_NE(Z.MakeSelector, nullptr);
+  EXPECT_NE(makeSelector(Z), nullptr);
+  EXPECT_EQ(Z.K, 3u);
 
   AnalysisRecipe TwoObj = buildOrDie("2obj");
-  EXPECT_NE(TwoObj.MakeSelector, nullptr);
-  EXPECT_NE(TwoObj.MakeSelector(), nullptr);
+  EXPECT_NE(makeSelector(TwoObj), nullptr);
   EXPECT_EQ(TwoObj.Kind, AnalysisKind::TwoObj);
 
   AnalysisRecipe KType = buildOrDie("k-type;k=3");
@@ -176,32 +185,4 @@ TEST(RegistryTest, RejectsBadSpecs) {
   EXPECT_FALSE(Reg.build("2obj;k=banana", R, Error));
   EXPECT_FALSE(Reg.build("csc;container=maybe", R, Error));
   EXPECT_FALSE(Reg.build("csc;engine=dopo", R, Error));
-}
-
-TEST(RegistryTest, CustomRegistration) {
-  AnalysisRegistry Reg = AnalysisRegistry::withBuiltins();
-  Reg.add("csc-lite", "CSC without the container pattern",
-          [](const AnalysisSpec &Spec, AnalysisRecipe &Out,
-             std::string &Error) {
-            (void)Error;
-            Out = makeKindRecipe(AnalysisKind::CSC, 2, {}, {});
-            Out.Csc.Container = false;
-            Out.Name = Spec.Text;
-            return true;
-          });
-  Reg.addAlias("lite", "csc-lite");
-  EXPECT_TRUE(Reg.known("csc-lite"));
-  EXPECT_TRUE(Reg.known("LITE"));
-
-  // A custom alias resolves case-insensitively, like the built-in ones.
-  EXPECT_EQ(Reg.resolveName("LITE"), "csc-lite");
-
-  AnalysisRecipe R;
-  std::string Error;
-  ASSERT_TRUE(Reg.build("lite", R, Error)) << Error;
-  EXPECT_TRUE(R.UseCsc);
-  EXPECT_FALSE(R.Csc.Container);
-
-  // The custom name is local to this registry.
-  EXPECT_FALSE(AnalysisRegistry::global().known("csc-lite"));
 }

@@ -1,14 +1,16 @@
-//===- ResultViewTest.cpp - Query layer vs dynamic ground truth -----------===//
+//===- ResultViewTest.cpp - Result queries vs dynamic ground truth --------===//
 //
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
-// Validates the ResultView query API on examples/figure1.jir (loaded from
-// disk, stdlib prepended — the exact cscpta pipeline) against the
-// interpreter's dynamic facts: every dynamically observed points-to fact,
-// call edge and reached method must be over-approximated by pointsTo /
-// calleesAt / reachableMethods, for both CI and CSC. On top of soundness,
-// CSC's precision claims on Figure 1 are checked through the view
-// (mayAlias separates the two cartons' results).
+// Validates the client query surface — a run's PTAResult, the session's
+// Program for name lookups, and the Metrics.h clients — on
+// examples/figure1.jir (loaded from disk, stdlib prepended — the exact
+// cscpta pipeline) against the interpreter's dynamic facts: every
+// dynamically observed points-to fact, call edge and reached method must
+// be over-approximated by pt / calleesOf / reachableMethods, for both CI
+// and CSC. On top of soundness, CSC's precision claims on Figure 1 are
+// checked through the same queries (mayAlias separates the two cartons'
+// results).
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,64 +50,65 @@ protected:
 
 TEST_P(ResultViewTest, SoundlyOverApproximatesDynamicFacts) {
   const Program &P = S->program();
-  ResultView View = S->view(Run);
+  const PTAResult &R = Run.Result;
   DynamicFacts Dyn = interpret(P);
   ASSERT_FALSE(Dyn.Truncated);
   ASSERT_GE(Dyn.ReachedMethods.size(), 3u);
 
   for (MethodId M : Dyn.ReachedMethods) {
-    EXPECT_TRUE(View.isReachable(M)) << P.methodString(M);
-    std::vector<MethodId> Reach = View.reachableMethods();
-    EXPECT_TRUE(std::binary_search(Reach.begin(), Reach.end(), M));
+    EXPECT_TRUE(R.isReachable(M)) << P.methodString(M);
+    EXPECT_EQ(R.reachableMethods().count(M), 1u);
   }
 
   for (uint64_t E : Dyn.CallEdges) {
     CallSiteId CS = static_cast<CallSiteId>(E >> 32);
     MethodId M = static_cast<MethodId>(E & 0xFFFFFFFFu);
-    const std::vector<MethodId> &Callees = View.calleesAt(CS);
+    const std::vector<MethodId> &Callees = R.calleesOf(CS);
     EXPECT_NE(std::find(Callees.begin(), Callees.end(), M), Callees.end())
         << "missed dynamic call edge to " << P.methodString(M);
   }
 
   for (const auto &[V, Objs] : Dyn.VarPointsTo)
     for (ObjId O : Objs)
-      EXPECT_TRUE(View.pointsTo(V).contains(O))
+      EXPECT_TRUE(R.pt(V).contains(O))
           << "missed dynamic points-to " << P.var(V).Name << " -> o" << O;
 
   // Dynamic aliasing implies static mayAlias: result1/item1 share their
   // object at run time under both analyses.
-  VarId Result1 = View.findVar("Main.main.result1");
-  VarId Item1 = View.findVar("Main.main.item1");
+  VarId Result1 = P.varByName("Main.main.result1");
+  VarId Item1 = P.varByName("Main.main.item1");
   ASSERT_NE(Result1, InvalidId);
   ASSERT_NE(Item1, InvalidId);
-  EXPECT_TRUE(View.mayAlias(Result1, Item1));
+  EXPECT_TRUE(R.mayAlias(Result1, Item1));
 }
 
 TEST_P(ResultViewTest, NameBasedLookups) {
-  ResultView View = S->view(Run);
-  EXPECT_NE(View.findMethod("Carton.getItem"), InvalidId);
-  EXPECT_NE(View.findMethod("Main.main"), InvalidId);
-  EXPECT_EQ(View.findMethod("Carton.noSuchMethod"), InvalidId);
-  EXPECT_EQ(View.findMethod("NoSuchClass.m"), InvalidId);
-  EXPECT_EQ(View.findMethod("nodots"), InvalidId);
-  EXPECT_NE(View.findVar("Main.main.c1"), InvalidId);
-  EXPECT_EQ(View.findVar("Main.main.zzz"), InvalidId);
-  EXPECT_EQ(View.findVar("Main.nosuch.c1"), InvalidId);
+  const Program &P = S->program();
+  EXPECT_NE(P.methodByName("Carton.getItem"), InvalidId);
+  EXPECT_NE(P.methodByName("Main.main"), InvalidId);
+  EXPECT_EQ(P.methodByName("Carton.noSuchMethod"), InvalidId);
+  EXPECT_EQ(P.methodByName("NoSuchClass.m"), InvalidId);
+  EXPECT_EQ(P.methodByName("nodots"), InvalidId);
+  EXPECT_NE(P.varByName("Main.main.c1"), InvalidId);
+  EXPECT_EQ(P.varByName("Main.main.zzz"), InvalidId);
+  EXPECT_EQ(P.varByName("Main.nosuch.c1"), InvalidId);
 }
 
 TEST_P(ResultViewTest, CallSitesResolveToCartonMethods) {
   const Program &P = S->program();
-  ResultView View = S->view(Run);
-  MethodId Main = View.findMethod("Main.main");
-  MethodId SetItem = View.findMethod("Carton.setItem");
-  MethodId GetItem = View.findMethod("Carton.getItem");
+  MethodId Main = P.methodByName("Main.main");
+  MethodId SetItem = P.methodByName("Carton.setItem");
+  MethodId GetItem = P.methodByName("Carton.getItem");
   ASSERT_NE(Main, InvalidId);
 
-  std::vector<CallSiteId> Sites = View.callSitesIn(Main);
+  std::vector<CallSiteId> Sites;
+  for (CallSiteId CS = 0; CS < P.numCallSites(); ++CS)
+    if (P.callSite(CS).Caller == Main)
+      Sites.push_back(CS);
   ASSERT_EQ(Sites.size(), 4u) << "main has four virtual calls";
   uint32_t SetCalls = 0, GetCalls = 0;
   for (CallSiteId CS : Sites) {
-    const std::vector<MethodId> &Callees = View.calleesAt(CS);
+    const std::vector<MethodId> &Callees = Run.Result.calleesOf(CS);
     ASSERT_EQ(Callees.size(), 1u)
         << "monomorphic dispatch at " << P.callSite(CS).S;
     SetCalls += Callees[0] == SetItem ? 1 : 0;
@@ -116,16 +119,15 @@ TEST_P(ResultViewTest, CallSitesResolveToCartonMethods) {
 }
 
 TEST_P(ResultViewTest, NoFailingCastsOrPolyCallsInFigure1) {
-  ResultView View = S->view(Run);
-  EXPECT_TRUE(View.mayFailCasts().empty());
-  EXPECT_TRUE(View.polyCallSites().empty());
+  EXPECT_TRUE(mayFailCasts(S->program(), Run.Result).empty());
+  EXPECT_TRUE(polyCallSites(S->program(), Run.Result).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Analyses, ResultViewTest,
                          ::testing::Values("ci", "csc"));
 
 // The precision side (beyond soundness): CSC separates the cartons where
-// CI conflates them — observed through the query API alone.
+// CI conflates them — observed through the result queries alone.
 TEST(ResultViewPrecisionTest, CscSeparatesWhereCIConflates) {
   std::vector<std::string> Diags;
   auto S = AnalysisSession::fromFiles(
@@ -137,15 +139,13 @@ TEST(ResultViewPrecisionTest, CscSeparatesWhereCIConflates) {
   ASSERT_TRUE(CI.completed());
   ASSERT_TRUE(Csc.completed());
 
-  ResultView CIView = S->view(CI);
-  ResultView CscView = S->view(Csc);
-  VarId R1 = CIView.findVar("Main.main.result1");
-  VarId R2 = CIView.findVar("Main.main.result2");
+  VarId R1 = S->program().varByName("Main.main.result1");
+  VarId R2 = S->program().varByName("Main.main.result2");
   ASSERT_NE(R1, InvalidId);
   ASSERT_NE(R2, InvalidId);
 
-  EXPECT_TRUE(CIView.mayAlias(R1, R2)) << "CI merges the cartons";
-  EXPECT_FALSE(CscView.mayAlias(R1, R2)) << "CSC separates the cartons";
-  EXPECT_EQ(CIView.pointsTo(R1).size(), 2u);
-  EXPECT_EQ(CscView.pointsTo(R1).size(), 1u);
+  EXPECT_TRUE(CI.Result.mayAlias(R1, R2)) << "CI merges the cartons";
+  EXPECT_FALSE(Csc.Result.mayAlias(R1, R2)) << "CSC separates the cartons";
+  EXPECT_EQ(CI.Result.pt(R1).size(), 2u);
+  EXPECT_EQ(Csc.Result.pt(R1).size(), 1u);
 }

@@ -97,6 +97,48 @@ TEST(SpecErrorTest, MalformedParameterValues) {
             "unknown engine 'dopo' (expected doop or taie)");
 }
 
+TEST(SpecErrorTest, OutOfRangeZipperNumbers) {
+  // Each of these used to reach an out-of-range float-to-integer
+  // conversion (floor in the registry, pv/cf times the total cost in the
+  // Zipper-e guard), or was silently ignored (a negative floor).
+  EXPECT_EQ(buildError("zipper-e;floor=1e30"),
+            "parameter 'floor' expects a number in [0, 2^64), got '1e30'");
+  EXPECT_EQ(buildError("zipper-e;floor=18446744073709551616"),
+            "parameter 'floor' expects a number in [0, 2^64), got "
+            "'18446744073709551616'");
+  EXPECT_EQ(buildError("zipper-e;floor=-1"),
+            "parameter 'floor' expects a number in [0, 2^64), got '-1'");
+  EXPECT_EQ(buildError("zipper-e;floor=inf"),
+            "parameter 'floor' expects a number in [0, 2^64), got 'inf'");
+  EXPECT_EQ(buildError("zipper-e;floor=NaN"),
+            "parameter 'floor' expects a number in [0, 2^64), got 'nan'");
+  EXPECT_EQ(buildError("zipper-e;pv=nan"),
+            "parameter 'pv' expects a number in [0, 1], got 'nan'");
+  EXPECT_EQ(buildError("zipper-e;pv=-1"),
+            "parameter 'pv' expects a number in [0, 1], got '-1'");
+  EXPECT_EQ(buildError("zipper-e;pv=1.5"),
+            "parameter 'pv' expects a number in [0, 1], got '1.5'");
+  EXPECT_EQ(buildError("zipper-e;cf=1e300"),
+            "parameter 'cf' expects a number in [0, 1], got '1e300'");
+  EXPECT_EQ(buildError("zipper-e;cf=-inf"),
+            "parameter 'cf' expects a number in [0, 1], got '-inf'");
+}
+
+TEST(SpecErrorTest, ZipperNumberBoundsAreAccepted) {
+  AnalysisRecipe R;
+  std::string Error;
+  const AnalysisRegistry &Reg = AnalysisRegistry::global();
+  ASSERT_TRUE(Reg.build("zipper-e;pv=0;floor=0", R, Error)) << Error;
+  EXPECT_EQ(R.Zipper.CostFraction, 0.0);
+  EXPECT_EQ(R.Zipper.MinCostFloor, 0u);
+  ASSERT_TRUE(Reg.build("zipper-e;cf=1;floor=18446744073709549568", R, Error))
+      << Error;
+  EXPECT_EQ(R.Zipper.CostFraction, 1.0);
+  EXPECT_EQ(R.Zipper.MinCostFloor, 18446744073709549568ull);
+  ASSERT_TRUE(Reg.build("zipper-e", R, Error)) << Error;
+  EXPECT_EQ(R.Zipper.MinCostFloor, ZipperOptions().MinCostFloor);
+}
+
 TEST(SpecErrorTest, MalformedParValues) {
   // `par` is not a parameter of any analysis: every value is the
   // ordinary unknown-parameter error.

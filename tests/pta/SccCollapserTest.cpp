@@ -197,9 +197,7 @@ void expectNoCycleLeft(const Program &P, const std::string &Spec,
   SolverOptions Opts;
   Opts.DeltaPropagation = !R.DoopMode;
   Opts.CycleElimination = R.CycleElimination;
-  std::unique_ptr<ContextSelector> Sel;
-  if (R.MakeSelector)
-    Sel = R.MakeSelector();
+  std::unique_ptr<ContextSelector> Sel = makeSelector(R);
   Opts.Selector = Sel.get();
   ContainerSpec CSpec = ContainerSpec::forProgram(P);
   std::unique_ptr<CutShortcutPlugin> Plugin;

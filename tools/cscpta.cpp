@@ -64,6 +64,7 @@
 #include "server/IncrementalSolver.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -164,7 +165,8 @@ bool parseDoubleArg(const std::string &Val, const char *Opt, double &Out) {
   errno = 0;
   char *End = nullptr;
   double D = std::strtod(Val.c_str(), &End);
-  if (errno != 0 || End == Val.c_str() || *End != '\0' || D < 0) {
+  if (errno != 0 || End == Val.c_str() || *End != '\0' || D < 0 ||
+      !std::isfinite(D)) {
     std::fprintf(stderr,
                  "error: %s expects a non-negative number, got '%s'\n", Opt,
                  Val.c_str());
@@ -496,16 +498,16 @@ void printRunStats(const AnalysisRun &Run) {
       static_cast<unsigned long long>(C.PropagationsSaved));
 }
 
-void printPointsTo(const ResultView &View, const std::string &Query) {
-  VarId V = View.findVar(Query);
+void printPointsTo(const Program &P, const PTAResult &R,
+                   const std::string &Query) {
+  VarId V = P.varByName(Query);
   if (V == InvalidId) {
     std::printf("  pt(%s) = <no such variable>\n", Query.c_str());
     return;
   }
   std::printf("  pt(%s) = {", Query.c_str());
   bool First = true;
-  const Program &P = View.program();
-  View.pointsTo(V).forEach([&](ObjId O) {
+  R.pt(V).forEach([&](ObjId O) {
     std::printf("%so%u:%s", First ? "" : ", ", O,
                 P.type(P.obj(O).Type).Name.c_str());
     First = false;
@@ -513,23 +515,17 @@ void printPointsTo(const ResultView &View, const std::string &Query) {
   std::printf("}\n");
 }
 
-void appendPointsToJson(JsonWriter &J, const ResultView &View,
+void appendPointsToJson(JsonWriter &J, const Program &P, const PTAResult &R,
                         const std::string &Query) {
   J.beginObject().kv("var", Query);
-  VarId V = View.findVar(Query);
+  VarId V = P.varByName(Query);
   if (V == InvalidId) {
     J.kv("found", false).endObject();
     return;
   }
-  J.kv("found", true).key("objects").beginArray();
-  const Program &P = View.program();
-  View.pointsTo(V).forEach([&](ObjId O) {
-    J.beginObject()
-        .kv("obj", O)
-        .kv("type", P.type(P.obj(O).Type).Name)
-        .endObject();
-  });
-  J.endArray().endObject();
+  J.kv("found", true);
+  appendObjectsJson(J, P, R.pt(V));
+  J.endObject();
 }
 
 /// `--demand`: answers the --points-to queries per spec by solving only
@@ -603,17 +599,16 @@ int runDemand(const CliOptions &Cli, const AnalysisSession &S) {
                    static_cast<unsigned long long>(R.Stats.WorklistPops),
                    static_cast<unsigned long long>(R.Stats.PtsInsertions),
                    static_cast<unsigned long long>(R.Stats.PFGEdges));
-    ResultView View(P, R);
     if (Cli.Json) {
       for (const std::string &Q : Cli.PointsToQueries) {
         J.beginObject().kv("analysis", Recipe.Name).key("points_to");
-        appendPointsToJson(J, View, Q);
+        appendPointsToJson(J, P, R, Q);
         J.endObject();
       }
     } else {
       std::printf("%s (demand):\n", Recipe.Name.c_str());
       for (const std::string &Q : Cli.PointsToQueries)
-        printPointsTo(View, Q);
+        printPointsTo(P, R, Q);
     }
   }
 
@@ -995,10 +990,9 @@ int main(int Argc, char **Argv) {
       for (const AnalysisRun &Run : Runs) {
         if (!Run.completed())
           continue;
-        ResultView View = S->view(Run);
         for (const std::string &Q : Cli.PointsToQueries) {
           J.beginObject().kv("analysis", Run.Name).key("points_to");
-          appendPointsToJson(J, View, Q);
+          appendPointsToJson(J, P, Run.Result, Q);
           J.endObject();
         }
       }
@@ -1043,11 +1037,8 @@ int main(int Argc, char **Argv) {
                     "%s\n",
                     Run.SelectedMethods, Run.Timings.PreMs,
                     Run.PreFromCache ? " (cached)" : "");
-      if (!Cli.PointsToQueries.empty()) {
-        ResultView View = S->view(Run);
-        for (const std::string &Q : Cli.PointsToQueries)
-          printPointsTo(View, Q);
-      }
+      for (const std::string &Q : Cli.PointsToQueries)
+        printPointsTo(P, Run.Result, Q);
     }
   }
 
