@@ -3,8 +3,9 @@
 # cscpta processes racing one store directory must each emit the
 # storeless aggregate byte for byte, leave only checksum-valid entries
 # behind, serve a warm repeat (batch and single run) entirely from the
-# store, keep it under the largest --store-max-age, and agree with a
-# --workers fleet. After every pass the store
+# store — the single run's report and points-to answer byte-identical,
+# timings stripped, to a storeless run's — keep it under the largest
+# --store-max-age, and agree with a --workers fleet. After every pass the store
 # directory holds nothing but objects/: the entry files are its only
 # state. Registered with CTest as cscpta_store_concurrency;
 # tests/store/StoreConcurrencyTest.cpp covers the in-process half.
@@ -18,6 +19,7 @@ EXAMPLES=${2:?usage: store_concurrency.sh <cscpta> <examples-dir>}
 # directory (a temp dir here), so both arguments must be absolute.
 CSCPTA=$(cd "$(dirname "$CSCPTA")" && pwd)/$(basename "$CSCPTA")
 EXAMPLES=$(cd "$EXAMPLES" && pwd)
+STRIP=$(cd "$(dirname "$0")" && pwd)/strip_timings.py
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
@@ -73,10 +75,19 @@ cmp "$TMP/ref.json" "$TMP/warm.json"
 grep -q "store stats: served 6/6 runs" "$TMP/warm.log"
 only_objects "$TMP/store"
 
-# A single run shares the batch's entries: one key for every mode.
-"$CSCPTA" "$EXAMPLES/figure1.jir" --analyses ci,csc,2obj \
-  --store "$TMP/store" --stats > /dev/null 2> "$TMP/single.log"
+# A single run shares the batch's entries: one key for every mode. The
+# served runs are rebuilt from their entries (the one end-to-end path
+# through runFromStored), so their report and points-to answers must
+# match a storeless run's once timings are stripped.
+SINGLE=("$EXAMPLES/figure1.jir" --analyses ci,csc,2obj --json
+        --points-to Main.main.result1)
+"$CSCPTA" "${SINGLE[@]}" > "$TMP/single-ref.raw"
+"$CSCPTA" "${SINGLE[@]}" --store "$TMP/store" --stats \
+  > "$TMP/single.raw" 2> "$TMP/single.log"
 grep -q "store stats: served 3/3 runs" "$TMP/single.log"
+python3 "$STRIP" "$TMP/single-ref.raw" "$TMP/single-ref.json"
+python3 "$STRIP" "$TMP/single.raw" "$TMP/single.json"
+cmp "$TMP/single-ref.json" "$TMP/single.json"
 only_objects "$TMP/store"
 
 # The largest accepted age bound keeps every entry (the GC age test

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 using namespace csc;
 
@@ -771,35 +772,121 @@ PTAResult Solver::finishRun() {
 }
 
 void Solver::buildProjection(PTAResult &R) {
-  R.VarPts.resize(P.numVars());
+  // Hash-consed projection (see PTAResult). Each distinct solver set is
+  // projected once: sets are found by representative in a dense table,
+  // then — when large enough that mapping their elements costs more
+  // than hashing their words — by content hash across representatives,
+  // so equal sets share one projection. A key fed by one solver pointer
+  // (every var under ci and csc) takes that pool slot; a key fed by
+  // several (contexts under 2obj, zipper-e) unions their sets and
+  // interns the union.
+  constexpr uint32_t ProjectDirectlyUpTo = 24; // PointsToSet's small tier
+  std::vector<PointsToSet> &Pool = R.Pool;
+  PointsToSetInterner Interner(Pool);
+  std::vector<uint32_t> RepSlot(CSM.numPtrs(), InvalidId);
+  SetHashIndex RepByHash;
+  auto SlotOf = [&](PtrId Rep, const PointsToSet &S) {
+    if (RepSlot[Rep] != InvalidId)
+      return RepSlot[Rep];
+    if (S.size() > ProjectDirectlyUpTo) {
+      uint64_t H = S.hash();
+      PtrId Same =
+          RepByHash.find(H, [&](PtrId Other) { return Pts[Other] == S; });
+      if (Same != SetHashIndex::None)
+        return RepSlot[Rep] = RepSlot[Same];
+      RepByHash.insert(H, Rep);
+    }
+    PointsToSet Proj;
+    S.forEach([&](CSObjId O) { Proj.insert(CSM.csObj(O).O); });
+    return RepSlot[Rep] = Interner.intern(std::move(Proj));
+  };
+
+  // Vars feed their dense slot; a second distinct set turns the slot
+  // into a Merged index, tagged by the high bit.
+  constexpr uint32_t MergedTag = 1u << 31;
+  std::vector<PointsToSet> Merged;
+  R.VarSets.assign(P.numVars(), 0);
+  std::vector<KeyedSet> Keyed[3]; // by PtsTable
   for (PtrId Pr = 0; Pr < CSM.numPtrs(); ++Pr) {
-    const PointsToSet &S = ptsOf(Pr);
-    if (S.empty())
+    PtrId Rep = repOf(Pr);
+    if (Rep >= Pts.size() || Pts[Rep].empty())
       continue;
+    uint32_t Slot = SlotOf(Rep, Pts[Rep]);
     const PtrInfo &PI = CSM.ptr(Pr);
     switch (PI.Kind) {
-    case PtrKind::Var:
-      S.forEach([&](CSObjId O) { R.VarPts[PI.A].insert(CSM.csObj(O).O); });
-      break;
-    case PtrKind::Field: {
-      ObjId Base = CSM.csObj(PI.A).O;
-      PointsToSet &Dst = R.FieldPts[{Base, PI.B}];
-      S.forEach([&](CSObjId O) { Dst.insert(CSM.csObj(O).O); });
-      break;
-    }
-    case PtrKind::Array: {
-      ObjId Base = CSM.csObj(PI.A).O;
-      PointsToSet &Dst = R.ArrayPts[Base];
-      S.forEach([&](CSObjId O) { Dst.insert(CSM.csObj(O).O); });
+    case PtrKind::Var: {
+      uint32_t &Cur = R.VarSets[PI.A];
+      if (Cur == 0) {
+        Cur = Slot;
+      } else if (Cur & MergedTag) {
+        Merged[Cur & ~MergedTag].unionWith(Pool[Slot]);
+      } else if (Cur != Slot) {
+        Merged.push_back(Pool[Cur]);
+        Merged.back().unionWith(Pool[Slot]);
+        Cur = static_cast<uint32_t>(Merged.size() - 1) | MergedTag;
+      }
       break;
     }
-    case PtrKind::Static: {
-      PointsToSet &Dst = R.StaticPts[PI.A];
-      S.forEach([&](CSObjId O) { Dst.insert(CSM.csObj(O).O); });
+    case PtrKind::Field:
+      Keyed[0].push_back({CSM.csObj(PI.A).O, PI.B, Slot});
       break;
-    }
+    case PtrKind::Array:
+      Keyed[1].push_back({CSM.csObj(PI.A).O, 0, Slot});
+      break;
+    case PtrKind::Static:
+      Keyed[2].push_back({PI.A, 0, Slot});
+      break;
     }
   }
+  for (uint32_t &Cur : R.VarSets)
+    if (Cur & MergedTag)
+      Cur = Interner.intern(std::move(Merged[Cur & ~MergedTag]));
+
+  // Keyed tables: sort by (key, slot), then fold each key's run.
+  std::vector<KeyedSet> *Tables[3] = {&R.FieldSets, &R.ArraySets,
+                                      &R.StaticSets};
+  for (int T = 0; T != 3; ++T) {
+    std::vector<KeyedSet> &In = Keyed[T];
+    std::sort(In.begin(), In.end(), [](const KeyedSet &X, const KeyedSet &Y) {
+      return std::tie(X.A, X.B, X.Set) < std::tie(Y.A, Y.B, Y.Set);
+    });
+    std::vector<KeyedSet> &Out = *Tables[T];
+    for (size_t I = 0, E = In.size(); I != E;) {
+      size_t J = I + 1;
+      while (J != E && In[J].A == In[I].A && In[J].B == In[I].B)
+        ++J;
+      KeyedSet K = In[I];
+      if (In[J - 1].Set != K.Set) {
+        PointsToSet Union = Pool[K.Set];
+        for (size_t U = I + 1; U != J; ++U)
+          if (In[U].Set != In[U - 1].Set)
+            Union.unionWith(Pool[In[U].Set]);
+        K.Set = Interner.intern(std::move(Union));
+      }
+      Out.push_back(K);
+      I = J;
+    }
+  }
+
+  // Renumber the pool in first-use order, dropping the sets no key
+  // kept (a context's set that only reached a key through a union).
+  std::vector<uint32_t> Renum(Pool.size(), InvalidId);
+  std::vector<PointsToSet> Canonical(1);
+  Renum[0] = 0;
+  auto Use = [&](uint32_t &Set) {
+    if (Renum[Set] == InvalidId) {
+      Renum[Set] = static_cast<uint32_t>(Canonical.size());
+      Canonical.push_back(std::move(Pool[Set]));
+    }
+    Set = Renum[Set];
+  };
+  for (uint32_t &Set : R.VarSets)
+    Use(Set);
+  for (std::vector<KeyedSet> *Table : Tables)
+    for (KeyedSet &K : *Table)
+      Use(K.Set);
+  Pool = std::move(Canonical);
+
   R.CalleesPerSite.resize(P.numCallSites());
   for (const auto &[CS, M] : CG.ciEdges())
     R.CalleesPerSite[CS].push_back(M);

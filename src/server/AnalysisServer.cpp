@@ -228,7 +228,7 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
       if (Store)
         Keys.emplace(Sess).key(SpecText, K);
       if (Store && Store->lookup(K.Key, SR)) {
-        St->Run = runFromStored(SR);
+        St->Run = runFromStored(std::move(SR));
         St->Run.Name = St->Recipe.Name;
       } else {
         St->Run = Sess.run(St->Recipe);

@@ -7,49 +7,109 @@
 #include "store/ResultCodec.h"
 
 #include <algorithm>
+#include <tuple>
 
 using namespace csc;
 
 namespace {
 
-/// A points-to set as u32 count + ascending ids (forEach iterates
-/// ascending in both representations, so the encoding is canonical).
+// Ids, counts and pool indices are LEB128 varints (BinaryWriter::uvar):
+// most are small, and the reader accepts only shortest forms, so the
+// encoding stays canonical. Every varint is at least one byte, which is
+// what the fits() guards below assume.
+
+/// A pool set as count + ascending ids (forEach iterates ascending in
+/// both representations, so the encoding is canonical).
 void writeSet(const PointsToSet &S, BinaryWriter &W) {
-  W.u32(S.size());
-  S.forEach([&](uint32_t O) { W.u32(O); });
+  W.uvar(S.size());
+  S.forEach([&](uint32_t O) { W.uvar(O); });
 }
 
+/// Reads one pool set: non-empty, ids strictly ascending.
 bool readSet(BinaryReader &R, PointsToSet &Out) {
   uint32_t N;
-  if (!R.u32(N) || !R.fits(N, 4))
+  if (!R.uvar(N) || N == 0 || !R.fits(N, 1))
     return false;
+  uint32_t Prev = 0;
   for (uint32_t I = 0; I != N; ++I) {
     uint32_t O;
-    if (!R.u32(O))
+    if (!R.uvar(O) || (I != 0 && O <= Prev))
       return false;
     Out.insert(O);
+    Prev = O;
   }
   return true;
 }
 
-bool setsEqual(const PointsToSet &A, const PointsToSet &B) {
-  if (A.size() != B.size())
-    return false;
-  bool Equal = true;
-  A.forEach([&](uint32_t O) { Equal = Equal && B.contains(O); });
-  return Equal;
+template <typename Container>
+void writeIds(const Container &Ids, BinaryWriter &W) {
+  W.uvar(static_cast<uint32_t>(Ids.size()));
+  for (uint32_t Id : Ids)
+    W.uvar(Id);
 }
 
-/// Sorted key snapshot of an unordered map — the canonical iteration
-/// order every map-valued field is serialized in.
-template <typename Map>
-std::vector<typename Map::key_type> sortedKeys(const Map &M) {
-  std::vector<typename Map::key_type> Keys;
-  Keys.reserve(M.size());
-  for (const auto &KV : M)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  return Keys;
+/// Reads a count + strictly ascending ids into \p Out.
+template <typename Container>
+bool readAscending(BinaryReader &R, Container &Out) {
+  uint32_t N;
+  if (!R.uvar(N) || !R.fits(N, 1))
+    return false;
+  uint32_t Prev = 0;
+  for (uint32_t I = 0; I != N; ++I) {
+    uint32_t Id;
+    if (!R.uvar(Id) || (I != 0 && Id <= Prev))
+      return false;
+    Out.insert(Out.end(), Id);
+    Prev = Id;
+  }
+  return true;
+}
+
+/// Pool indices must appear in first-use order: each one either names a
+/// set already used or is the next unused one. Index 0 (the empty set)
+/// is only valid for vars.
+struct FirstUse {
+  uint32_t PoolSize;
+  uint32_t Used = 0;
+  bool take(uint32_t Set, bool AllowEmpty) {
+    if (Set == 0)
+      return AllowEmpty;
+    if (Set > Used + 1 || Set > PoolSize)
+      return false;
+    Used += Set == Used + 1;
+    return true;
+  }
+};
+
+/// A keyed table: count, then (A[, B], pool index) per key, keys
+/// strictly ascending. \p Pair says whether B is stored (Field only).
+void writeTable(const std::vector<KeyedSet> &Table, bool Pair,
+                BinaryWriter &W) {
+  W.uvar(static_cast<uint32_t>(Table.size()));
+  for (const KeyedSet &K : Table) {
+    W.uvar(K.A);
+    if (Pair)
+      W.uvar(K.B);
+    W.uvar(K.Set);
+  }
+}
+
+bool readTable(BinaryReader &R, bool Pair, FirstUse &Sets,
+               std::vector<KeyedSet> &Out) {
+  uint32_t N;
+  if (!R.uvar(N) || !R.fits(N, Pair ? 3 : 2))
+    return false;
+  Out.resize(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    KeyedSet &K = Out[I];
+    K.B = 0;
+    if (!R.uvar(K.A) || (Pair && !R.uvar(K.B)) || !R.uvar(K.Set) ||
+        !Sets.take(K.Set, /*AllowEmpty=*/false))
+      return false;
+    if (I != 0 && std::tie(Out[I - 1].A, Out[I - 1].B) >= std::tie(K.A, K.B))
+      return false;
+  }
+  return true;
 }
 
 bool readStatus(uint8_t Raw, RunStatus &Out) {
@@ -74,6 +134,42 @@ uint8_t statusByte(RunStatus S) {
                                            : 2;
 }
 
+/// Everything of a run's stored form but its result.
+StoredResult storedHeader(const AnalysisRun &Run, std::string RunJson) {
+  StoredResult S;
+  S.Status = Run.Status;
+  S.Error = Run.Error;
+  S.Metrics = Run.Metrics;
+  S.RunJson = std::move(RunJson);
+  S.SelectedMethods = Run.SelectedMethods;
+  S.CutStores = Run.Csc.CutStores;
+  S.CutReturns = Run.Csc.CutReturns;
+  S.ShortcutEdges = Run.Csc.ShortcutEdges;
+  S.InvolvedMethods.assign(Run.Csc.Involved.begin(),
+                           Run.Csc.Involved.end());
+  std::sort(S.InvolvedMethods.begin(), S.InvolvedMethods.end());
+  return S;
+}
+
+/// The stored encoding of \p S's fields followed by \p Result — which
+/// need not be S.Result, so a computed run encodes without a copy.
+void writeStored(const StoredResult &S, const PTAResult &Result,
+                 BinaryWriter &W) {
+  W.u8(statusByte(S.Status));
+  W.str(S.Error);
+  W.u32(S.Metrics.FailCasts);
+  W.u32(S.Metrics.ReachMethods);
+  W.u32(S.Metrics.PolyCalls);
+  W.u64(S.Metrics.CallEdges);
+  W.str(S.RunJson);
+  W.u32(S.SelectedMethods);
+  W.u64(S.CutStores);
+  W.u64(S.CutReturns);
+  W.u64(S.ShortcutEdges);
+  writeIds(S.InvolvedMethods, W);
+  serializePTAResult(Result, W);
+}
+
 } // namespace
 
 void csc::serializePTAResult(const PTAResult &R, BinaryWriter &W) {
@@ -95,41 +191,23 @@ void csc::serializePTAResult(const PTAResult &R, BinaryWriter &W) {
   W.u64(S.Scc.FullPasses);
   W.u64(S.Scc.PropagationsSaved);
 
-  W.u32(static_cast<uint32_t>(R.VarPts.size()));
-  for (const PointsToSet &P : R.VarPts)
-    writeSet(P, W);
+  // The pool is canonical in memory (first-use order), so it is written
+  // as it is: its non-empty sets, then every key's pool index.
+  W.uvar(static_cast<uint32_t>(R.Pool.size() - 1));
+  for (size_t I = 1; I < R.Pool.size(); ++I)
+    writeSet(R.Pool[I], W);
+  writeIds(R.VarSets, W);
+  writeTable(R.FieldSets, /*Pair=*/true, W);
+  writeTable(R.ArraySets, /*Pair=*/false, W);
+  writeTable(R.StaticSets, /*Pair=*/false, W);
 
-  W.u32(static_cast<uint32_t>(R.FieldPts.size()));
-  for (const auto &Key : sortedKeys(R.FieldPts)) {
-    W.u32(Key.first);
-    W.u32(Key.second);
-    writeSet(R.FieldPts.at(Key), W);
-  }
-
-  W.u32(static_cast<uint32_t>(R.ArrayPts.size()));
-  for (uint32_t Key : sortedKeys(R.ArrayPts)) {
-    W.u32(Key);
-    writeSet(R.ArrayPts.at(Key), W);
-  }
-
-  W.u32(static_cast<uint32_t>(R.StaticPts.size()));
-  for (uint32_t Key : sortedKeys(R.StaticPts)) {
-    W.u32(Key);
-    writeSet(R.StaticPts.at(Key), W);
-  }
-
-  W.u32(static_cast<uint32_t>(R.CalleesPerSite.size()));
-  for (const std::vector<MethodId> &Callees : R.CalleesPerSite) {
-    W.u32(static_cast<uint32_t>(Callees.size()));
-    for (MethodId M : Callees)
-      W.u32(M);
-  }
+  W.uvar(static_cast<uint32_t>(R.CalleesPerSite.size()));
+  for (const std::vector<MethodId> &Callees : R.CalleesPerSite)
+    writeIds(Callees, W);
 
   std::vector<MethodId> Reach(R.Reachable.begin(), R.Reachable.end());
   std::sort(Reach.begin(), Reach.end());
-  W.u32(static_cast<uint32_t>(Reach.size()));
-  for (MethodId M : Reach)
-    W.u32(M);
+  writeIds(Reach, W);
 
   W.u64(R.NumCallEdgesCI);
 }
@@ -149,65 +227,39 @@ bool csc::deserializePTAResult(BinaryReader &R, PTAResult &Out) {
       !R.u64(S.Scc.FullPasses) || !R.u64(S.Scc.PropagationsSaved))
     return false;
 
+  // Pool sets decode straight into the pool. The interner rejects a
+  // second copy of a set, so a decoded pool is one copy of each.
   uint32_t N;
-  if (!R.u32(N) || !R.fits(N, 4)) // each set is >= 4 bytes (its count)
+  if (!R.uvar(N) || !R.fits(N, 2)) // each set is >= 2 bytes
     return false;
-  Out.VarPts.resize(N);
-  for (uint32_t I = 0; I != N; ++I)
-    if (!readSet(R, Out.VarPts[I]))
-      return false;
-
-  if (!R.u32(N) || !R.fits(N, 12))
-    return false;
-  Out.FieldPts.reserve(N);
+  Out.Pool.assign(1, PointsToSet());
+  PointsToSetInterner Interner(Out.Pool);
   for (uint32_t I = 0; I != N; ++I) {
-    uint32_t O, F;
-    if (!R.u32(O) || !R.u32(F) || !readSet(R, Out.FieldPts[{O, F}]))
+    PointsToSet Set;
+    if (!readSet(R, Set) || Interner.intern(std::move(Set)) != I + 1)
       return false;
   }
-
-  if (!R.u32(N) || !R.fits(N, 8))
+  FirstUse Sets{N};
+  if (!R.uvar(N) || !R.fits(N, 1))
     return false;
-  Out.ArrayPts.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t O;
-    if (!R.u32(O) || !readSet(R, Out.ArrayPts[O]))
+  Out.VarSets.resize(N);
+  for (uint32_t &Set : Out.VarSets)
+    if (!R.uvar(Set) || !Sets.take(Set, /*AllowEmpty=*/true))
       return false;
-  }
-
-  if (!R.u32(N) || !R.fits(N, 8))
+  if (!readTable(R, /*Pair=*/true, Sets, Out.FieldSets) ||
+      !readTable(R, /*Pair=*/false, Sets, Out.ArraySets) ||
+      !readTable(R, /*Pair=*/false, Sets, Out.StaticSets) ||
+      Sets.Used != Sets.PoolSize) // every pool set is some key's
     return false;
-  Out.StaticPts.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t F;
-    if (!R.u32(F) || !readSet(R, Out.StaticPts[F]))
-      return false;
-  }
 
-  if (!R.u32(N) || !R.fits(N, 4))
+  if (!R.uvar(N) || !R.fits(N, 1))
     return false;
-  Out.CalleesPerSite.resize(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t K;
-    if (!R.u32(K) || !R.fits(K, 4))
+  Out.CalleesPerSite.assign(N, {});
+  for (std::vector<MethodId> &Callees : Out.CalleesPerSite)
+    if (!readAscending(R, Callees))
       return false;
-    Out.CalleesPerSite[I].resize(K);
-    for (uint32_t J = 0; J != K; ++J)
-      if (!R.u32(Out.CalleesPerSite[I][J]))
-        return false;
-  }
-
-  if (!R.u32(N) || !R.fits(N, 4))
-    return false;
-  Out.Reachable.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t M;
-    if (!R.u32(M))
-      return false;
-    Out.Reachable.insert(M);
-  }
-
-  return R.u64(Out.NumCallEdgesCI);
+  Out.Reachable.clear();
+  return readAscending(R, Out.Reachable) && R.u64(Out.NumCallEdgesCI);
 }
 
 bool csc::resultsEqual(const PTAResult &A, const PTAResult &B) {
@@ -225,65 +277,41 @@ bool csc::resultsEqual(const PTAResult &A, const PTAResult &B) {
       SA.Scc.PropagationsSaved != SB.Scc.PropagationsSaved)
     return false;
 
-  if (A.VarPts.size() != B.VarPts.size() ||
-      A.FieldPts.size() != B.FieldPts.size() ||
-      A.ArrayPts.size() != B.ArrayPts.size() ||
-      A.StaticPts.size() != B.StaticPts.size() ||
-      A.CalleesPerSite.size() != B.CalleesPerSite.size() ||
-      A.Reachable.size() != B.Reachable.size() ||
-      A.NumCallEdgesCI != B.NumCallEdgesCI)
-    return false;
-
-  for (size_t I = 0; I != A.VarPts.size(); ++I)
-    if (!setsEqual(A.VarPts[I], B.VarPts[I]))
-      return false;
-  for (const auto &[Key, Set] : A.FieldPts) {
-    auto It = B.FieldPts.find(Key);
-    if (It == B.FieldPts.end() || !setsEqual(Set, It->second))
-      return false;
-  }
-  for (const auto &[Key, Set] : A.ArrayPts) {
-    auto It = B.ArrayPts.find(Key);
-    if (It == B.ArrayPts.end() || !setsEqual(Set, It->second))
-      return false;
-  }
-  for (const auto &[Key, Set] : A.StaticPts) {
-    auto It = B.StaticPts.find(Key);
-    if (It == B.StaticPts.end() || !setsEqual(Set, It->second))
-      return false;
-  }
-  for (size_t I = 0; I != A.CalleesPerSite.size(); ++I)
-    if (A.CalleesPerSite[I] != B.CalleesPerSite[I])
-      return false;
-  for (MethodId M : A.Reachable)
-    if (!B.Reachable.count(M))
-      return false;
-  return true;
+  // Pools are canonical, so equal projections have equal pools and
+  // equal index tables.
+  auto SameTable = [](const std::vector<KeyedSet> &X,
+                      const std::vector<KeyedSet> &Y) {
+    return std::equal(X.begin(), X.end(), Y.begin(), Y.end(),
+                      [](const KeyedSet &P, const KeyedSet &Q) {
+                        return P.A == Q.A && P.B == Q.B && P.Set == Q.Set;
+                      });
+  };
+  return A.Pool == B.Pool && A.VarSets == B.VarSets &&
+         SameTable(A.FieldSets, B.FieldSets) &&
+         SameTable(A.ArraySets, B.ArraySets) &&
+         SameTable(A.StaticSets, B.StaticSets) &&
+         A.CalleesPerSite == B.CalleesPerSite &&
+         A.Reachable == B.Reachable && A.NumCallEdgesCI == B.NumCallEdgesCI;
 }
 
 std::string csc::serializeStoredResult(const StoredResult &S) {
   BinaryWriter W;
-  W.u8(statusByte(S.Status));
-  W.str(S.Error);
-  W.u32(S.Metrics.FailCasts);
-  W.u32(S.Metrics.ReachMethods);
-  W.u32(S.Metrics.PolyCalls);
-  W.u64(S.Metrics.CallEdges);
-  W.str(S.RunJson);
-  W.u32(S.SelectedMethods);
-  W.u64(S.CutStores);
-  W.u64(S.CutReturns);
-  W.u64(S.ShortcutEdges);
-  W.u32(static_cast<uint32_t>(S.InvolvedMethods.size()));
-  for (MethodId M : S.InvolvedMethods)
-    W.u32(M);
-  serializePTAResult(S.Result, W);
+  serializeStoredResult(S, W);
   return W.take();
 }
 
-bool csc::deserializeStoredResult(const std::string &Bytes,
+void csc::serializeStoredResult(const StoredResult &S, BinaryWriter &W) {
+  writeStored(S, S.Result, W);
+}
+
+void csc::serializeRun(const AnalysisRun &Run, std::string RunJson,
+                       BinaryWriter &W) {
+  writeStored(storedHeader(Run, std::move(RunJson)), Run.Result, W);
+}
+
+bool csc::deserializeStoredResult(const char *Data, size_t Size,
                                   StoredResult &Out) {
-  BinaryReader R(Bytes);
+  BinaryReader R(Data, Size);
   uint8_t Status;
   if (!R.u8(Status) || !readStatus(Status, Out.Status) ||
       !R.str(Out.Error) || !R.u32(Out.Metrics.FailCasts) ||
@@ -292,40 +320,29 @@ bool csc::deserializeStoredResult(const std::string &Bytes,
       !R.u32(Out.SelectedMethods) || !R.u64(Out.CutStores) ||
       !R.u64(Out.CutReturns) || !R.u64(Out.ShortcutEdges))
     return false;
-  uint32_t N;
-  if (!R.u32(N) || !R.fits(N, 4))
-    return false;
-  Out.InvolvedMethods.resize(N);
-  for (uint32_t I = 0; I != N; ++I)
-    if (!R.u32(Out.InvolvedMethods[I]))
-      return false;
+  Out.InvolvedMethods.clear();
   // The result must consume the rest of the value exactly — trailing
   // bytes mean a framing bug or format skew, either way not this entry.
-  return deserializePTAResult(R, Out.Result) && R.atEnd();
+  return readAscending(R, Out.InvolvedMethods) &&
+         deserializePTAResult(R, Out.Result) && R.atEnd();
+}
+
+bool csc::deserializeStoredResult(const std::string &Bytes,
+                                  StoredResult &Out) {
+  return deserializeStoredResult(Bytes.data(), Bytes.size(), Out);
 }
 
 StoredResult csc::storedFromRun(const AnalysisRun &Run,
                                 std::string RunJson) {
-  StoredResult S;
-  S.Status = Run.Status;
-  S.Error = Run.Error;
-  S.Metrics = Run.Metrics;
-  S.RunJson = std::move(RunJson);
-  S.SelectedMethods = Run.SelectedMethods;
-  S.CutStores = Run.Csc.CutStores;
-  S.CutReturns = Run.Csc.CutReturns;
-  S.ShortcutEdges = Run.Csc.ShortcutEdges;
-  S.InvolvedMethods.assign(Run.Csc.Involved.begin(),
-                           Run.Csc.Involved.end());
-  std::sort(S.InvolvedMethods.begin(), S.InvolvedMethods.end());
+  StoredResult S = storedHeader(Run, std::move(RunJson));
   S.Result = Run.Result;
   return S;
 }
 
-AnalysisRun csc::runFromStored(const StoredResult &S) {
+AnalysisRun csc::runFromStored(StoredResult S) {
   AnalysisRun Run;
   Run.Status = S.Status;
-  Run.Error = S.Error;
+  Run.Error = std::move(S.Error);
   Run.Metrics = S.Metrics;
   Run.SelectedMethods = S.SelectedMethods;
   Run.Csc.CutStores = S.CutStores;
@@ -333,6 +350,6 @@ AnalysisRun csc::runFromStored(const StoredResult &S) {
   Run.Csc.ShortcutEdges = S.ShortcutEdges;
   Run.Csc.Involved.insert(S.InvolvedMethods.begin(),
                           S.InvolvedMethods.end());
-  Run.Result = S.Result;
+  Run.Result = std::move(S.Result);
   return Run;
 }

@@ -9,18 +9,28 @@
 /// run — PTAResult, precision metrics, per-analysis extras, and the
 /// timing-free run report — encoded to bytes and back.
 ///
+/// The points-to projection is written as PTAResult holds it: the pool of
+/// distinct sets once (each a count + ascending ids), then one pool index
+/// per var and one (key, index) entry per key of the Field, Array and
+/// Static tables, keys ascending. Ids, counts and indices are shortest-
+/// form LEB128 varints (BinaryWriter::uvar).
+///
 /// The encoding is canonical: unordered containers are written in sorted
-/// key order and points-to sets as ascending id lists, so serializing a
-/// result, deserializing it, and serializing again yields byte-identical
-/// output (the round-trip property tests/store/ResultCodecTest.cpp pins).
-/// Canonical bytes are what make content checksums meaningful — two
-/// equal results can never disagree about their serialized form.
+/// key order, id lists ascending, and the pool in first-use order, so
+/// serializing a result, deserializing it, and serializing again yields
+/// byte-identical output (the round-trip property
+/// tests/store/ResultCodecTest.cpp pins). Canonical bytes are what make
+/// content checksums meaningful — two equal results can never disagree
+/// about their serialized form.
 ///
 /// Deserialization is bounds-checked end to end and returns false on any
-/// malformed input; it never crashes and never fabricates partial
-/// results. The store validates checksums before decoding, so a decode
-/// failure there means a format-version mismatch, and the entry degrades
-/// to a miss.
+/// malformed or non-canonical input — ids or keys out of order or
+/// repeated, a pool index past the pool or out of first-use order, an
+/// unused, empty or repeated pool set. It never crashes, never fabricates
+/// partial results, and what it accepts re-encodes to the same bytes.
+/// The store validates checksums before decoding, so a decode failure
+/// there means a format-version mismatch, and the entry degrades to a
+/// miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +72,8 @@ void serializePTAResult(const PTAResult &R, BinaryWriter &W);
 /// then unspecified). Consumes exactly what serializePTAResult wrote.
 bool deserializePTAResult(BinaryReader &R, PTAResult &Out);
 
-/// Deep equality of two results — every projection map, callee list,
-/// reachable set, and serialized counter. Scheduling diagnostics
+/// Deep equality of two results — the set pool and every index table,
+/// callee list, reachable set, and serialized counter. Scheduling diagnostics
 /// (WorklistPops, SccStats) and TimeMs are included: the codec stores
 /// them, so a round trip must preserve them bit-for-bit too.
 bool resultsEqual(const PTAResult &A, const PTAResult &B);
@@ -71,16 +81,25 @@ bool resultsEqual(const PTAResult &A, const PTAResult &B);
 /// One StoredResult as a standalone byte string / parsed back. The store
 /// checksums and frames these bytes; the codec itself has no header.
 std::string serializeStoredResult(const StoredResult &S);
+void serializeStoredResult(const StoredResult &S, BinaryWriter &W);
 bool deserializeStoredResult(const std::string &Bytes, StoredResult &Out);
+bool deserializeStoredResult(const char *Data, size_t Size,
+                             StoredResult &Out);
 
 /// Converts a computed run into its stored form. \p RunJson must be the
 /// timing-free report serialized under the canonical spec name.
 StoredResult storedFromRun(const AnalysisRun &Run, std::string RunJson);
 
-/// Reconstructs an AnalysisRun from a stored value. Name and Timings are
-/// left defaulted — the caller sets the display name (the original spec
-/// spelling) and charges the store-load wall time.
-AnalysisRun runFromStored(const StoredResult &S);
+/// Appends the bytes serializeStoredResult(storedFromRun(Run, RunJson))
+/// returns, encoding Run.Result in place instead of copying it.
+void serializeRun(const AnalysisRun &Run, std::string RunJson,
+                  BinaryWriter &W);
+
+/// Reconstructs an AnalysisRun from a stored value, moving its result
+/// (pass an rvalue to avoid a copy). Name and Timings are left defaulted
+/// — the caller sets the display name (the original spec spelling) and
+/// charges the store-load wall time.
+AnalysisRun runFromStored(StoredResult S);
 
 } // namespace csc
 

@@ -19,7 +19,6 @@
 #include <cstring>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -107,7 +106,7 @@ std::string ResultKeys::publish(ResultStore *Store, const ResultKey &K,
   Run.Name = std::move(Display);
   std::string RunJson = J.take();
   bool Ok = Store && !K.Key.empty() && reusable(Run) &&
-            Store->publish(K.Key, storedFromRun(Run, RunJson));
+            Store->publish(K.Key, Run, RunJson);
   if (Published)
     *Published = Ok;
   return RunJson;
@@ -124,43 +123,71 @@ namespace {
 // the fixed header is caught; flips inside the header fail the magic /
 // version / checksum comparison instead.
 constexpr char EntryMagic[8] = {'C', 'S', 'C', 'P', 'T', 'A', 'R', '1'};
-constexpr uint32_t FormatVersion = 2;
+constexpr uint32_t FormatVersion = 3;
 constexpr size_t HeaderBytes = 8 + 4 + 8; // magic + version + checksum
 
+/// The whole file in one buffer, sized up front.
 bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
+  std::ifstream In(Path, std::ios::binary | std::ios::ate);
   if (!In)
     return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return In.good() || In.eof();
+  std::streamoff Size = In.tellg();
+  if (Size < 0)
+    return false;
+  Out.resize(static_cast<size_t>(Size));
+  In.seekg(0);
+  return static_cast<bool>(
+      In.read(&Out[0], static_cast<std::streamsize>(Out.size())));
 }
 
-std::string frame(const char (&Magic)[8], const std::string &Body) {
+/// True when the file at \p Path holds exactly \p Bytes. Compares in
+/// chunks, so checking for an existing entry allocates no second copy.
+bool fileHolds(const std::string &Path, const std::string &Bytes) {
+  std::ifstream In(Path, std::ios::binary | std::ios::ate);
+  if (!In || In.tellg() != static_cast<std::streamoff>(Bytes.size()))
+    return false;
+  In.seekg(0);
+  char Chunk[1 << 16];
+  for (size_t Pos = 0; Pos < Bytes.size(); Pos += sizeof(Chunk)) {
+    size_t N = std::min(sizeof(Chunk), Bytes.size() - Pos);
+    if (!In.read(Chunk, static_cast<std::streamsize>(N)) ||
+        std::memcmp(Chunk, Bytes.data() + Pos, N) != 0)
+      return false;
+  }
+  return true;
+}
+
+/// One entry file in one buffer: header, key framing and the payload
+/// \p Encode appends, with the payload length and the body checksum
+/// patched in once the payload is written.
+std::string entryBytes(const std::string &Key,
+                       const std::function<void(BinaryWriter &)> &Encode) {
   BinaryWriter W;
-  std::string Out(Magic, 8);
+  W.raw(EntryMagic, 8);
   W.u32(FormatVersion);
-  W.u64(fnv1a64(Body.data(), Body.size()));
-  Out += W.take();
-  Out += Body;
-  return Out;
+  W.u64(0); // body checksum
+  W.str(Key);
+  W.u64(0); // payload length
+  size_t PayloadAt = W.size();
+  Encode(W);
+  W.patchU64(PayloadAt - 8, W.size() - PayloadAt);
+  W.patchU64(HeaderBytes - 8, fnv1a64(W.data().data() + HeaderBytes,
+                                      W.size() - HeaderBytes));
+  return W.take();
 }
 
-/// Validates magic/version/checksum framing; on success \p BodyOut is
-/// the checksummed body. False on any mismatch.
-bool unframe(const std::string &Bytes, const char (&Magic)[8],
-             std::string &BodyOut) {
+/// Validates magic/version/checksum framing in place: the checksummed
+/// body is \p Bytes from HeaderBytes on. False on any mismatch.
+bool frameValid(const std::string &Bytes) {
   if (Bytes.size() < HeaderBytes ||
-      std::memcmp(Bytes.data(), Magic, 8) != 0)
+      std::memcmp(Bytes.data(), EntryMagic, 8) != 0)
     return false;
   BinaryReader R(Bytes.data() + 8, HeaderBytes - 8);
   uint32_t Version;
   uint64_t Sum;
-  if (!R.u32(Version) || !R.u64(Sum) || Version != FormatVersion)
-    return false;
-  BodyOut = Bytes.substr(HeaderBytes);
-  return fnv1a64(BodyOut.data(), BodyOut.size()) == Sum;
+  return R.u32(Version) && R.u64(Sum) && Version == FormatVersion &&
+         fnv1a64(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes) ==
+             Sum;
 }
 
 std::string hex16(uint64_t V) {
@@ -255,22 +282,20 @@ std::string ResultStore::objectPath(const std::string &Key) const {
 }
 
 int ResultStore::readEntry(const std::string &Path,
-                           const std::string &ExpectKey,
-                           std::string &PayloadOut) const {
-  std::string Bytes;
+                           const std::string &ExpectKey, std::string &Bytes,
+                           size_t &PayloadAt) const {
   if (!readWholeFile(Path, Bytes))
     return 1; // absent/unreadable: a plain miss, nothing to repair
-  std::string Body;
-  if (!unframe(Bytes, EntryMagic, Body))
+  if (!frameValid(Bytes))
     return 2; // bad magic, version skew, truncation, or flipped bits
-  BinaryReader R(Body);
+  BinaryReader R(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes);
   std::string Key;
   uint64_t PayloadLen;
   if (!R.str(Key) || !R.u64(PayloadLen) || PayloadLen != R.remaining())
     return 2;
   if (!ExpectKey.empty() && Key != ExpectKey)
     return 3; // valid entry for another key: hash collision, not damage
-  PayloadOut = Body.substr(Body.size() - PayloadLen);
+  PayloadAt = Bytes.size() - PayloadLen;
   return 0;
 }
 
@@ -281,11 +306,13 @@ bool ResultStore::lookup(const std::string &Key, StoredResult &Out) {
     return false;
   }
   std::string Path = objectPath(Key);
-  std::string Payload;
-  int RC = readEntry(Path, Key, Payload);
+  std::string Bytes;
+  size_t PayloadAt = 0;
+  int RC = readEntry(Path, Key, Bytes, PayloadAt);
   if (RC == 0) {
     StoredResult Value;
-    if (deserializeStoredResult(Payload, Value)) {
+    if (deserializeStoredResult(Bytes.data() + PayloadAt,
+                                Bytes.size() - PayloadAt, Value)) {
       ++Stats.Hits;
       // Stamp the access so GC's LRU order reflects use, not just
       // publish time — on disk at once, where every handle sees it.
@@ -338,27 +365,36 @@ bool ResultStore::writeFileAtomic(const std::string &FinalPath,
 
 bool ResultStore::publish(const std::string &Key,
                           const StoredResult &Value) {
+  return publishEntry(
+      Key, [&](BinaryWriter &W) { serializeStoredResult(Value, W); });
+}
+
+bool ResultStore::publish(const std::string &Key, const AnalysisRun &Run,
+                          std::string RunJson) {
+  return publishEntry(Key, [&](BinaryWriter &W) {
+    serializeRun(Run, std::move(RunJson), W);
+  });
+}
+
+bool ResultStore::publishEntry(
+    const std::string &Key,
+    const std::function<void(BinaryWriter &)> &Encode) {
+  // Encoding needs no lock: Err is fixed at construction.
+  std::string Bytes;
+  if (usable() && !Key.empty())
+    Bytes = entryBytes(Key, Encode);
   std::lock_guard<std::mutex> G(M);
-  if (!usable() || Key.empty()) {
+  if (Bytes.empty()) {
     ++Stats.PublishFailures;
     return false;
   }
-  std::string Payload = serializeStoredResult(Value);
   std::string Path = objectPath(Key);
 
   // An existing valid entry for this key holds identical bytes by
   // construction (the key fingerprints the inputs) — skip the rewrite.
-  {
-    std::string Existing;
-    if (readEntry(Path, Key, Existing) == 0 && Existing == Payload)
-      return true;
-  }
-
-  BinaryWriter BodyW;
-  BodyW.str(Key);
-  BodyW.u64(Payload.size());
-  std::string Body = BodyW.take() + Payload;
-  if (!writeFileAtomic(Path, frame(EntryMagic, Body))) {
+  if (fileHolds(Path, Bytes))
+    return true;
+  if (!writeFileAtomic(Path, Bytes)) {
     ++Stats.PublishFailures;
     return false;
   }
@@ -374,11 +410,13 @@ ResultStore::ScrubReport ResultStore::scrub() {
   if (!usable())
     return Report;
   for (const std::string &Path : listEntryFiles(Opts.Dir + "/objects")) {
-    std::string Payload;
+    std::string Bytes;
+    size_t PayloadAt = 0;
     StoredResult Value;
     struct stat St;
-    if (readEntry(Path, "", Payload) == 0 &&
-        deserializeStoredResult(Payload, Value) &&
+    if (readEntry(Path, "", Bytes, PayloadAt) == 0 &&
+        deserializeStoredResult(Bytes.data() + PayloadAt,
+                                Bytes.size() - PayloadAt, Value) &&
         ::stat(Path.c_str(), &St) == 0) {
       ++Report.Valid;
       Report.Bytes += static_cast<uint64_t>(St.st_size);

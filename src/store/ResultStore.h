@@ -23,10 +23,13 @@
 /// its transient task ledger (ledger.bin, store/TaskLedger.h) beside
 /// objects/ while it lasts.
 ///
-/// Entry file format: 8-byte magic, u32 format version, u64 FNV-1a body
-/// checksum, body (u32 key length + key bytes, u64 payload length,
-/// payload). The full key is embedded and compared on every lookup, so a
-/// key-hash collision is a plain miss, never a wrong answer.
+/// Entry file format: 8-byte magic, u32 format version (3: the
+/// hash-consed projection), u64 FNV-1a body checksum, body (u32 key
+/// length + key bytes, u64 payload length, payload). The full key is
+/// embedded and compared on every lookup, so a key-hash collision is a
+/// plain miss, never a wrong answer. Each entry is written and read
+/// through one buffer: publish frames the payload in place, and lookup
+/// validates and decodes the file's bytes where they were read.
 ///
 /// Failure discipline — the store may only ever make things slower,
 /// never wrong, and never crash:
@@ -196,6 +199,10 @@ public:
   /// clock. False (counted) on I/O failure. An existing valid entry is
   /// left untouched — identical bytes by construction.
   bool publish(const std::string &Key, const StoredResult &Value);
+  /// The same entry publish(Key, storedFromRun(Run, RunJson)) writes,
+  /// encoded from \p Run in place.
+  bool publish(const std::string &Key, const AnalysisRun &Run,
+               std::string RunJson);
 
   /// Validates every entry in the directory, evicting corrupt ones.
   ScrubReport scrub();
@@ -212,13 +219,18 @@ private:
   uint64_t nowMs() const;
   GcReport gcLocked();
   std::string objectPath(const std::string &Key) const;
-  /// Reads + fully validates one entry file's framing. Returns 0 on a
-  /// valid entry (payload out), 1 when the file is absent (plain miss),
-  /// 2 on corruption (caller counts/evicts), 3 on a key-hash collision
-  /// (valid entry for some other key: plain miss, never evicted). An
-  /// empty \p ExpectKey accepts any key.
+  /// Reads + fully validates one entry file's framing into \p Bytes.
+  /// Returns 0 on a valid entry (its payload is \p Bytes from
+  /// \p PayloadAt on), 1 when the file is absent (plain miss), 2 on
+  /// corruption (caller counts/evicts), 3 on a key-hash collision (valid
+  /// entry for some other key: plain miss, never evicted). An empty
+  /// \p ExpectKey accepts any key.
   int readEntry(const std::string &Path, const std::string &ExpectKey,
-                std::string &PayloadOut) const;
+                std::string &Bytes, size_t &PayloadAt) const;
+  /// Frames the payload \p Encode appends into one entry buffer and
+  /// writes it unless the file already holds those bytes.
+  bool publishEntry(const std::string &Key,
+                    const std::function<void(BinaryWriter &)> &Encode);
   bool writeFileAtomic(const std::string &FinalPath,
                        const std::string &Bytes) const;
 

@@ -57,6 +57,26 @@ public:
     Buf.append(S);
   }
 
+  /// LEB128: 7 bits per byte, low bits first, high bit = more follows.
+  /// Small ids and counts take one byte instead of four.
+  void uvar(uint32_t V) {
+    while (V >= 0x80) {
+      Buf.push_back(static_cast<char>((V & 0x7F) | 0x80));
+      V >>= 7;
+    }
+    Buf.push_back(static_cast<char>(V));
+  }
+
+  /// Raw bytes, no length prefix.
+  void raw(const char *Data, size_t Size) { Buf.append(Data, Size); }
+
+  /// Overwrites the 8 bytes at \p Pos (written earlier, say by u64(0))
+  /// with \p V — for lengths and checksums known only after what follows.
+  void patchU64(size_t Pos, uint64_t V) {
+    for (int I = 0; I != 8; ++I)
+      Buf[Pos + I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+  }
+
   const std::string &data() const { return Buf; }
   std::string take() { return std::move(Buf); }
   size_t size() const { return Buf.size(); }
@@ -107,6 +127,27 @@ public:
       return false;
     std::memcpy(&Out, &Bits, sizeof(Out));
     return true;
+  }
+
+  /// Reads what BinaryWriter::uvar wrote. Only the shortest encoding of
+  /// a value that fits 32 bits is accepted, so every value has exactly
+  /// one byte form (overlong forms would break canonical re-encoding).
+  bool uvar(uint32_t &Out) {
+    Out = 0;
+    for (int Shift = 0;; Shift += 7) {
+      uint8_t B;
+      if (!u8(B))
+        return false;
+      // A fifth byte carries only the top 4 bits, and a zero byte after
+      // the first adds nothing: both are non-shortest forms.
+      if ((Shift == 28 && B > 0x0F) || (Shift != 0 && B == 0)) {
+        Failed = true;
+        return false;
+      }
+      Out |= static_cast<uint32_t>(B & 0x7F) << Shift;
+      if (!(B & 0x80))
+        return true;
+    }
   }
 
   bool str(std::string &Out) {

@@ -104,6 +104,100 @@ std::vector<uint32_t> PointsToSet::toVector() const {
   return Out;
 }
 
+namespace {
+
+/// Folds one non-zero word \p Bits at word index \p W into \p H.
+uint64_t mixWord(uint64_t H, uint64_t W, uint64_t Bits) {
+  H ^= Bits + 0x9e3779b97f4a7c15ULL * (W + 1);
+  H *= 0xff51afd7ed558ccdULL;
+  return H ^ (H >> 29);
+}
+
+} // namespace
+
+uint64_t PointsToSet::hash() const {
+  uint64_t H = Count;
+  if (UseBits) {
+    for (size_t W = 0, E = Bits.size(); W != E; ++W)
+      if (Bits[W])
+        H = mixWord(H, W, Bits[W]);
+    return H;
+  }
+  // Assemble the words a bitmap would hold from the sorted elements.
+  uint32_t N;
+  const uint32_t *Elems = smallData(N);
+  uint64_t Word = 0, CurW = 0;
+  for (uint32_t I = 0; I != N; ++I) {
+    uint64_t W = Elems[I] / 64;
+    if (Word && W != CurW) {
+      H = mixWord(H, CurW, Word);
+      Word = 0;
+    }
+    CurW = W;
+    Word |= 1ULL << (Elems[I] % 64);
+  }
+  return Word ? mixWord(H, CurW, Word) : H;
+}
+
+bool PointsToSet::operator==(const PointsToSet &Other) const {
+  if (Count != Other.Count)
+    return false;
+  if (UseBits && Other.UseBits) {
+    // Equal counts and equal common words leave no bits for the longer
+    // side's tail, so the common prefix decides.
+    size_t Words = std::min(Bits.size(), Other.Bits.size());
+    return std::equal(Bits.begin(), Bits.begin() + Words,
+                      Other.Bits.begin());
+  }
+  // With equal counts, containment of the small side is equality.
+  const PointsToSet &S = !UseBits ? *this : Other;
+  const PointsToSet &L = !UseBits ? Other : *this;
+  uint32_t N;
+  const uint32_t *Elems = S.smallData(N);
+  if (!L.UseBits) {
+    uint32_t M;
+    const uint32_t *LElems = L.smallData(M);
+    return std::equal(Elems, Elems + N, LElems);
+  }
+  for (uint32_t I = 0; I != N; ++I)
+    if (!L.contains(Elems[I]))
+      return false;
+  return true;
+}
+
+void SetHashIndex::insert(uint64_t Hash, uint32_t Id) {
+  if (2 * (Count + 1) > Ids.size()) {
+    // Grow at half load and re-place every entry.
+    std::vector<uint64_t> OldHashes = std::move(Hashes);
+    std::vector<uint32_t> OldIds = std::move(Ids);
+    size_t Size = std::max<size_t>(16, 2 * OldIds.size());
+    Hashes.assign(Size, 0);
+    Ids.assign(Size, None);
+    Count = 0;
+    for (size_t I = 0; I != OldIds.size(); ++I)
+      if (OldIds[I] != None)
+        insert(OldHashes[I], OldIds[I]);
+  }
+  const size_t Mask = Ids.size() - 1;
+  size_t I = Hash & Mask;
+  while (Ids[I] != None)
+    I = (I + 1) & Mask;
+  Hashes[I] = Hash;
+  Ids[I] = Id;
+  ++Count;
+}
+
+uint32_t PointsToSetInterner::intern(PointsToSet &&S) {
+  uint64_t H = S.hash();
+  uint32_t Found = Index.find(H, [&](uint32_t I) { return Pool[I] == S; });
+  if (Found != SetHashIndex::None)
+    return Found;
+  uint32_t I = static_cast<uint32_t>(Pool.size());
+  Pool.push_back(std::move(S));
+  Index.insert(H, I);
+  return I;
+}
+
 //===----------------------------------------------------------------------===//
 // Word-parallel bulk operations
 //===----------------------------------------------------------------------===//

@@ -113,6 +113,18 @@ public:
   /// All elements, ascending. Convenience for tests and clients.
   std::vector<uint32_t> toVector() const;
 
+  //===--------------------------------------------------------------------===
+  // Hash-consing support
+  //===--------------------------------------------------------------------===
+
+  /// Content hash over the set's non-zero 64-bit words, as (word index,
+  /// bits) pairs in ascending order. Equal sets hash equal whatever their
+  /// representation, and a bitmap costs one pass over its words.
+  uint64_t hash() const;
+
+  /// Content equality, independent of representation.
+  bool operator==(const PointsToSet &Other) const;
+
 private:
   void promote();
   uint32_t unionImpl(const PointsToSet &Other, const PointsToSet *Mask,
@@ -139,6 +151,51 @@ private:
   std::vector<uint64_t> Bits;    ///< Bitmap words once promoted.
   uint32_t Count = 0;
   bool UseBits = false;
+};
+
+/// Open-addressing index from content hashes to ids, for hash-consing:
+/// the caller keeps the values and supplies the equality test, so one
+/// index serves sets stored anywhere.
+class SetHashIndex {
+public:
+  static constexpr uint32_t None = ~0u;
+
+  /// An id inserted under \p Hash for which \p Same(id) holds, or None.
+  template <typename Eq> uint32_t find(uint64_t Hash, Eq &&Same) const {
+    if (Ids.empty())
+      return None;
+    const size_t Mask = Ids.size() - 1;
+    for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+      if (Ids[I] == None)
+        return None;
+      if (Hashes[I] == Hash && Same(Ids[I]))
+        return Ids[I];
+    }
+  }
+
+  /// Adds \p Id under \p Hash (the caller has checked it is new).
+  void insert(uint64_t Hash, uint32_t Id);
+
+private:
+  std::vector<uint64_t> Hashes;
+  std::vector<uint32_t> Ids; ///< Power-of-two sized; None marks free.
+  size_t Count = 0;
+};
+
+/// Hash-consing index over a caller-owned pool of sets: intern() hands
+/// back the index of an equal set already added through it, or appends
+/// the set to the pool. Lives only while a pool is being built.
+class PointsToSetInterner {
+public:
+  explicit PointsToSetInterner(std::vector<PointsToSet> &Pool)
+      : Pool(Pool) {}
+
+  /// Index of the set equal to \p S, appending \p S if there is none.
+  uint32_t intern(PointsToSet &&S);
+
+private:
+  std::vector<PointsToSet> &Pool;
+  SetHashIndex Index;
 };
 
 } // namespace csc

@@ -147,33 +147,24 @@ void expectIdenticalResults(const Program &P, const PTAResult &A,
   for (VarId V = 0; V < P.numVars(); ++V)
     EXPECT_EQ(A.pt(V).toVector(), B.pt(V).toVector())
         << Label << ": var " << P.var(V).Name;
-  auto FieldKeys = [](const PTAResult &R) {
-    std::vector<std::pair<uint32_t, uint32_t>> Keys;
-    for (const auto &KV : R.FieldPts)
-      Keys.push_back(KV.first);
-    std::sort(Keys.begin(), Keys.end());
-    return Keys;
+  // Every key either result holds, so a key missing on one side fails.
+  auto Keys = [&](PtsTable T) {
+    std::vector<std::pair<uint32_t, uint32_t>> Union;
+    for (const PTAResult *R : {&A, &B})
+      R->forEachKey(T, [&](uint32_t X, uint32_t Y, const PointsToSet &) {
+        Union.emplace_back(X, Y);
+      });
+    std::sort(Union.begin(), Union.end());
+    Union.erase(std::unique(Union.begin(), Union.end()), Union.end());
+    return Union;
   };
-  std::vector<std::pair<uint32_t, uint32_t>> Union = FieldKeys(A);
-  for (const auto &K : FieldKeys(B))
-    Union.push_back(K);
-  std::sort(Union.begin(), Union.end());
-  Union.erase(std::unique(Union.begin(), Union.end()), Union.end());
-  for (const auto &[O, F] : Union)
+  for (const auto &[O, F] : Keys(PtsTable::Field))
     EXPECT_EQ(A.ptField(O, F).toVector(), B.ptField(O, F).toVector())
         << Label << ": field (" << O << ", " << F << ")";
   for (ObjId O = 0; O < P.numObjs(); ++O)
     EXPECT_EQ(A.ptArray(O).toVector(), B.ptArray(O).toVector())
         << Label << ": array of obj " << O;
-  std::vector<uint32_t> StaticKeys;
-  for (const auto &KV : A.StaticPts)
-    StaticKeys.push_back(KV.first);
-  for (const auto &KV : B.StaticPts)
-    StaticKeys.push_back(KV.first);
-  std::sort(StaticKeys.begin(), StaticKeys.end());
-  StaticKeys.erase(std::unique(StaticKeys.begin(), StaticKeys.end()),
-                   StaticKeys.end());
-  for (uint32_t F : StaticKeys)
+  for (const auto &[F, Unused] : Keys(PtsTable::Static))
     EXPECT_EQ(A.ptStatic(F).toVector(), B.ptStatic(F).toVector())
         << Label << ": static field " << F;
   // Sorted by the projection step, so plain equality pins byte-identity.

@@ -12,7 +12,9 @@
 // pins the report property warm batches rely on — a run rebuilt from its
 // stored form re-serializes to the exact RunJson that was stored — and
 // that truncated byte strings always fail to decode instead of crashing
-// or fabricating a partial result.
+// or fabricating a partial result. Decoding is canonical: hand-built
+// non-canonical projections are rejected, and any seeded byte mutation of
+// a real payload either fails to decode or re-encodes to the same bytes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,6 +133,61 @@ void expectPrefixSafety(const std::string &Bytes, const std::string &Label) {
       << Label << ": trailing garbage decoded";
 }
 
+/// A hand-built PTAResult encoding: zeroed counters, then the projection
+/// sections as given, no call sites or reachable methods.
+struct ProjectionBytes {
+  std::vector<std::vector<uint32_t>> Pool;
+  std::vector<uint32_t> Vars;
+  std::vector<std::vector<uint32_t>> Fields; ///< {O, F, Set} each.
+  std::vector<uint32_t> Reachable;
+
+  static void ids(const std::vector<uint32_t> &Ids, BinaryWriter &W) {
+    W.uvar(static_cast<uint32_t>(Ids.size()));
+    for (uint32_t Id : Ids)
+      W.uvar(Id);
+  }
+
+  std::string bytes() const {
+    BinaryWriter W;
+    W.u8(0);
+    W.f64(0);
+    for (int I = 0; I != 4; ++I)
+      W.u64(0);
+    for (int I = 0; I != 5; ++I)
+      W.u32(0);
+    for (int I = 0; I != 4; ++I)
+      W.u64(0);
+    W.uvar(static_cast<uint32_t>(Pool.size()));
+    for (const std::vector<uint32_t> &Set : Pool)
+      ids(Set, W);
+    ids(Vars, W);
+    W.uvar(static_cast<uint32_t>(Fields.size()));
+    for (const std::vector<uint32_t> &F : Fields)
+      for (uint32_t X : F)
+        W.uvar(X);
+    W.uvar(0); // arrays
+    W.uvar(0); // statics
+    W.uvar(0); // call sites
+    ids(Reachable, W);
+    W.u64(0);
+    return W.take();
+  }
+};
+
+/// Decodes \p Bytes as one PTAResult; on success also re-encodes it.
+bool decodePTA(const std::string &Bytes, std::string *Reencoded = nullptr) {
+  BinaryReader R(Bytes);
+  PTAResult Out;
+  if (!deserializePTAResult(R, Out) || !R.atEnd())
+    return false;
+  if (Reencoded) {
+    BinaryWriter W;
+    serializePTAResult(Out, W);
+    *Reencoded = W.take();
+  }
+  return true;
+}
+
 } // namespace
 
 TEST(ResultCodecTest, EverySpecOverEveryExampleRoundTrips) {
@@ -218,4 +275,108 @@ TEST(ResultCodecTest, PTAResultRoundTripsStandalone) {
   BinaryWriter W2;
   serializePTAResult(Out, W2);
   EXPECT_EQ(W2.take(), Bytes);
+}
+
+TEST(ResultCodecTest, NonCanonicalProjectionsNeverDecode) {
+  // The canonical shape: pool in first-use order, ids and keys ascending.
+  ProjectionBytes Good;
+  Good.Pool = {{3, 9}, {4}};
+  Good.Vars = {0, 1, 1, 2};
+  Good.Fields = {{1, 0, 2}, {1, 2, 1}};
+  Good.Reachable = {0, 5};
+  std::string Reencoded;
+  ASSERT_TRUE(decodePTA(Good.bytes(), &Reencoded));
+  EXPECT_EQ(Reencoded, Good.bytes());
+
+  auto Rejects = [&](const char *What, auto Mutate) {
+    ProjectionBytes Bad = Good;
+    Mutate(Bad);
+    EXPECT_FALSE(decodePTA(Bad.bytes())) << What;
+  };
+  // A count of 2 with ids 3 3 once decoded to {3} and re-encoded as 1.
+  Rejects("repeated id", [](ProjectionBytes &B) { B.Pool[0] = {3, 3}; });
+  Rejects("descending ids", [](ProjectionBytes &B) { B.Pool[0] = {9, 3}; });
+  Rejects("empty pool set", [](ProjectionBytes &B) { B.Pool[1] = {}; });
+  Rejects("repeated pool set", [](ProjectionBytes &B) { B.Pool[1] = {3, 9}; });
+  Rejects("index past the pool",
+          [](ProjectionBytes &B) { B.Vars = {0, 1, 2, 3}; });
+  Rejects("index out of first-use order",
+          [](ProjectionBytes &B) { B.Vars = {0, 2, 1, 2}; });
+  Rejects("unused pool set", [](ProjectionBytes &B) { B.Pool.push_back({7}); });
+  Rejects("keyed empty set", [](ProjectionBytes &B) { B.Fields[0][2] = 0; });
+  Rejects("keys out of order",
+          [](ProjectionBytes &B) { std::swap(B.Fields[0], B.Fields[1]); });
+  Rejects("repeated key", [](ProjectionBytes &B) { B.Fields[1][1] = 0; });
+  Rejects("repeated reachable method",
+          [](ProjectionBytes &B) { B.Reachable = {5, 5}; });
+}
+
+TEST(ResultCodecTest, MutatedBytesDecodeCanonicallyOrNotAtAll) {
+  // Seeded byte mutations of real payloads: overwrite bytes, copy a word
+  // from elsewhere (repeating an id, an index or a key), or bump a byte.
+  // Whatever still decodes must re-encode to the mutated bytes exactly.
+  std::vector<std::string> Diags;
+  std::unique_ptr<AnalysisSession> S = AnalysisSession::fromFiles(
+      {examplePath("containers.jir")}, {}, Diags);
+  ASSERT_NE(S, nullptr);
+  Rng R(2023);
+  for (const char *Spec : {"ci", "csc", "2obj"}) {
+    const std::string Bytes = serializeStoredResult(storedOf(*S, Spec));
+    // The projection sits at the tail, behind the report text.
+    const size_t Tail = Bytes.size() - std::min<size_t>(Bytes.size(), 2048);
+    int Decoded = 0;
+    for (int Trial = 0; Trial != 3000; ++Trial) {
+      std::string M = Bytes;
+      for (uint32_t K = 1 + R.nextInRange(3); K != 0; --K) {
+        bool InTail = R.nextBool(0.9);
+        size_t Base = InTail ? Tail : 0;
+        size_t Span = InTail ? M.size() - Tail : M.size();
+        size_t At = Base + R.nextInRange(static_cast<uint32_t>(Span));
+        switch (R.nextInRange(3)) {
+        case 0:
+          M[At] = static_cast<char>(R.nextInRange(256));
+          break;
+        case 1: {
+          size_t From = Base + R.nextInRange(static_cast<uint32_t>(Span));
+          for (size_t I = 0; I != 4 && std::max(At, From) + I < M.size(); ++I)
+            M[At + I] = M[From + I];
+          break;
+        }
+        default:
+          M[At] = static_cast<char>(M[At] + (R.nextBool() ? 1 : -1));
+          break;
+        }
+      }
+      StoredResult D;
+      if (!deserializeStoredResult(M, D))
+        continue;
+      ++Decoded;
+      ASSERT_EQ(serializeStoredResult(D), M)
+          << Spec << ": trial " << Trial << " decoded non-canonical bytes";
+    }
+    // Some mutations must survive (say, in counters), or the loop checks
+    // nothing.
+    EXPECT_GT(Decoded, 0) << Spec;
+  }
+}
+
+TEST(ResultCodecTest, VarintsDecodeOnlyShortestForms) {
+  for (uint32_t V : {0u, 1u, 127u, 128u, 16383u, 16384u, 0xFFFFFFFFu}) {
+    BinaryWriter W;
+    W.uvar(V);
+    std::string Bytes = W.take();
+    BinaryReader R(Bytes);
+    uint32_t Out;
+    EXPECT_TRUE(R.uvar(Out) && R.atEnd() && Out == V) << V;
+  }
+  // Overlong forms of 1 and 0, a value past 32 bits, and a cut varint.
+  const std::vector<std::string> Bad = {std::string("\x81\x00", 2),
+                                        std::string("\x80\x00", 2),
+                                        std::string("\xFF\xFF\xFF\xFF\x1F"),
+                                        std::string("\x80")};
+  for (const std::string &Bytes : Bad) {
+    BinaryReader R(Bytes);
+    uint32_t Out;
+    EXPECT_FALSE(R.uvar(Out)) << Bytes.size() << " bytes";
+  }
 }

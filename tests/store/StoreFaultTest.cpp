@@ -409,7 +409,8 @@ TEST_F(StoreFaultTest, GcByteBudgetEvictsLeastRecentlyUsedFirst) {
   } // each hit stamped its entry's mtime
 
   Clock += 1000;
-  uint64_t Budget = Total / 2; // room for ~3 of 6 entries
+  // Room for ~3.5 average entries: the two hot ones plus headroom.
+  uint64_t Budget = Total * 7 / 12;
   std::shared_ptr<ResultStore> Store = openGc(Budget, 0);
   EXPECT_GE(Store->counters().GcEvictions, 1u);
   EXPECT_LE(objectBytes(), Budget);

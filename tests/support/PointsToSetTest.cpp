@@ -131,6 +131,69 @@ TEST(PointsToSetTest, ClearKeepsSetUsable) {
   EXPECT_EQ(S.toVector(), std::vector<uint32_t>{3});
 }
 
+TEST(PointsToSetTest, EqualityAndHashIgnoreRepresentation) {
+  // The same three elements inline and as a bitmap whose word vector
+  // runs past its last element (a masked union sizes it to the operand).
+  PointsToSet Small;
+  for (uint32_t O : {200u, 3u, 70u})
+    Small.insert(O);
+  PointsToSet Big;
+  for (uint32_t O = 0; O != 40; ++O)
+    Big.insert(O < 3 ? 3 : O * 5 + 300);
+  PointsToSet Mask;
+  for (uint32_t O : {3u, 70u, 200u, 999u})
+    Mask.insert(O);
+  Mask.ensureBitmap();
+  PointsToSet Bits;
+  Bits.ensureBitmap();
+  Bits.unionWithFiltered(Big, Mask); // {3}, words up to Big's extent
+  Bits.insert(70);
+  Bits.insert(200);
+  ASSERT_EQ(Bits.toVector(), Small.toVector());
+  EXPECT_TRUE(Small == Bits);
+  EXPECT_TRUE(Bits == Small);
+  EXPECT_EQ(Small.hash(), Bits.hash());
+
+  PointsToSet Other = Small;
+  Other.insert(71);
+  EXPECT_FALSE(Other == Small);
+  EXPECT_FALSE(Bits == Other);
+  EXPECT_NE(Other.hash(), Small.hash());
+  EXPECT_TRUE(PointsToSet() == PointsToSet());
+}
+
+TEST(PointsToSetTest, InternerKeepsOneCopyOfEachSet) {
+  std::vector<PointsToSet> Pool(1);
+  PointsToSetInterner Interner(Pool);
+  PointsToSet A, B;
+  A.insert(4);
+  B.insert(4);
+  B.insert(9);
+  PointsToSet A2 = A, B2 = B;
+  B2.ensureBitmap();
+  EXPECT_EQ(Interner.intern(std::move(A)), 1u);
+  EXPECT_EQ(Interner.intern(std::move(B)), 2u);
+  EXPECT_EQ(Interner.intern(std::move(B2)), 2u);
+  EXPECT_EQ(Interner.intern(std::move(A2)), 1u);
+  EXPECT_EQ(Pool.size(), 3u);
+
+  // Enough sets to grow the index several times; every copy still
+  // finds its original.
+  for (uint32_t I = 0; I != 200; ++I) {
+    PointsToSet S;
+    S.insert(1000 + I);
+    S.insert(5 * I);
+    EXPECT_EQ(Interner.intern(std::move(S)), 3 + I);
+  }
+  for (uint32_t I = 0; I != 200; ++I) {
+    PointsToSet S;
+    S.insert(5 * I);
+    S.insert(1000 + I);
+    EXPECT_EQ(Interner.intern(std::move(S)), 3 + I);
+  }
+  EXPECT_EQ(Pool.size(), 203u);
+}
+
 TEST(PointsToSetTest, IntersectWithAndCount) {
   PointsToSet A, B;
   for (uint32_t I = 0; I < 300; I += 2)

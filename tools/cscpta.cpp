@@ -641,7 +641,7 @@ std::vector<AnalysisRun> runAllWithStore(AnalysisSession &S,
   for (size_t I = 0; I != Specs.size(); ++I) {
     StoredResult SR;
     if (Keys.key(Specs[I], K[I]) && Store.lookup(K[I].Key, SR)) {
-      Runs[I] = runFromStored(SR);
+      Runs[I] = runFromStored(std::move(SR));
       Runs[I].Name = Specs[I]; // display the requested spelling
       ++Served;
       continue;
