@@ -6,7 +6,9 @@
 // scalingSuite() workload tiers and prints analysis time plus solver work
 // counters per (tier, analysis). This is the perf record CI tracks: with
 // --json the BenchJson document carries one record per run, plus a
-// "program" record per tier with its size.
+// "program" record per tier with its size and its frontend cost: the
+// parse (stdlib + the generated text, timed apart from generating it)
+// and the program fingerprint every store key hashes.
 //
 // The first tier is the CI smoke gate: if any analysis exhausts its budget
 // there, the bench exits with status 3 so the perf-smoke job fails.
@@ -14,6 +16,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+
+#include "frontend/Parser.h"
+#include "stdlib/Stdlib.h"
+#include "store/ResultStore.h"
+#include "support/Timer.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -88,19 +95,29 @@ int main(int Argc, char **Argv) {
     if (Tier >= MaxTiers)
       break;
     std::vector<std::string> Diags;
-    auto P = buildWorkloadProgram(C, Diags);
+    const std::vector<std::pair<std::string, std::string>> Sources = {
+        {"<stdlib>", stdlibSource()}, {C.Name + ".jir", generateWorkload(C)}};
+    auto P = std::make_unique<Program>();
+    Timer ParseT;
+    bool Parsed = parseProgram(*P, Sources, Diags);
+    double ParseMs = ParseT.elapsedMs();
     std::unique_ptr<AnalysisSession> S;
-    if (P)
+    if (Parsed)
       S = AnalysisSession::adopt(std::move(P), {}, Diags);
     if (!S) {
       for (const std::string &D : Diags)
         std::fprintf(stderr, "%s\n", D.c_str());
       return 1;
     }
+    Timer FingerprintT;
+    programFingerprint(S->program());
+    double FingerprintMs = FingerprintT.elapsedMs();
     uint32_t Stmts = S->program().numStmts();
     J.custom(C.Name, "program",
              {{"stmts", static_cast<double>(Stmts)},
-              {"vars", static_cast<double>(S->program().numVars())}});
+              {"vars", static_cast<double>(S->program().numVars())},
+              {"parse_ms", ParseMs},
+              {"fingerprint_ms", FingerprintMs}});
     std::printf("%-10s %8u", C.Name.c_str(), Stmts);
     for (const std::string &Spec : Specs) {
       AnalysisRun O = runWithBudget(*S, Spec, /*DoopMode=*/false);

@@ -11,12 +11,11 @@
 #include "pta/Solver.h"
 #include "stdlib/ContainerSpec.h"
 #include "stdlib/Stdlib.h"
+#include "support/FileIO.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 using namespace csc;
 
@@ -47,14 +46,18 @@ bool csc::readSourceFiles(
     std::vector<std::pair<std::string, std::string>> &Named,
     std::vector<std::string> &Diags) {
   for (const std::string &Path : Paths) {
-    std::ifstream In(Path);
-    if (!In) {
+    std::string Text;
+    switch (readFile(Path, Text)) {
+    case ReadStatus::Ok:
+      Named.emplace_back(Path, std::move(Text));
+      continue;
+    case ReadStatus::CannotOpen:
       Diags.push_back("error: cannot open '" + Path + "'");
       return false;
+    case ReadStatus::CannotRead:
+      Diags.push_back("error: cannot read '" + Path + "'");
+      return false;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Named.emplace_back(Path, Buf.str());
   }
   if (Named.empty()) {
     Diags.push_back("error: no input files");

@@ -7,6 +7,7 @@
 #include "client/BatchExecutor.h"
 
 #include "client/Report.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/JsonParse.h"
 #include "support/ThreadPool.h"
@@ -19,8 +20,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #ifndef _WIN32
@@ -175,18 +174,22 @@ bool csc::parseBatchManifest(const std::string &Text,
 bool csc::loadBatchManifest(const std::string &Path,
                             std::vector<BatchEntry> &Out,
                             std::string &Error) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  switch (readFile(Path, Text)) {
+  case ReadStatus::Ok:
+    break;
+  case ReadStatus::CannotOpen:
     Error = "cannot open manifest '" + Path + "'";
     return false;
+  case ReadStatus::CannotRead:
+    Error = "cannot read manifest '" + Path + "'";
+    return false;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
   std::string BaseDir;
   size_t Slash = Path.rfind('/');
   if (Slash != std::string::npos)
     BaseDir = Path.substr(0, Slash);
-  return parseBatchManifest(Buf.str(), Out, Error, BaseDir);
+  return parseBatchManifest(Text, Out, Error, BaseDir);
 }
 
 //===----------------------------------------------------------------------===//

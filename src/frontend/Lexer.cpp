@@ -8,139 +8,118 @@
 
 using namespace csc;
 
-static bool isIdentStart(char C) {
-  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_' ||
-         C == '$' || C == '<' || C == '>';
-}
+namespace {
 
-static bool isIdentChar(char C) {
-  return isIdentStart(C) || (C >= '0' && C <= '9');
-}
+/// What a byte can begin.
+enum class Lead : uint8_t { Other, Space, Newline, Slash, Ident, Colon, Punct };
 
-std::vector<Token> csc::lex(const std::string &Source) {
-  std::vector<Token> Toks;
-  uint32_t Line = 1, Col = 1;
-  size_t I = 0, N = Source.size();
+/// Per-byte tables, so the hot loop tests one entry per byte.
+struct CharTable {
+  Lead Leads[256] = {};
+  bool IdentChar[256] = {};
+  /// The kind of a one-byte punctuation token (Lead::Punct bytes only).
+  TokKind Punct[256] = {};
 
-  auto push = [&](TokKind K, std::string Text, uint32_t L, uint32_t C) {
-    Toks.push_back({K, std::move(Text), L, C});
-  };
-
-  while (I < N) {
-    char C = Source[I];
-    uint32_t TokLine = Line, TokCol = Col;
-
-    // Whitespace.
-    if (C == ' ' || C == '\t' || C == '\r') {
-      ++I;
-      ++Col;
-      continue;
-    }
-    if (C == '\n') {
-      ++I;
-      ++Line;
-      Col = 1;
-      continue;
-    }
-    // Comments.
-    if (C == '/' && I + 1 < N && Source[I + 1] == '/') {
-      while (I < N && Source[I] != '\n')
-        ++I;
-      continue;
-    }
-    if (C == '/' && I + 1 < N && Source[I + 1] == '*') {
-      I += 2;
-      Col += 2;
-      while (I + 1 < N && !(Source[I] == '*' && Source[I + 1] == '/')) {
-        if (Source[I] == '\n') {
-          ++Line;
-          Col = 1;
-        } else {
-          ++Col;
-        }
-        ++I;
-      }
-      if (I + 1 < N) {
-        I += 2;
-        Col += 2;
-      } else {
-        push(TokKind::Error, "unterminated block comment", TokLine, TokCol);
-        I = N;
-      }
-      continue;
-    }
-
-    if (isIdentStart(C)) {
-      size_t Start = I;
-      while (I < N && isIdentChar(Source[I])) {
-        ++I;
-        ++Col;
-      }
-      push(TokKind::Ident, Source.substr(Start, I - Start), TokLine, TokCol);
-      continue;
-    }
-
-    auto single = [&](TokKind K) {
-      push(K, std::string(1, C), TokLine, TokCol);
-      ++I;
-      ++Col;
-    };
-
-    switch (C) {
-    case '{':
-      single(TokKind::LBrace);
-      break;
-    case '}':
-      single(TokKind::RBrace);
-      break;
-    case '(':
-      single(TokKind::LParen);
-      break;
-    case ')':
-      single(TokKind::RParen);
-      break;
-    case '[':
-      single(TokKind::LBracket);
-      break;
-    case ']':
-      single(TokKind::RBracket);
-      break;
-    case ',':
-      single(TokKind::Comma);
-      break;
-    case ';':
-      single(TokKind::Semi);
-      break;
-    case '.':
-      single(TokKind::Dot);
-      break;
-    case '=':
-      single(TokKind::Eq);
-      break;
-    case '?':
-      single(TokKind::Question);
-      break;
-    case '*':
-      single(TokKind::Star);
-      break;
-    case ':':
-      if (I + 1 < N && Source[I + 1] == ':') {
-        push(TokKind::ColonColon, "::", TokLine, TokCol);
-        I += 2;
-        Col += 2;
-      } else {
-        single(TokKind::Colon);
-      }
-      break;
-    default:
-      push(TokKind::Error, std::string("unexpected character '") + C + "'",
-           TokLine, TokCol);
-      ++I;
-      ++Col;
-      break;
-    }
+  constexpr void punct(char C, TokKind K) {
+    Leads[static_cast<unsigned char>(C)] = Lead::Punct;
+    Punct[static_cast<unsigned char>(C)] = K;
   }
 
-  push(TokKind::Eof, "", Line, Col);
-  return Toks;
+  constexpr CharTable() {
+    for (int C = 0; C < 256; ++C) {
+      bool IdentStart = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+                        C == '_' || C == '$' || C == '<' || C == '>';
+      IdentChar[C] = IdentStart || (C >= '0' && C <= '9');
+      Leads[C] = IdentStart ? Lead::Ident : Lead::Other;
+    }
+    Leads[' '] = Leads['\t'] = Leads['\r'] = Lead::Space;
+    Leads['\n'] = Lead::Newline;
+    Leads['/'] = Lead::Slash;
+    Leads[':'] = Lead::Colon;
+    punct('{', TokKind::LBrace);
+    punct('}', TokKind::RBrace);
+    punct('(', TokKind::LParen);
+    punct(')', TokKind::RParen);
+    punct('[', TokKind::LBracket);
+    punct(']', TokKind::RBracket);
+    punct(',', TokKind::Comma);
+    punct(';', TokKind::Semi);
+    punct('.', TokKind::Dot);
+    punct('=', TokKind::Eq);
+    punct('?', TokKind::Question);
+    punct('*', TokKind::Star);
+  }
+};
+
+constexpr CharTable Chars;
+
+} // namespace
+
+Token Lexer::error(std::string Msg, uint32_t L, uint32_t C) {
+  Messages.push_back(std::move(Msg));
+  return {TokKind::Error, L, C, Messages.back()};
+}
+
+Token Lexer::next() {
+  auto byte = [](const char *At) { return static_cast<unsigned char>(*At); };
+  auto token = [&](TokKind K, const char *Start, size_t Len) {
+    return Token{K, Line, col(Start), std::string_view(Start, Len)};
+  };
+
+  while (P != End) {
+    switch (Chars.Leads[byte(P)]) {
+    case Lead::Space:
+      ++P;
+      break;
+    case Lead::Newline:
+      ++Line;
+      LineStart = ++P;
+      break;
+    case Lead::Ident: {
+      const char *Start = P;
+      while (++P != End && Chars.IdentChar[byte(P)])
+        ;
+      return token(TokKind::Ident, Start, P - Start);
+    }
+    case Lead::Punct:
+      ++P;
+      return token(Chars.Punct[byte(P - 1)], P - 1, 1);
+    case Lead::Colon:
+      if (P + 1 != End && P[1] == ':') {
+        P += 2;
+        return token(TokKind::ColonColon, P - 2, 2);
+      }
+      ++P;
+      return token(TokKind::Colon, P - 1, 1);
+    case Lead::Slash:
+      if (P + 1 != End && P[1] == '/') {
+        while (P != End && *P != '\n')
+          ++P;
+        break;
+      }
+      if (P + 1 != End && P[1] == '*') {
+        uint32_t StartLine = Line, StartCol = col(P);
+        P += 2;
+        while (P + 1 < End && !(P[0] == '*' && P[1] == '/')) {
+          if (*P == '\n') {
+            ++Line;
+            LineStart = P + 1;
+          }
+          ++P;
+        }
+        if (P + 1 < End) {
+          P += 2;
+          break;
+        }
+        P = End;
+        return error("unterminated block comment", StartLine, StartCol);
+      }
+      [[fallthrough]];
+    case Lead::Other:
+      ++P;
+      return error(std::string("unexpected character '") + P[-1] + "'", Line,
+                   col(P - 1));
+    }
+  }
+  return token(TokKind::Eof, End, 0);
 }

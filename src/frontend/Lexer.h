@@ -5,9 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hand-written tokenizer for the `.jir` syntax. Produces the whole token
-/// stream up front (the grammar is small and files are modest), which keeps
-/// the parser's lookahead trivial.
+/// Hand-written tokenizer for the `.jir` syntax. The parser pulls tokens
+/// one at a time, so no token stream is ever stored: a source costs its
+/// own bytes and a few tokens of lookahead.
+///
+/// Tokens do not copy their text: a token's Text is a view into the lexed
+/// source (or, for an Error token, into a message the Lexer owns). A token
+/// is therefore valid only while both its source and its Lexer live. The
+/// Lexer refuses a temporary source at compile time, and it is move-only,
+/// so neither a dangling source view nor a copy viewing another lexer's
+/// messages can be written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +22,9 @@
 #define CSC_FRONTEND_LEXER_H
 
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace csc {
 
@@ -42,14 +50,44 @@ enum class TokKind : uint8_t {
 
 struct Token {
   TokKind Kind = TokKind::Eof;
-  std::string Text;
   uint32_t Line = 0;
   uint32_t Col = 0;
+  std::string_view Text;
 };
 
-/// Tokenizes \p Source. Lexical errors become TokKind::Error tokens whose
-/// Text holds the message; the stream always ends with an Eof token.
-std::vector<Token> lex(const std::string &Source);
+/// Tokenizes one source on demand. Lexical errors become TokKind::Error
+/// tokens whose Text holds the message; once the source is exhausted,
+/// every call returns the same Eof token.
+class Lexer {
+public:
+  /// A lexer over an empty source.
+  Lexer() = default;
+  /// \p Source must outlive the lexer and every token it returns.
+  explicit Lexer(const std::string &Source)
+      : P(Source.data()), End(Source.data() + Source.size()), LineStart(P) {}
+  explicit Lexer(std::string &&Source) = delete;
+
+  Lexer(Lexer &&) = default;
+  Lexer &operator=(Lexer &&) = default;
+  Lexer(const Lexer &) = delete;
+  Lexer &operator=(const Lexer &) = delete;
+
+  Token next();
+
+private:
+  uint32_t col(const char *At) const {
+    return static_cast<uint32_t>(At - LineStart + 1);
+  }
+  Token error(std::string Msg, uint32_t Line, uint32_t Col);
+
+  const char *P = nullptr;
+  const char *End = nullptr;
+  const char *LineStart = nullptr;
+  uint32_t Line = 1;
+  /// Error-token texts. A deque never moves its elements, so the views
+  /// into them survive later insertions and moves of the lexer.
+  std::deque<std::string> Messages;
+};
 
 } // namespace csc
 

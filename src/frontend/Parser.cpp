@@ -6,23 +6,51 @@
 
 #include "frontend/Parser.h"
 
+#include <algorithm>
 #include <cassert>
-#include <sstream>
+#include <initializer_list>
+#include <iterator>
 
 using namespace csc;
 
-std::string Parser::here() const {
-  std::ostringstream OS;
-  OS << File << ":" << cur().Line;
-  return OS.str();
+namespace {
+
+/// Concatenates the parts of a diagnostic message.
+std::string cat(std::initializer_list<std::string_view> Parts) {
+  std::string Out;
+  for (std::string_view Part : Parts)
+    Out += Part;
+  return Out;
 }
 
-void Parser::error(const std::string &Msg) { errorAt(cur().Line, Msg); }
+} // namespace
 
-void Parser::errorAt(uint32_t Line, const std::string &Msg) {
-  std::ostringstream OS;
-  OS << File << ":" << Line << ": error: " << Msg;
-  Diags.push_back(OS.str());
+Parser::SourceLoc Parser::here() const {
+  return {static_cast<uint32_t>(Files.size() - 1), cur().Line};
+}
+
+std::string Parser::diagnostic(SourceLoc L, const std::string &Msg) const {
+  return Files[L.File] + ":" + std::to_string(L.Line) + ": error: " + Msg;
+}
+
+void Parser::error(const std::string &Msg) {
+  Diags.push_back(diagnostic(here(), Msg));
+}
+
+void Parser::advance() {
+  if (cur().Kind == TokKind::Eof)
+    return;
+  std::copy(std::begin(Look) + 1, std::end(Look), std::begin(Look));
+  std::end(Look)[-1] = pull();
+}
+
+Token Parser::pull() {
+  Token T = Lex.next();
+  if (T.Kind == TokKind::Error)
+    LexDiags.push_back(
+        diagnostic({static_cast<uint32_t>(Files.size() - 1), T.Line},
+                   std::string(T.Text)));
+  return T;
 }
 
 bool Parser::accept(TokKind K) {
@@ -32,28 +60,28 @@ bool Parser::accept(TokKind K) {
   return true;
 }
 
-bool Parser::acceptIdent(const char *KW) {
+bool Parser::acceptIdent(std::string_view KW) {
   if (!atIdent(KW))
     return false;
   advance();
   return true;
 }
 
-bool Parser::expect(TokKind K, const char *What) {
+bool Parser::expect(TokKind K, std::string_view What) {
   if (accept(K))
     return true;
-  error(std::string("expected ") + What + ", found '" + cur().Text + "'");
+  error(cat({"expected ", What, ", found '", cur().Text, "'"}));
   return false;
 }
 
-std::string Parser::expectIdent(const char *What) {
+std::string_view Parser::expectIdent(std::string_view What) {
   if (at(TokKind::Ident)) {
-    std::string Name = cur().Text;
+    std::string_view Name = cur().Text;
     advance();
     return Name;
   }
-  error(std::string("expected ") + What + ", found '" + cur().Text + "'");
-  return "";
+  error(cat({"expected ", What, ", found '", cur().Text, "'"}));
+  return {};
 }
 
 void Parser::syncToStmtEnd() {
@@ -64,14 +92,11 @@ void Parser::syncToStmtEnd() {
 
 bool Parser::parseSource(const std::string &Source,
                          const std::string &FileName) {
-  Toks = lex(Source);
-  Pos = 0;
-  File = FileName;
+  Files.push_back(FileName);
   DiagsAtSourceStart = Diags.size();
-
-  for (const Token &T : Toks)
-    if (T.Kind == TokKind::Error)
-      errorAt(T.Line, T.Text);
+  Lex = Lexer(Source);
+  for (Token &T : Look)
+    T = pull();
 
   while (!at(TokKind::Eof)) {
     if (atIdent("class") || atIdent("interface") || atIdent("abstract")) {
@@ -82,10 +107,18 @@ bool Parser::parseSource(const std::string &Source,
       parseExtendDecl();
       continue;
     }
-    error("expected class or interface declaration, found '" + cur().Text +
-          "'");
+    error(cat({"expected class or interface declaration, found '",
+               cur().Text, "'"}));
     advance();
   }
+  // The parser stops only at Eof, so the whole source has been lexed.
+  Diags.insert(Diags.begin() + DiagsAtSourceStart, LexDiags.begin(),
+               LexDiags.end());
+  LexDiags.clear();
+  // Tokens and scope keys view Source; drop them with it.
+  Lex = Lexer();
+  std::fill(std::begin(Look), std::end(Look), Token());
+  Scope.clear();
   return Diags.size() == DiagsAtSourceStart;
 }
 
@@ -113,24 +146,15 @@ void Parser::parseClassDecl() {
     return;
   }
 
-  std::string Name = expectIdent("class name");
+  std::string_view Name = expectIdent("class name");
   if (Name.empty())
     return;
 
   TypeId Existing = P.typeByName(Name);
   if (Existing != InvalidId && P.type(Existing).Defined) {
-    error("type '" + Name + "' defined twice");
+    error(cat({"type '", Name, "' defined twice"}));
     // Skip the body to keep parsing.
-    while (!at(TokKind::Eof) && !at(TokKind::LBrace))
-      advance();
-    int Depth = 0;
-    do {
-      if (at(TokKind::LBrace))
-        ++Depth;
-      if (at(TokKind::RBrace))
-        --Depth;
-      advance();
-    } while (!at(TokKind::Eof) && Depth > 0);
+    skipBracedBlock();
     return;
   }
 
@@ -139,20 +163,20 @@ void Parser::parseClassDecl() {
   if (IsInterface) {
     if (acceptIdent("extends")) {
       do {
-        std::string IName = expectIdent("interface name");
+        std::string_view IName = expectIdent("interface name");
         if (!IName.empty())
           Interfaces.push_back(P.getOrCreateType(IName));
       } while (accept(TokKind::Comma));
     }
   } else {
     if (acceptIdent("extends")) {
-      std::string SName = expectIdent("superclass name");
+      std::string_view SName = expectIdent("superclass name");
       if (!SName.empty())
         Super = P.getOrCreateType(SName);
     }
     if (acceptIdent("implements")) {
       do {
-        std::string IName = expectIdent("interface name");
+        std::string_view IName = expectIdent("interface name");
         if (!IName.empty())
           Interfaces.push_back(P.getOrCreateType(IName));
       } while (accept(TokKind::Comma));
@@ -198,8 +222,8 @@ void Parser::parseClassBody(TypeId T) {
       parseMethodDecl(T, IsStatic, IsAbstract);
       continue;
     }
-    error("expected field or method declaration, found '" + cur().Text +
-          "'");
+    error(cat({"expected field or method declaration, found '", cur().Text,
+               "'"}));
     syncToStmtEnd();
   }
   expect(TokKind::RBrace, "'}'");
@@ -212,17 +236,17 @@ void Parser::parseExtendDecl() {
     advance();
     return;
   }
-  std::string Name = expectIdent("class name");
+  std::string_view Name = expectIdent("class name");
   if (Name.empty())
     return;
   TypeId T = P.typeByName(Name);
   if (T == InvalidId || !P.type(T).Defined) {
-    error("cannot extend undefined class '" + Name + "'");
+    error(cat({"cannot extend undefined class '", Name, "'"}));
     skipBracedBlock();
     return;
   }
   if (P.type(T).Kind != TypeKind::Class) {
-    error("'extend class' target '" + Name + "' is not a class");
+    error(cat({"'extend class' target '", Name, "' is not a class"}));
     skipBracedBlock();
     return;
   }
@@ -250,15 +274,15 @@ void Parser::parseExtendDecl() {
       parseMethodDecl(T, IsStatic, IsAbstract);
       continue;
     }
-    error("expected field, method, or append declaration, found '" +
-          cur().Text + "'");
+    error(cat({"expected field, method, or append declaration, found '",
+               cur().Text, "'"}));
     syncToStmtEnd();
   }
   expect(TokKind::RBrace, "'}'");
 }
 
 void Parser::parseAppendMethod(TypeId T) {
-  std::string Name = expectIdent("method name");
+  std::string_view Name = expectIdent("method name");
   if (Name.empty())
     return;
   MethodId Target = InvalidId;
@@ -270,28 +294,33 @@ void Parser::parseAppendMethod(TypeId T) {
       Target = M;
     }
   if (Target == InvalidId) {
-    error("class '" + P.type(T).Name + "' has no method '" + Name +
-          "' to append to");
+    error(cat({"class '", P.type(T).Name, "' has no method '", Name,
+               "' to append to"}));
     skipBracedBlock();
     return;
   }
   if (Ambiguous) {
-    error("method '" + Name + "' is overloaded in '" + P.type(T).Name +
-          "'; append is ambiguous");
+    error(cat({"method '", Name, "' is overloaded in '", P.type(T).Name,
+               "'; append is ambiguous"}));
     skipBracedBlock();
     return;
   }
   if (P.method(Target).IsAbstract) {
-    error("cannot append to abstract method '" + Name + "'");
+    error(cat({"cannot append to abstract method '", Name, "'"}));
     skipBracedBlock();
     return;
   }
 
   // The method's existing locals (parameters and `this` included) come
-  // back into scope; new `var` declarations extend the method.
+  // back into scope; new `var` declarations extend the method. Their
+  // names are copied whole before any key views them.
   Scope.clear();
-  for (VarId V : P.method(Target).Vars)
-    Scope[P.var(V).Name] = V;
+  const std::vector<VarId> &Locals = P.method(Target).Vars;
+  AppendNames.clear();
+  for (VarId V : Locals)
+    AppendNames.push_back(P.var(V).Name);
+  for (size_t I = 0; I != Locals.size(); ++I)
+    Scope[AppendNames[I]] = Locals[I];
 
   MethodBuilder MB(P, Target);
   expect(TokKind::LBrace, "'{'");
@@ -301,22 +330,22 @@ void Parser::parseAppendMethod(TypeId T) {
 }
 
 void Parser::parseFieldDecl(TypeId T, bool IsStatic) {
-  std::string Name = expectIdent("field name");
+  std::string_view Name = expectIdent("field name");
   expect(TokKind::Colon, "':'");
   TypeId FT = parseType(/*AllowVoid=*/false);
   expect(TokKind::Semi, "';'");
   if (Name.empty() || FT == InvalidId)
     return;
   if (P.resolveField(T, Name) != InvalidId) {
-    error("field '" + Name + "' already declared in '" + P.type(T).Name +
-          "' or a superclass");
+    error(cat({"field '", Name, "' already declared in '", P.type(T).Name,
+               "' or a superclass"}));
     return;
   }
   P.addField(T, Name, FT, IsStatic);
 }
 
 TypeId Parser::parseType(bool AllowVoid) {
-  std::string Name = expectIdent("type name");
+  std::string_view Name = expectIdent("type name");
   if (Name.empty())
     return InvalidId;
   if (Name == "void") {
@@ -334,13 +363,13 @@ TypeId Parser::parseType(bool AllowVoid) {
 }
 
 void Parser::parseMethodDecl(TypeId T, bool IsStatic, bool IsAbstract) {
-  std::string Name = expectIdent("method name");
+  std::string_view Name = expectIdent("method name");
   expect(TokKind::LParen, "'('");
-  std::vector<std::string> ParamNames;
+  std::vector<std::string_view> ParamNames;
   std::vector<TypeId> ParamTypes;
   if (!at(TokKind::RParen)) {
     do {
-      std::string PName = expectIdent("parameter name");
+      std::string_view PName = expectIdent("parameter name");
       expect(TokKind::Colon, "':'");
       TypeId PT = parseType(/*AllowVoid=*/false);
       if (!PName.empty() && PT != InvalidId) {
@@ -362,8 +391,8 @@ void Parser::parseMethodDecl(TypeId T, bool IsStatic, bool IsAbstract) {
     for (MethodId M : P.type(T).Methods)
       if (P.method(M).Name == Name &&
           P.method(M).ParamTypes.size() == ParamTypes.size()) {
-        error("method '" + Name + "' defined twice in '" + P.type(T).Name +
-              "'");
+        error(cat({"method '", Name, "' defined twice in '",
+                   P.type(T).Name, "'"}));
         break;
       }
   }
@@ -386,7 +415,7 @@ void Parser::parseMethodDecl(TypeId T, bool IsStatic, bool IsAbstract) {
     VarId V = MI.Params[FirstParam + I];
     P.varMut(V).Name = ParamNames[I];
     if (Scope.count(ParamNames[I]))
-      error("duplicate parameter name '" + ParamNames[I] + "'");
+      error(cat({"duplicate parameter name '", ParamNames[I], "'"}));
     Scope[ParamNames[I]] = V;
   }
 
@@ -404,11 +433,11 @@ void Parser::parseBlock(MethodBuilder &MB) {
   expect(TokKind::RBrace, "'}'");
 }
 
-VarId Parser::lookupVar(const std::string &Name) {
+VarId Parser::lookupVar(std::string_view Name) {
   auto It = Scope.find(Name);
   if (It != Scope.end())
     return It->second;
-  error("use of undeclared variable '" + Name + "'");
+  error(cat({"use of undeclared variable '", Name, "'"}));
   return InvalidId;
 }
 
@@ -417,7 +446,7 @@ std::vector<VarId> Parser::parseArgs() {
   expect(TokKind::LParen, "'('");
   if (!at(TokKind::RParen)) {
     do {
-      std::string Name = expectIdent("argument");
+      std::string_view Name = expectIdent("argument");
       if (!Name.empty()) {
         VarId V = lookupVar(Name);
         if (V != InvalidId)
@@ -429,6 +458,42 @@ std::vector<VarId> Parser::parseArgs() {
   return Args;
 }
 
+void Parser::parseCall(MethodBuilder &MB, VarId To, uint32_t Line) {
+  std::string_view Kind = cur().Text;
+  advance();
+  std::string_view A = expectIdent("name");
+  expect(TokKind::Dot, "'.'");
+  std::string_view B = expectIdent("name");
+  std::string_view C;
+  if (Kind == "dcall") {
+    expect(TokKind::Dot, "'.'");
+    C = expectIdent("method name");
+  }
+  std::vector<VarId> Args = parseArgs();
+  expect(TokKind::Semi, "';'");
+  StmtId S;
+  if (Kind == "call") {
+    VarId Base = lookupVar(A);
+    if (Base == InvalidId)
+      return;
+    S = MB.callVirtual(To, Base, B, std::move(Args));
+  } else if (Kind == "scall") {
+    size_t N = Args.size();
+    S = MB.callStatic(To, InvalidId, std::move(Args));
+    PendingCalls.push_back(
+        {S, std::string(A), std::string(B), N, false, here()});
+  } else {
+    VarId Base = lookupVar(A);
+    if (Base == InvalidId)
+      return;
+    size_t N = Args.size();
+    S = MB.callSpecial(To, Base, InvalidId, std::move(Args));
+    PendingCalls.push_back(
+        {S, std::string(B), std::string(C), N, true, here()});
+  }
+  P.stmtMut(S).Line = Line;
+}
+
 void Parser::parseStmt(MethodBuilder &MB) {
   uint32_t Line = cur().Line;
 
@@ -436,17 +501,18 @@ void Parser::parseStmt(MethodBuilder &MB) {
   if (atIdent("var") && peek().Kind == TokKind::Ident &&
       peek(2).Kind == TokKind::Colon) {
     advance();
-    std::string Name = expectIdent("variable name");
+    std::string_view Name = expectIdent("variable name");
     expect(TokKind::Colon, "':'");
     TypeId T = parseType(/*AllowVoid=*/false);
     expect(TokKind::Semi, "';'");
     if (Name.empty() || T == InvalidId)
       return;
-    if (Scope.count(Name)) {
-      error("variable '" + Name + "' already declared");
+    auto [It, Fresh] = Scope.try_emplace(Name, InvalidId);
+    if (!Fresh) {
+      error(cat({"variable '", Name, "' already declared"}));
       return;
     }
-    Scope[Name] = MB.local(Name, T);
+    It->second = MB.local(Name, T);
     return;
   }
 
@@ -480,56 +546,26 @@ void Parser::parseStmt(MethodBuilder &MB) {
 
   // Calls without a left-hand side.
   if (atIdent("call") || atIdent("scall") || atIdent("dcall")) {
-    std::string Kind = cur().Text;
-    advance();
-    std::string A = expectIdent("name");
-    expect(TokKind::Dot, "'.'");
-    std::string B = expectIdent("name");
-    std::string C;
-    if (Kind == "dcall") {
-      expect(TokKind::Dot, "'.'");
-      C = expectIdent("method name");
-    }
-    std::vector<VarId> Args = parseArgs();
-    expect(TokKind::Semi, "';'");
-    StmtId S;
-    if (Kind == "call") {
-      VarId Base = lookupVar(A);
-      if (Base == InvalidId)
-        return;
-      S = MB.callVirtual(InvalidId, Base, B, std::move(Args));
-    } else if (Kind == "scall") {
-      size_t N = Args.size();
-      S = MB.callStatic(InvalidId, InvalidId, std::move(Args));
-      PendingCalls.push_back({S, A, B, N, false, here()});
-    } else {
-      VarId Base = lookupVar(A);
-      if (Base == InvalidId)
-        return;
-      size_t N = Args.size();
-      S = MB.callSpecial(InvalidId, Base, InvalidId, std::move(Args));
-      PendingCalls.push_back({S, B, C, N, true, here()});
-    }
-    P.stmtMut(S).Line = Line;
+    parseCall(MB, InvalidId, Line);
     return;
   }
 
   // Remaining statements start with an identifier.
   if (!at(TokKind::Ident)) {
-    error("expected statement, found '" + cur().Text + "'");
+    error(cat({"expected statement, found '", cur().Text, "'"}));
     syncToStmtEnd();
     return;
   }
 
-  std::string First = cur().Text;
+  std::string_view First = cur().Text;
 
   // ID . field = ID ;   (store)
   if (peek().Kind == TokKind::Dot && peek(3).Kind == TokKind::Eq) {
     advance();
     advance();
-    std::string FieldName = expectIdent("field name");
+    std::string_view FieldName = expectIdent("field name");
     expect(TokKind::Eq, "'='");
-    std::string SrcName = expectIdent("source variable");
+    std::string_view SrcName = expectIdent("source variable");
     expect(TokKind::Semi, "';'");
     VarId Base = lookupVar(First);
     VarId From = SrcName.empty() ? InvalidId : lookupVar(SrcName);
@@ -537,7 +573,7 @@ void Parser::parseStmt(MethodBuilder &MB) {
       return;
     StmtId S = MB.store(Base, InvalidId, From);
     P.stmtMut(S).Line = Line;
-    PendingFields.push_back({S, FieldName, here()});
+    PendingFields.push_back({S, std::string(FieldName), here()});
     return;
   }
 
@@ -548,7 +584,7 @@ void Parser::parseStmt(MethodBuilder &MB) {
     expect(TokKind::Star, "'*'");
     expect(TokKind::RBracket, "']'");
     expect(TokKind::Eq, "'='");
-    std::string SrcName = expectIdent("source variable");
+    std::string_view SrcName = expectIdent("source variable");
     expect(TokKind::Semi, "';'");
     VarId Base = lookupVar(First);
     VarId From = SrcName.empty() ? InvalidId : lookupVar(SrcName);
@@ -563,22 +599,23 @@ void Parser::parseStmt(MethodBuilder &MB) {
   if (peek().Kind == TokKind::ColonColon && peek(3).Kind == TokKind::Eq) {
     advance();
     advance();
-    std::string FieldName = expectIdent("field name");
+    std::string_view FieldName = expectIdent("field name");
     expect(TokKind::Eq, "'='");
-    std::string SrcName = expectIdent("source variable");
+    std::string_view SrcName = expectIdent("source variable");
     expect(TokKind::Semi, "';'");
     VarId From = SrcName.empty() ? InvalidId : lookupVar(SrcName);
     if (From == InvalidId)
       return;
     StmtId S = MB.staticStore(InvalidId, From);
     P.stmtMut(S).Line = Line;
-    PendingStaticFields.push_back({S, First, FieldName, here()});
+    PendingStaticFields.push_back(
+        {S, std::string(First), std::string(FieldName), here()});
     return;
   }
 
   // Everything else: ID = <rhs> ;
   if (peek().Kind != TokKind::Eq) {
-    error("expected statement, found '" + cur().Text + "'");
+    error(cat({"expected statement, found '", cur().Text, "'"}));
     syncToStmtEnd();
     return;
   }
@@ -612,7 +649,7 @@ void Parser::parseStmt(MethodBuilder &MB) {
     advance();
     TypeId T = parseType(/*AllowVoid=*/false);
     expect(TokKind::RParen, "')'");
-    std::string SrcName = expectIdent("source variable");
+    std::string_view SrcName = expectIdent("source variable");
     expect(TokKind::Semi, "';'");
     VarId From = SrcName.empty() ? InvalidId : lookupVar(SrcName);
     if (T == InvalidId || From == InvalidId)
@@ -624,42 +661,12 @@ void Parser::parseStmt(MethodBuilder &MB) {
 
   // x = call/scall/dcall ...
   if (atIdent("call") || atIdent("scall") || atIdent("dcall")) {
-    std::string Kind = cur().Text;
-    advance();
-    std::string A = expectIdent("name");
-    expect(TokKind::Dot, "'.'");
-    std::string B = expectIdent("name");
-    std::string C;
-    if (Kind == "dcall") {
-      expect(TokKind::Dot, "'.'");
-      C = expectIdent("method name");
-    }
-    std::vector<VarId> Args = parseArgs();
-    expect(TokKind::Semi, "';'");
-    StmtId S;
-    if (Kind == "call") {
-      VarId Base = lookupVar(A);
-      if (Base == InvalidId)
-        return;
-      S = MB.callVirtual(To, Base, B, std::move(Args));
-    } else if (Kind == "scall") {
-      size_t N = Args.size();
-      S = MB.callStatic(To, InvalidId, std::move(Args));
-      PendingCalls.push_back({S, A, B, N, false, here()});
-    } else {
-      VarId Base = lookupVar(A);
-      if (Base == InvalidId)
-        return;
-      size_t N = Args.size();
-      S = MB.callSpecial(To, Base, InvalidId, std::move(Args));
-      PendingCalls.push_back({S, B, C, N, true, here()});
-    }
-    P.stmtMut(S).Line = Line;
+    parseCall(MB, To, Line);
     return;
   }
 
   // x = y ... (assign, load, array load, static load)
-  std::string SrcName = expectIdent("source");
+  std::string_view SrcName = expectIdent("source");
   if (SrcName.empty()) {
     syncToStmtEnd();
     return;
@@ -667,14 +674,14 @@ void Parser::parseStmt(MethodBuilder &MB) {
 
   if (at(TokKind::Dot)) {
     advance();
-    std::string FieldName = expectIdent("field name");
+    std::string_view FieldName = expectIdent("field name");
     expect(TokKind::Semi, "';'");
     VarId Base = lookupVar(SrcName);
     if (Base == InvalidId)
       return;
     StmtId S = MB.load(To, Base, InvalidId);
     P.stmtMut(S).Line = Line;
-    PendingFields.push_back({S, FieldName, here()});
+    PendingFields.push_back({S, std::string(FieldName), here()});
     return;
   }
   if (at(TokKind::LBracket)) {
@@ -691,11 +698,12 @@ void Parser::parseStmt(MethodBuilder &MB) {
   }
   if (at(TokKind::ColonColon)) {
     advance();
-    std::string FieldName = expectIdent("field name");
+    std::string_view FieldName = expectIdent("field name");
     expect(TokKind::Semi, "';'");
     StmtId S = MB.staticLoad(To, InvalidId);
     P.stmtMut(S).Line = Line;
-    PendingStaticFields.push_back({S, SrcName, FieldName, here()});
+    PendingStaticFields.push_back(
+        {S, std::string(SrcName), std::string(FieldName), here()});
     return;
   }
   expect(TokKind::Semi, "';'");
@@ -722,13 +730,14 @@ bool Parser::finalize() {
     TypeId BT = P.var(Base).DeclaredType;
     FieldId F = P.resolveField(BT, PF.Name);
     if (F == InvalidId) {
-      Diags.push_back(PF.Where + ": error: type '" + P.type(BT).Name +
-                      "' has no field '" + PF.Name + "'");
+      Diags.push_back(diagnostic(PF.Where, "type '" + P.type(BT).Name +
+                                               "' has no field '" + PF.Name +
+                                               "'"));
       continue;
     }
     if (P.field(F).IsStatic) {
-      Diags.push_back(PF.Where + ": error: field '" + PF.Name +
-                      "' is static; use '::'");
+      Diags.push_back(diagnostic(
+          PF.Where, "field '" + PF.Name + "' is static; use '::'"));
       continue;
     }
     S.Field = F;
@@ -739,31 +748,32 @@ bool Parser::finalize() {
   for (const PendingCall &PC : PendingCalls) {
     TypeId T = P.typeByName(PC.ClassName);
     if (T == InvalidId || !P.type(T).Defined) {
-      Diags.push_back(PC.Where + ": error: unknown class '" + PC.ClassName +
-                      "'");
+      Diags.push_back(
+          diagnostic(PC.Where, "unknown class '" + PC.ClassName + "'"));
       continue;
     }
     MethodId M = P.lookupMethod(T, PC.Name, PC.Arity);
     if (M == InvalidId) {
-      Diags.push_back(PC.Where + ": error: class '" + PC.ClassName +
-                      "' has no method '" + PC.Name + "/" +
-                      std::to_string(PC.Arity) + "'");
+      Diags.push_back(diagnostic(PC.Where, "class '" + PC.ClassName +
+                                               "' has no method '" + PC.Name +
+                                               "/" + std::to_string(PC.Arity) +
+                                               "'"));
       continue;
     }
     const MethodInfo &MI = P.method(M);
     if (PC.IsSpecial && MI.IsStatic) {
-      Diags.push_back(PC.Where + ": error: 'dcall' target '" + PC.Name +
-                      "' is static");
+      Diags.push_back(
+          diagnostic(PC.Where, "'dcall' target '" + PC.Name + "' is static"));
       continue;
     }
     if (!PC.IsSpecial && !MI.IsStatic) {
-      Diags.push_back(PC.Where + ": error: 'scall' target '" + PC.Name +
-                      "' is not static");
+      Diags.push_back(diagnostic(PC.Where, "'scall' target '" + PC.Name +
+                                               "' is not static"));
       continue;
     }
     if (MI.IsAbstract) {
-      Diags.push_back(PC.Where + ": error: direct call to abstract method '" +
-                      PC.Name + "'");
+      Diags.push_back(diagnostic(
+          PC.Where, "direct call to abstract method '" + PC.Name + "'"));
       continue;
     }
     P.stmtMut(PC.S).DirectCallee = M;
@@ -774,14 +784,15 @@ bool Parser::finalize() {
   for (const PendingStaticField &PSF : PendingStaticFields) {
     TypeId T = P.typeByName(PSF.ClassName);
     if (T == InvalidId || !P.type(T).Defined) {
-      Diags.push_back(PSF.Where + ": error: unknown class '" +
-                      PSF.ClassName + "'");
+      Diags.push_back(
+          diagnostic(PSF.Where, "unknown class '" + PSF.ClassName + "'"));
       continue;
     }
     FieldId F = P.resolveField(T, PSF.Name);
     if (F == InvalidId || !P.field(F).IsStatic) {
-      Diags.push_back(PSF.Where + ": error: class '" + PSF.ClassName +
-                      "' has no static field '" + PSF.Name + "'");
+      Diags.push_back(diagnostic(PSF.Where, "class '" + PSF.ClassName +
+                                                "' has no static field '" +
+                                                PSF.Name + "'"));
       continue;
     }
     P.stmtMut(PSF.S).Field = F;

@@ -56,7 +56,10 @@
 #include "ir/IRBuilder.h"
 #include "ir/Program.h"
 
+#include <cassert>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -77,26 +80,26 @@ public:
   const std::vector<std::string> &diagnostics() const { return Diags; }
 
 private:
-  // Token stream helpers.
-  const Token &cur() const { return Toks[Pos]; }
+  // Token stream helpers: the current token and up to three lookahead
+  // tokens. Past the end, every position holds the Eof token.
+  const Token &cur() const { return Look[0]; }
   const Token &peek(size_t N = 1) const {
-    size_t I = Pos + N;
-    return I < Toks.size() ? Toks[I] : Toks.back();
+    assert(N < std::size(Look) && "lookahead is three tokens");
+    return Look[N];
   }
-  void advance() {
-    if (Pos + 1 < Toks.size())
-      ++Pos;
-  }
+  void advance();
+  /// The lexer's next token; an Error token's diagnostic is kept aside.
+  Token pull();
   bool at(TokKind K) const { return cur().Kind == K; }
-  bool atIdent(const char *KW) const {
+  bool atIdent(std::string_view KW) const {
     return cur().Kind == TokKind::Ident && cur().Text == KW;
   }
   bool accept(TokKind K);
-  bool acceptIdent(const char *KW);
-  bool expect(TokKind K, const char *What);
-  std::string expectIdent(const char *What);
+  bool acceptIdent(std::string_view KW);
+  bool expect(TokKind K, std::string_view What);
+  /// The identifier at the cursor, or an empty view after a diagnostic.
+  std::string_view expectIdent(std::string_view What);
   void error(const std::string &Msg);
-  void errorAt(uint32_t Line, const std::string &Msg);
   void syncToStmtEnd();
 
   // Grammar productions.
@@ -111,14 +114,26 @@ private:
   TypeId parseType(bool AllowVoid);
   void parseBlock(MethodBuilder &MB);
   void parseStmt(MethodBuilder &MB);
+  void parseCall(MethodBuilder &MB, VarId To, uint32_t Line);
   std::vector<VarId> parseArgs();
-  VarId lookupVar(const std::string &Name);
+  VarId lookupVar(std::string_view Name);
 
-  // Deferred resolutions.
+  /// A line of a parsed file. Deferred references keep one and format it
+  /// only if they fail to resolve.
+  struct SourceLoc {
+    uint32_t File; ///< Index into Files.
+    uint32_t Line;
+  };
+  SourceLoc here() const;
+  /// "file:line: error: Msg".
+  std::string diagnostic(SourceLoc L, const std::string &Msg) const;
+
+  // Deferred resolutions. Their names outlive the source, so they own
+  // copies.
   struct PendingField {
     StmtId S;
     std::string Name;
-    std::string Where;
+    SourceLoc Where;
   };
   struct PendingCall {
     StmtId S;
@@ -126,25 +141,32 @@ private:
     std::string Name;
     size_t Arity;
     bool IsSpecial;
-    std::string Where;
+    SourceLoc Where;
   };
   struct PendingStaticField {
     StmtId S;
     std::string ClassName;
     std::string Name;
-    std::string Where;
+    SourceLoc Where;
   };
 
-  std::string here() const;
-
   Program &P;
-  std::vector<Token> Toks;
-  size_t Pos = 0;
-  std::string File;
+  /// The lexer of the source being parsed. It and the lookahead view that
+  /// source, so both are reset before parseSource() returns.
+  Lexer Lex;
+  Token Look[4];
+  std::vector<std::string> Files; ///< Every parsed file name, in order.
   std::vector<std::string> Diags;
   size_t DiagsAtSourceStart = 0;
+  /// The current source's lexical errors. They precede its parse errors
+  /// in Diags, as if the whole source had been lexed first.
+  std::vector<std::string> LexDiags;
 
-  std::unordered_map<std::string, VarId> Scope; ///< Current method scope.
+  /// Current method scope. Keys view the source, or AppendNames for an
+  /// `append method` (whose locals' names live in Program, which may move
+  /// them while the method grows).
+  std::unordered_map<std::string_view, VarId> Scope;
+  std::vector<std::string> AppendNames;
   std::vector<PendingField> PendingFields;
   std::vector<PendingCall> PendingCalls;
   std::vector<PendingStaticField> PendingStaticFields;

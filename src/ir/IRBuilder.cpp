@@ -141,8 +141,7 @@ StmtId MethodBuilder::staticStore(FieldId F, VarId From) {
   return append(std::move(S));
 }
 
-StmtId MethodBuilder::callVirtual(VarId To, VarId Base,
-                                  const std::string &Name,
+StmtId MethodBuilder::callVirtual(VarId To, VarId Base, std::string_view Name,
                                   std::vector<VarId> Args) {
   Stmt S;
   S.Kind = StmtKind::Invoke;

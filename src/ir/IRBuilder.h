@@ -17,6 +17,7 @@
 #include "ir/Program.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace csc {
@@ -31,7 +32,7 @@ public:
   MethodId method() const { return M; }
 
   /// Declares a fresh local variable.
-  VarId local(const std::string &Name, TypeId DeclaredType) {
+  VarId local(std::string_view Name, TypeId DeclaredType) {
     return P.addVar(M, Name, DeclaredType);
   }
 
@@ -55,7 +56,7 @@ public:
   StmtId staticStore(FieldId F, VarId From);
 
   /// Virtual call `To = Base.Name(Args)`; To may be InvalidId.
-  StmtId callVirtual(VarId To, VarId Base, const std::string &Name,
+  StmtId callVirtual(VarId To, VarId Base, std::string_view Name,
                      std::vector<VarId> Args);
   /// Static direct call `To = Callee(Args)`.
   StmtId callStatic(VarId To, MethodId Callee, std::vector<VarId> Args);

@@ -6,37 +6,35 @@
 
 #include "ir/Printer.h"
 
-#include <cassert>
-#include <sstream>
-
 using namespace csc;
 
 namespace {
 
-/// Stateful printer sharing the output stream and program reference.
+/// Appends `.jir` text to one output string. Names are appended by
+/// reference; no statement or name is copied on the way.
 class PrinterImpl {
 public:
-  PrinterImpl(const Program &P, std::ostringstream &OS) : P(P), OS(OS) {}
+  PrinterImpl(const Program &P, std::string &Out) : P(P), Out(Out) {}
 
   void printAll();
-  void printStmtLine(StmtId S, int Indent);
-  std::string stmtText(StmtId S);
+  void printStmtText(StmtId S);
 
 private:
   void printClass(TypeId T);
   void printMethod(MethodId M);
   void printBlock(const std::vector<StmtId> &Body, int Indent);
-  std::string typeName(TypeId T) const {
-    return T == InvalidId ? "void" : P.type(T).Name;
+  void printStmtLine(StmtId S, int Indent);
+
+  const std::string &typeName(TypeId T) const {
+    static const std::string Void = "void";
+    return T == InvalidId ? Void : P.type(T).Name;
   }
-  std::string varName(VarId V) const { return P.var(V).Name; }
-  void indent(int N) {
-    for (int I = 0; I < N; ++I)
-      OS << "  ";
-  }
+  const std::string &varName(VarId V) const { return P.var(V).Name; }
+  const std::string &fieldName(FieldId F) const { return P.field(F).Name; }
+  void indent(int N) { Out.append(2 * static_cast<size_t>(N), ' '); }
 
   const Program &P;
-  std::ostringstream &OS;
+  std::string &Out;
 };
 
 void PrinterImpl::printAll() {
@@ -51,62 +49,80 @@ void PrinterImpl::printAll() {
 void PrinterImpl::printClass(TypeId T) {
   const TypeInfo &TI = P.type(T);
   if (TI.Kind == TypeKind::Interface) {
-    OS << "interface " << TI.Name;
+    Out += "interface ";
+    Out += TI.Name;
   } else {
     if (TI.IsAbstract)
-      OS << "abstract ";
-    OS << "class " << TI.Name;
-    if (TI.Super != InvalidId && TI.Super != P.objectType())
-      OS << " extends " << typeName(TI.Super);
+      Out += "abstract ";
+    Out += "class ";
+    Out += TI.Name;
+    if (TI.Super != InvalidId && TI.Super != P.objectType()) {
+      Out += " extends ";
+      Out += typeName(TI.Super);
+    }
   }
   if (!TI.Interfaces.empty()) {
-    OS << (TI.Kind == TypeKind::Interface ? " extends " : " implements ");
-    for (size_t I = 0; I != TI.Interfaces.size(); ++I)
-      OS << (I ? ", " : "") << typeName(TI.Interfaces[I]);
+    Out += TI.Kind == TypeKind::Interface ? " extends " : " implements ";
+    for (size_t I = 0; I != TI.Interfaces.size(); ++I) {
+      if (I)
+        Out += ", ";
+      Out += typeName(TI.Interfaces[I]);
+    }
   }
-  OS << " {\n";
+  Out += " {\n";
   for (FieldId F : TI.Fields) {
     const FieldInfo &FI = P.field(F);
-    OS << "  " << (FI.IsStatic ? "static field " : "field ") << FI.Name
-       << ": " << typeName(FI.DeclaredType) << ";\n";
+    Out += FI.IsStatic ? "  static field " : "  field ";
+    Out += FI.Name;
+    Out += ": ";
+    Out += typeName(FI.DeclaredType);
+    Out += ";\n";
   }
   for (MethodId M : TI.Methods)
     printMethod(M);
-  OS << "}\n";
+  Out += "}\n";
 }
 
 void PrinterImpl::printMethod(MethodId M) {
   const MethodInfo &MI = P.method(M);
-  OS << "  ";
+  Out += "  ";
   if (MI.IsStatic)
-    OS << "static ";
+    Out += "static ";
   if (MI.IsAbstract)
-    OS << "abstract ";
-  OS << "method " << MI.Name << "(";
+    Out += "abstract ";
+  Out += "method ";
+  Out += MI.Name;
+  Out += '(';
   size_t FirstParam = MI.IsStatic ? 0 : 1;
   for (size_t I = FirstParam; I < MI.Params.size(); ++I) {
     if (I != FirstParam)
-      OS << ", ";
-    OS << varName(MI.Params[I]) << ": "
-       << typeName(P.var(MI.Params[I]).DeclaredType);
+      Out += ", ";
+    Out += varName(MI.Params[I]);
+    Out += ": ";
+    Out += typeName(P.var(MI.Params[I]).DeclaredType);
   }
-  OS << "): " << typeName(MI.RetType);
+  Out += "): ";
+  Out += typeName(MI.RetType);
   if (MI.IsAbstract) {
-    OS << ";\n";
+    Out += ";\n";
     return;
   }
-  OS << " {\n";
+  Out += " {\n";
   // Declare non-parameter locals up front.
   for (VarId V : MI.Vars) {
     bool IsParam = false;
     for (VarId PV : MI.Params)
       IsParam = IsParam || PV == V;
-    if (!IsParam)
-      OS << "    var " << varName(V) << ": "
-         << typeName(P.var(V).DeclaredType) << ";\n";
+    if (IsParam)
+      continue;
+    Out += "    var ";
+    Out += varName(V);
+    Out += ": ";
+    Out += typeName(P.var(V).DeclaredType);
+    Out += ";\n";
   }
   printBlock(MI.Body, 2);
-  OS << "  }\n";
+  Out += "  }\n";
 }
 
 void PrinterImpl::printBlock(const std::vector<StmtId> &Body, int Indent) {
@@ -116,112 +132,160 @@ void PrinterImpl::printBlock(const std::vector<StmtId> &Body, int Indent) {
 
 void PrinterImpl::printStmtLine(StmtId SId, int Indent) {
   const Stmt &S = P.stmt(SId);
+  indent(Indent);
   if (S.Kind == StmtKind::If) {
-    indent(Indent);
-    OS << "if ? {\n";
+    Out += "if ? {\n";
     printBlock(S.ThenBody, Indent + 1);
     indent(Indent);
     if (!S.ElseBody.empty()) {
-      OS << "} else {\n";
+      Out += "} else {\n";
       printBlock(S.ElseBody, Indent + 1);
       indent(Indent);
     }
-    OS << "}\n";
+    Out += "}\n";
     return;
   }
-  indent(Indent);
-  OS << stmtText(SId) << "\n";
+  printStmtText(SId);
+  Out += '\n';
 }
 
-std::string PrinterImpl::stmtText(StmtId SId) {
+void PrinterImpl::printStmtText(StmtId SId) {
   const Stmt &S = P.stmt(SId);
-  std::ostringstream T;
   switch (S.Kind) {
   case StmtKind::New:
-    T << varName(S.To) << " = new " << typeName(S.Type) << ";";
+    Out += varName(S.To);
+    Out += " = new ";
+    Out += typeName(S.Type);
+    Out += ';';
     break;
   case StmtKind::NewArray:
-    T << varName(S.To) << " = new "
-      << typeName(P.type(S.Type).ArrayElem) << "[];";
+    Out += varName(S.To);
+    Out += " = new ";
+    Out += typeName(P.type(S.Type).ArrayElem);
+    Out += "[];";
     break;
   case StmtKind::Assign:
-    T << varName(S.To) << " = " << varName(S.From) << ";";
+    Out += varName(S.To);
+    Out += " = ";
+    Out += varName(S.From);
+    Out += ';';
     break;
   case StmtKind::Cast:
-    T << varName(S.To) << " = (" << typeName(S.Type) << ") "
-      << varName(S.From) << ";";
+    Out += varName(S.To);
+    Out += " = (";
+    Out += typeName(S.Type);
+    Out += ") ";
+    Out += varName(S.From);
+    Out += ';';
     break;
   case StmtKind::Load:
-    T << varName(S.To) << " = " << varName(S.Base) << "."
-      << P.field(S.Field).Name << ";";
+    Out += varName(S.To);
+    Out += " = ";
+    Out += varName(S.Base);
+    Out += '.';
+    Out += fieldName(S.Field);
+    Out += ';';
     break;
   case StmtKind::Store:
-    T << varName(S.Base) << "." << P.field(S.Field).Name << " = "
-      << varName(S.From) << ";";
+    Out += varName(S.Base);
+    Out += '.';
+    Out += fieldName(S.Field);
+    Out += " = ";
+    Out += varName(S.From);
+    Out += ';';
     break;
   case StmtKind::ArrayLoad:
-    T << varName(S.To) << " = " << varName(S.Base) << "[*];";
+    Out += varName(S.To);
+    Out += " = ";
+    Out += varName(S.Base);
+    Out += "[*];";
     break;
   case StmtKind::ArrayStore:
-    T << varName(S.Base) << "[*] = " << varName(S.From) << ";";
+    Out += varName(S.Base);
+    Out += "[*] = ";
+    Out += varName(S.From);
+    Out += ';';
     break;
   case StmtKind::StaticLoad:
-    T << varName(S.To) << " = " << typeName(P.field(S.Field).Owner) << "::"
-      << P.field(S.Field).Name << ";";
+    Out += varName(S.To);
+    Out += " = ";
+    Out += typeName(P.field(S.Field).Owner);
+    Out += "::";
+    Out += fieldName(S.Field);
+    Out += ';';
     break;
   case StmtKind::StaticStore:
-    T << typeName(P.field(S.Field).Owner) << "::" << P.field(S.Field).Name
-      << " = " << varName(S.From) << ";";
+    Out += typeName(P.field(S.Field).Owner);
+    Out += "::";
+    Out += fieldName(S.Field);
+    Out += " = ";
+    Out += varName(S.From);
+    Out += ';';
     break;
   case StmtKind::Invoke: {
-    if (S.To != InvalidId)
-      T << varName(S.To) << " = ";
+    if (S.To != InvalidId) {
+      Out += varName(S.To);
+      Out += " = ";
+    }
     switch (S.IKind) {
     case InvokeKind::Virtual: {
       // Subsig is "name/arity"; strip the arity suffix.
       const std::string &Sig = P.subsigName(S.Subsig);
-      std::string Name = Sig.substr(0, Sig.rfind('/'));
-      T << "call " << varName(S.Base) << "." << Name;
+      Out += "call ";
+      Out += varName(S.Base);
+      Out += '.';
+      Out.append(Sig, 0, Sig.rfind('/'));
       break;
     }
     case InvokeKind::Static:
-      T << "scall " << typeName(P.method(S.DirectCallee).Owner) << "."
-        << P.method(S.DirectCallee).Name;
+      Out += "scall ";
+      Out += typeName(P.method(S.DirectCallee).Owner);
+      Out += '.';
+      Out += P.method(S.DirectCallee).Name;
       break;
     case InvokeKind::Special:
-      T << "dcall " << varName(S.Base) << "."
-        << typeName(P.method(S.DirectCallee).Owner) << "."
-        << P.method(S.DirectCallee).Name;
+      Out += "dcall ";
+      Out += varName(S.Base);
+      Out += '.';
+      Out += typeName(P.method(S.DirectCallee).Owner);
+      Out += '.';
+      Out += P.method(S.DirectCallee).Name;
       break;
     }
-    T << "(";
-    for (size_t I = 0; I != S.Args.size(); ++I)
-      T << (I ? ", " : "") << varName(S.Args[I]);
-    T << ");";
+    Out += '(';
+    for (size_t I = 0; I != S.Args.size(); ++I) {
+      if (I)
+        Out += ", ";
+      Out += varName(S.Args[I]);
+    }
+    Out += ");";
     break;
   }
   case StmtKind::Return:
-    if (S.From != InvalidId)
-      T << "return " << varName(S.From) << ";";
-    else
-      T << "return;";
+    if (S.From != InvalidId) {
+      Out += "return ";
+      Out += varName(S.From);
+      Out += ';';
+    } else {
+      Out += "return;";
+    }
     break;
   case StmtKind::If:
-    T << "if ? { ... }";
+    Out += "if ? { ... }";
     break;
   }
-  return T.str();
 }
 
 } // namespace
 
 std::string csc::printProgram(const Program &P) {
-  std::ostringstream OS;
-  PrinterImpl(P, OS).printAll();
-  return OS.str();
+  std::string Out;
+  PrinterImpl(P, Out).printAll();
+  return Out;
 }
 
 std::string csc::printStmt(const Program &P, StmtId S) {
-  std::ostringstream OS;
-  return PrinterImpl(P, OS).stmtText(S);
+  std::string Out;
+  PrinterImpl(P, Out).printStmtText(S);
+  return Out;
 }

@@ -16,20 +16,20 @@ Program::Program() {
   Types[ObjectTy].Super = InvalidId;
 }
 
-TypeId Program::getOrCreateType(const std::string &Name) {
-  auto It = TypeByName.find(Name);
-  if (It != TypeByName.end())
-    return It->second;
-  TypeId Id = static_cast<TypeId>(Types.size());
+TypeId Program::getOrCreateType(std::string_view Name) {
+  TypeId Id = TypeByName.find(Name);
+  if (Id != InvalidId)
+    return Id;
+  Id = static_cast<TypeId>(Types.size());
   TypeInfo TI;
   TI.Name = Name;
   TI.Defined = false;
   Types.push_back(std::move(TI));
-  TypeByName.emplace(Name, Id);
+  TypeByName.add(Name);
   return Id;
 }
 
-TypeId Program::defineClass(const std::string &Name, TypeId Super,
+TypeId Program::defineClass(std::string_view Name, TypeId Super,
                             std::vector<TypeId> Interfaces, TypeKind Kind,
                             bool IsAbstract) {
   TypeId Id = getOrCreateType(Name);
@@ -47,17 +47,15 @@ TypeId Program::defineClass(const std::string &Name, TypeId Super,
 
 TypeId Program::arrayOf(TypeId Elem) {
   std::string Name = Types[Elem].Name + "[]";
-  auto It = TypeByName.find(Name);
-  if (It != TypeByName.end())
-    return It->second;
+  if (TypeId Existing = TypeByName.find(Name); Existing != InvalidId)
+    return Existing;
   TypeId Id = defineClass(Name, ObjectTy, {}, TypeKind::Array);
   Types[Id].ArrayElem = Elem;
   return Id;
 }
 
-TypeId Program::typeByName(const std::string &Name) const {
-  auto It = TypeByName.find(Name);
-  return It == TypeByName.end() ? InvalidId : It->second;
+TypeId Program::typeByName(std::string_view Name) const {
+  return TypeByName.find(Name);
 }
 
 bool Program::isSubtype(TypeId Sub, TypeId Sup) const {
@@ -80,15 +78,15 @@ bool Program::isSubtype(TypeId Sub, TypeId Sup) const {
   return false;
 }
 
-FieldId Program::addField(TypeId Owner, const std::string &Name,
+FieldId Program::addField(TypeId Owner, std::string_view Name,
                           TypeId DeclaredType, bool IsStatic) {
   FieldId Id = static_cast<FieldId>(Fields.size());
-  Fields.push_back({Name, Owner, DeclaredType, IsStatic});
+  Fields.push_back({std::string(Name), Owner, DeclaredType, IsStatic});
   Types[Owner].Fields.push_back(Id);
   return Id;
 }
 
-FieldId Program::resolveField(TypeId T, const std::string &Name) const {
+FieldId Program::resolveField(TypeId T, std::string_view Name) const {
   for (TypeId Cur = T; Cur != InvalidId; Cur = Types[Cur].Super) {
     for (FieldId F : Types[Cur].Fields)
       if (Fields[F].Name == Name)
@@ -97,7 +95,7 @@ FieldId Program::resolveField(TypeId T, const std::string &Name) const {
   return InvalidId;
 }
 
-MethodId Program::addMethod(TypeId Owner, const std::string &Name,
+MethodId Program::addMethod(TypeId Owner, std::string_view Name,
                             std::vector<TypeId> ParamTypes, TypeId RetType,
                             bool IsStatic, bool IsAbstract) {
   MethodId Id = static_cast<MethodId>(Methods.size());
@@ -123,8 +121,8 @@ MethodId Program::addMethod(TypeId Owner, const std::string &Name,
   return Id;
 }
 
-uint32_t Program::subsig(const std::string &Name, size_t Arity) {
-  return Subsigs.intern(Name + "/" + std::to_string(Arity));
+uint32_t Program::subsig(std::string_view Name, size_t Arity) {
+  return Subsigs.intern(std::string(Name) + "/" + std::to_string(Arity));
 }
 
 MethodId Program::dispatch(TypeId T, uint32_t Subsig) const {
@@ -135,7 +133,7 @@ MethodId Program::dispatch(TypeId T, uint32_t Subsig) const {
   return InvalidId;
 }
 
-MethodId Program::lookupMethod(TypeId T, const std::string &Name,
+MethodId Program::lookupMethod(TypeId T, std::string_view Name,
                                size_t Arity) const {
   for (TypeId Cur = T; Cur != InvalidId; Cur = Types[Cur].Super) {
     for (MethodId M : Types[Cur].Methods)
@@ -145,10 +143,10 @@ MethodId Program::lookupMethod(TypeId T, const std::string &Name,
   return InvalidId;
 }
 
-VarId Program::addVar(MethodId M, const std::string &Name,
+VarId Program::addVar(MethodId M, std::string_view Name,
                       TypeId DeclaredType) {
   VarId Id = static_cast<VarId>(Vars.size());
-  Vars.push_back({Name, M, DeclaredType, {}});
+  Vars.push_back({std::string(Name), M, DeclaredType, {}});
   Methods[M].Vars.push_back(Id);
   return Id;
 }

@@ -24,6 +24,7 @@
 #include "support/Ids.h"
 #include "support/Interner.h"
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -106,11 +107,11 @@ public:
 
   /// Returns the type named \p Name, creating an undefined forward
   /// reference if it does not exist yet.
-  TypeId getOrCreateType(const std::string &Name);
+  TypeId getOrCreateType(std::string_view Name);
 
   /// Defines a class/interface. \p Super may be InvalidId (defaults to
   /// Object for classes). Returns the type id; reuses a forward reference.
-  TypeId defineClass(const std::string &Name, TypeId Super,
+  TypeId defineClass(std::string_view Name, TypeId Super,
                      std::vector<TypeId> Interfaces = {},
                      TypeKind Kind = TypeKind::Class, bool IsAbstract = false);
 
@@ -118,7 +119,7 @@ public:
   TypeId arrayOf(TypeId Elem);
 
   /// Returns the type named \p Name or InvalidId.
-  TypeId typeByName(const std::string &Name) const;
+  TypeId typeByName(std::string_view Name) const;
 
   /// True if \p Sub is \p Sup or a subtype of it (classes, interfaces,
   /// covariant arrays; every type is a subtype of Object).
@@ -128,24 +129,24 @@ public:
   // Fields
   //===--------------------------------------------------------------------===
 
-  FieldId addField(TypeId Owner, const std::string &Name, TypeId DeclaredType,
+  FieldId addField(TypeId Owner, std::string_view Name, TypeId DeclaredType,
                    bool IsStatic = false);
 
   /// Finds the field named \p Name on \p T or its superclasses;
   /// InvalidId if absent.
-  FieldId resolveField(TypeId T, const std::string &Name) const;
+  FieldId resolveField(TypeId T, std::string_view Name) const;
 
   //===--------------------------------------------------------------------===
   // Methods & dispatch
   //===--------------------------------------------------------------------===
 
   /// Creates an (initially empty) method; bodies are added via IRBuilder.
-  MethodId addMethod(TypeId Owner, const std::string &Name,
+  MethodId addMethod(TypeId Owner, std::string_view Name,
                      std::vector<TypeId> ParamTypes, TypeId RetType,
                      bool IsStatic = false, bool IsAbstract = false);
 
   /// Interns the dispatch key "name/arity" (arity excludes `this`).
-  uint32_t subsig(const std::string &Name, size_t Arity);
+  uint32_t subsig(std::string_view Name, size_t Arity);
 
   /// Resolves a virtual call on receiver type \p T: walks the class chain
   /// for a concrete method with the given subsignature.
@@ -153,14 +154,13 @@ public:
 
   /// Finds a method by name and arity starting at \p T (used for direct
   /// calls and the frontend); may return an abstract method.
-  MethodId lookupMethod(TypeId T, const std::string &Name,
-                        size_t Arity) const;
+  MethodId lookupMethod(TypeId T, std::string_view Name, size_t Arity) const;
 
   //===--------------------------------------------------------------------===
   // Variables, statements, allocation sites, call sites
   //===--------------------------------------------------------------------===
 
-  VarId addVar(MethodId M, const std::string &Name, TypeId DeclaredType);
+  VarId addVar(MethodId M, std::string_view Name, TypeId DeclaredType);
   StmtId addStmt(Stmt S); ///< Appends; records var defs and ret vars.
   ObjId addObj(TypeId Type, StmtId Alloc, MethodId M, bool IsArray);
   CallSiteId addCallSite(StmtId S, MethodId Caller);
@@ -220,8 +220,42 @@ public:
   VarId varByName(std::string_view Qualified) const;
 
 private:
+  /// Type ids by name, looked up by view without building a string. The
+  /// keys view Names, indexed by TypeId: TypeInfo::Name moves whenever
+  /// Types grows, but a deque never moves its elements. A copy re-points
+  /// its keys at its own names.
+  struct TypeNameIndex {
+    std::deque<std::string> Names;
+    std::unordered_map<std::string_view, TypeId> Ids;
+
+    TypeNameIndex() = default;
+    TypeNameIndex(const TypeNameIndex &O) : Names(O.Names) { reindex(); }
+    TypeNameIndex &operator=(const TypeNameIndex &O) {
+      Names = O.Names;
+      reindex();
+      return *this;
+    }
+    TypeNameIndex(TypeNameIndex &&) = default;
+    TypeNameIndex &operator=(TypeNameIndex &&) = default;
+
+    TypeId find(std::string_view Name) const {
+      auto It = Ids.find(Name);
+      return It == Ids.end() ? InvalidId : It->second;
+    }
+    /// Indexes \p Name as the next TypeId.
+    void add(std::string_view Name) {
+      TypeId Id = static_cast<TypeId>(Names.size());
+      Ids.emplace(Names.emplace_back(Name), Id);
+    }
+    void reindex() {
+      Ids.clear();
+      for (size_t T = 0; T != Names.size(); ++T)
+        Ids.emplace(Names[T], static_cast<TypeId>(T));
+    }
+  };
+
   std::vector<TypeInfo> Types;
-  std::unordered_map<std::string, TypeId> TypeByName;
+  TypeNameIndex TypeByName;
   std::vector<FieldInfo> Fields;
   std::vector<MethodInfo> Methods;
   std::vector<VarInfo> Vars;

@@ -10,6 +10,7 @@
 #include "client/Report.h"
 #include "ir/Printer.h"
 #include "store/TaskLedger.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 
 #include <algorithm>
@@ -125,20 +126,6 @@ namespace {
 constexpr char EntryMagic[8] = {'C', 'S', 'C', 'P', 'T', 'A', 'R', '1'};
 constexpr uint32_t FormatVersion = 3;
 constexpr size_t HeaderBytes = 8 + 4 + 8; // magic + version + checksum
-
-/// The whole file in one buffer, sized up front.
-bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary | std::ios::ate);
-  if (!In)
-    return false;
-  std::streamoff Size = In.tellg();
-  if (Size < 0)
-    return false;
-  Out.resize(static_cast<size_t>(Size));
-  In.seekg(0);
-  return static_cast<bool>(
-      In.read(&Out[0], static_cast<std::streamsize>(Out.size())));
-}
 
 /// True when the file at \p Path holds exactly \p Bytes. Compares in
 /// chunks, so checking for an existing entry allocates no second copy.
@@ -284,7 +271,7 @@ std::string ResultStore::objectPath(const std::string &Key) const {
 int ResultStore::readEntry(const std::string &Path,
                            const std::string &ExpectKey, std::string &Bytes,
                            size_t &PayloadAt) const {
-  if (!readWholeFile(Path, Bytes))
+  if (readFile(Path, Bytes) != ReadStatus::Ok)
     return 1; // absent/unreadable: a plain miss, nothing to repair
   if (!frameValid(Bytes))
     return 2; // bad magic, version skew, truncation, or flipped bits

@@ -7,6 +7,7 @@
 #include "store/TaskLedger.h"
 
 #include "support/BinaryIO.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 
 #include <atomic>
@@ -14,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -33,16 +33,6 @@ namespace {
 constexpr char LedgerMagic[8] = {'C', 'S', 'C', 'P', 'T', 'A', 'L', '1'};
 constexpr uint32_t LedgerVersion = 1;
 constexpr size_t HeaderBytes = 8 + 4 + 8;
-
-bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return In.good() || In.eof();
-}
 
 std::string frameLedger(const std::string &Body) {
   BinaryWriter W;
@@ -170,7 +160,7 @@ uint64_t TaskLedger::nowMs() const {
 
 bool TaskLedger::loadLocked(State &S) const {
   std::string Bytes;
-  if (!readWholeFile(Opts.Path, Bytes) ||
+  if (readFile(Opts.Path, Bytes) != ReadStatus::Ok ||
       !parseState(Bytes, S.Cfg, S.Tasks))
     return false;
   return true;
@@ -474,7 +464,7 @@ std::vector<std::string> TaskLedger::pinnedKeys(const std::string &Path) {
   std::string Bytes;
   TaskLedger::Config Cfg;
   std::vector<TaskLedger::Task> Tasks;
-  if (!readWholeFile(Path, Bytes) || !parseState(Bytes, Cfg, Tasks))
+  if (readFile(Path, Bytes) != ReadStatus::Ok || !parseState(Bytes, Cfg, Tasks))
     return Keys;
   for (const Task &T : Tasks)
     if (T.State == TaskState::Done && !T.Key.empty())

@@ -278,6 +278,33 @@ TEST(BatchExecutorTest, WallClockExhaustionIsNotCached) {
   std::filesystem::remove_all(Template);
 }
 
+TEST(BatchExecutorTest, DirectoryAsProgramOrManifestIsUnreadable) {
+  // A directory opens like a file but cannot be read; it must fail the
+  // entry (or the manifest) by name, not parse as an empty source.
+  char Dir[] = "dir-input-XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  BatchEntry E;
+  E.Label = "dir";
+  E.Files = {Dir};
+  E.Specs = {"ci"};
+  BatchReport R = BatchExecutor(withJobs(1)).run({E});
+  ASSERT_EQ(R.Entries.size(), 1u);
+  EXPECT_TRUE(R.Entries[0].LoadFailed);
+  EXPECT_EQ(R.Entries[0].LoadDiags,
+            std::vector<std::string>{"error: cannot read '" +
+                                     std::string(Dir) + "'"});
+
+  std::vector<BatchEntry> Out;
+  std::string Error;
+  EXPECT_FALSE(loadBatchManifest(Dir, Out, Error));
+  EXPECT_EQ(Error, "cannot read manifest '" + std::string(Dir) + "'");
+  EXPECT_FALSE(loadBatchManifest(std::string(Dir) + "/absent.json", Out,
+                                 Error));
+  EXPECT_EQ(Error, "cannot open manifest '" + std::string(Dir) +
+                       "/absent.json'");
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(BatchExecutorTest, CacheKeyCoversSessionBudgets) {
   // Same program content under two different budgets must not
   // cross-serve: the tight-budget entry exhausts, the unlimited one

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+
 using namespace csc;
 using namespace csc::test;
 
@@ -63,6 +66,18 @@ TEST(SessionTest, FromFilesReportsMissingFile) {
             nullptr);
   ASSERT_FALSE(Diags.empty());
   EXPECT_NE(Diags.front().find("cannot open"), std::string::npos);
+}
+
+TEST(SessionTest, FromFilesReportsUnreadableDirectory) {
+  // A directory opens but cannot be read: it must not parse as an empty
+  // source (which would report a missing main() instead).
+  char Dir[] = "session-dir-XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  std::vector<std::string> Diags;
+  EXPECT_EQ(AnalysisSession::fromFiles({Dir}, {}, Diags), nullptr);
+  EXPECT_EQ(Diags, std::vector<std::string>{"error: cannot read '" +
+                                            std::string(Dir) + "'"});
+  std::filesystem::remove(Dir);
 }
 
 TEST(SessionTest, SpecErrorsYieldStatusNotCrash) {

@@ -16,8 +16,23 @@
 using namespace csc;
 using namespace csc::test;
 
+namespace {
+
+/// Every token \p L yields, through the Eof token.
+std::vector<Token> drain(Lexer &L) {
+  std::vector<Token> Toks;
+  do
+    Toks.push_back(L.next());
+  while (Toks.back().Kind != TokKind::Eof);
+  return Toks;
+}
+
+} // namespace
+
 TEST(LexerTest, TokenizesPunctuationAndIdents) {
-  auto Toks = lex("class A { x = y.f; } // comment\n/* block */ ::");
+  const std::string Src = "class A { x = y.f; } // comment\n/* block */ ::";
+  Lexer L(Src);
+  auto Toks = drain(L);
   ASSERT_GE(Toks.size(), 2u);
   EXPECT_EQ(Toks[0].Kind, TokKind::Ident);
   EXPECT_EQ(Toks[0].Text, "class");
@@ -28,7 +43,9 @@ TEST(LexerTest, TokenizesPunctuationAndIdents) {
 }
 
 TEST(LexerTest, TracksLineNumbers) {
-  auto Toks = lex("a\nb\n  c");
+  const std::string Src = "a\nb\n  c";
+  Lexer L(Src);
+  auto Toks = drain(L);
   EXPECT_EQ(Toks[0].Line, 1u);
   EXPECT_EQ(Toks[1].Line, 2u);
   EXPECT_EQ(Toks[2].Line, 3u);
@@ -36,7 +53,9 @@ TEST(LexerTest, TracksLineNumbers) {
 }
 
 TEST(LexerTest, ReportsBadCharacters) {
-  auto Toks = lex("a # b");
+  const std::string Src = "a # b";
+  Lexer L(Src);
+  auto Toks = drain(L);
   bool SawError = false;
   for (const Token &T : Toks)
     SawError = SawError || T.Kind == TokKind::Error;
@@ -230,4 +249,33 @@ class App {
     ADD_FAILURE() << D;
   EXPECT_TRUE(Ok);
   EXPECT_NE(P.entry(), InvalidId);
+}
+
+TEST(ParserTest, AppendMethodSeesOldLocalsAfterManyNewOnes) {
+  // The appended body declares enough locals to regrow the program's
+  // variable table; the method's earlier locals must still resolve.
+  std::string Delta = "extend class A {\n  append method m {\n";
+  for (int I = 0; I != 200; ++I)
+    Delta += "    var v" + std::to_string(I) + ": Object;\n";
+  Delta += "    v199 = a;\n    a = p;\n  }\n}\n";
+  Program P;
+  std::vector<std::string> Diags;
+  bool Ok = parseProgram(P,
+                         {{"base.jir", "class A {\n"
+                                       "  method m(p: Object): void {\n"
+                                       "    var a: Object;\n"
+                                       "    a = p;\n"
+                                       "  }\n"
+                                       "}\n"},
+                          {"delta.jir", Delta}},
+                         Diags);
+  for (const std::string &D : Diags)
+    ADD_FAILURE() << D;
+  ASSERT_TRUE(Ok);
+  MethodId M = findMethod(P, "A", "m");
+  EXPECT_EQ(P.method(M).Vars.size(), 203u); // this, p, a, v0..v199
+  const Stmt &Last = P.stmt(P.method(M).Body.back());
+  ASSERT_EQ(Last.Kind, StmtKind::Assign);
+  EXPECT_EQ(P.var(Last.To).Name, "a");
+  EXPECT_EQ(P.var(Last.From).Name, "p");
 }

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace csc;
 
 TEST(ProgramTest, ObjectRootExists) {
@@ -197,4 +199,16 @@ TEST(ProgramTest, PrinterEmitsParsableShape) {
   EXPECT_NE(Text.find("this.f ="), std::string::npos);
   EXPECT_NE(Text.find("if ? {"), std::string::npos);
   EXPECT_NE(Text.find("return x;"), std::string::npos);
+}
+
+TEST(ProgramTest, CopyLooksUpTypesByItsOwnNames) {
+  // Name lookups take views; a copy must not view the original's names.
+  auto Original = std::make_unique<Program>();
+  TypeId A = Original->defineClass("AClassNameLongerThanSmallStrings",
+                                   InvalidId);
+  Program Copy = *Original;
+  Original.reset();
+  EXPECT_EQ(Copy.typeByName("AClassNameLongerThanSmallStrings"), A);
+  EXPECT_EQ(Copy.getOrCreateType("AClassNameLongerThanSmallStrings"), A);
+  EXPECT_EQ(Copy.typeByName("Object"), Copy.objectType());
 }

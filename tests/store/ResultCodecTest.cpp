@@ -15,19 +15,25 @@
 // or fabricating a partial result. Decoding is canonical: hand-built
 // non-canonical projections are rejected, and any seeded byte mutation of
 // a real payload either fails to decode or re-encodes to the same bytes.
+// Program fingerprints, the program part of every store key, are pinned
+// to fixed values: a drift would turn every existing store into misses.
 //
 //===----------------------------------------------------------------------===//
 
 #include "client/AnalysisRegistry.h"
 #include "client/AnalysisSession.h"
 #include "client/Report.h"
+#include "frontend/Parser.h"
+#include "stdlib/Stdlib.h"
 #include "store/ResultCodec.h"
+#include "store/ResultStore.h"
 #include "support/Rng.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -379,4 +385,35 @@ TEST(ResultCodecTest, VarintsDecodeOnlyShortestForms) {
     uint32_t Out;
     EXPECT_FALSE(R.uvar(Out)) << Bytes.size() << " bytes";
   }
+}
+
+namespace {
+
+std::string hex(uint64_t V) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(V));
+  return Buf;
+}
+
+} // namespace
+
+TEST(StoreKeyTest, ProgramFingerprintsArePinned) {
+  // FNV-1a over printProgram's bytes. Stores written by earlier builds
+  // stay warm only while these values hold; change them only together
+  // with a deliberate store format change.
+  for (const auto &[Example, Pinned] :
+       {std::pair<const char *, const char *>{"figure1.jir",
+                                              "60c712efef0b03e7"},
+        {"containers.jir", "78ecf2696cf8b0b1"}}) {
+    std::vector<std::string> Diags;
+    std::unique_ptr<AnalysisSession> S =
+        AnalysisSession::fromFiles({examplePath(Example)}, {}, Diags);
+    ASSERT_NE(S, nullptr) << Example;
+    EXPECT_EQ(hex(programFingerprint(S->program())), Pinned) << Example;
+  }
+  Program Stdlib;
+  std::vector<std::string> Diags;
+  ASSERT_TRUE(parseProgram(Stdlib, {{"<stdlib>", stdlibSource()}}, Diags));
+  EXPECT_EQ(hex(programFingerprint(Stdlib)), "dd963728222ec63d");
 }
