@@ -6,7 +6,7 @@
 // workloads in three passes sharing pre-built sessions:
 //
 //   jobs1   — sequential baseline (cold result cache),
-//   jobsN   — the thread pool at --jobs N (cold result cache), verified
+//   jobsN   — the batch at --jobs N (cold result cache), verified
 //             to produce a byte-identical aggregate report,
 //   cached  — the jobsN executor run again over the identical batch; every
 //             run must come from the result cache.
@@ -27,13 +27,13 @@
 
 #include "client/BatchExecutor.h"
 #include "support/Json.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace csc;
@@ -130,7 +130,8 @@ int main(int Argc, char **Argv) {
     else
       usage(Argv[0]);
   }
-  unsigned Jobs = std::min(4u, ThreadPool::defaultThreadCount());
+  unsigned Jobs =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u); // 0: unknown
   if (JobsSet) {
     if (JobsArg < 1 || JobsArg > 1024) {
       std::fprintf(stderr,

@@ -4,8 +4,8 @@
 # storeless aggregate byte for byte, leave only checksum-valid entries
 # behind, serve a warm repeat (batch and single run) entirely from the
 # store — the single run's report and points-to answer byte-identical,
-# timings stripped, to a storeless run's — keep it under the largest
-# --store-max-age, and agree with a --workers fleet. After every pass the store
+# timings stripped, to a storeless run's, at --jobs 1 and 4 — keep it
+# under the largest --store-max-age, and agree with a --workers fleet. After every pass the store
 # directory holds nothing but objects/: the entry files are its only
 # state. Registered with CTest as cscpta_store_concurrency;
 # tests/store/StoreConcurrencyTest.cpp covers the in-process half.
@@ -76,9 +76,9 @@ grep -q "store stats: served 6/6 runs" "$TMP/warm.log"
 only_objects "$TMP/store"
 
 # A single run shares the batch's entries: one key for every mode. The
-# served runs are rebuilt from their entries (the one end-to-end path
-# through runFromStored), so their report and points-to answers must
-# match a storeless run's once timings are stripped.
+# served runs are rebuilt from their entries (ResultKeys::lookupOrRun,
+# the one path through runFromStored), so their report and points-to
+# answers must match a storeless run's once timings are stripped.
 SINGLE=("$EXAMPLES/figure1.jir" --analyses ci,csc,2obj --json
         --points-to Main.main.result1)
 "$CSCPTA" "${SINGLE[@]}" > "$TMP/single-ref.raw"
@@ -89,6 +89,24 @@ python3 "$STRIP" "$TMP/single-ref.raw" "$TMP/single-ref.json"
 python3 "$STRIP" "$TMP/single.raw" "$TMP/single.json"
 cmp "$TMP/single-ref.json" "$TMP/single.json"
 only_objects "$TMP/store"
+
+# A single run's --jobs changes nothing but timings: four analyses on
+# four threads, storeless, into a cold store and from the warm one,
+# report what one thread reports storeless.
+JOBS=("$EXAMPLES/figure1.jir" --analyses ci,csc,2obj,zipper-e --json
+      --points-to Main.main.result1)
+"$CSCPTA" "${JOBS[@]}" --jobs 1 > "$TMP/jobs-ref.raw"
+"$CSCPTA" "${JOBS[@]}" --jobs 4 > "$TMP/jobs-storeless.raw"
+"$CSCPTA" "${JOBS[@]}" --jobs 4 --store "$TMP/store3" > "$TMP/jobs-cold.raw"
+"$CSCPTA" "${JOBS[@]}" --jobs 4 --store "$TMP/store3" --stats \
+  > "$TMP/jobs-warm.raw" 2> "$TMP/jobs-warm.log"
+grep -q "store stats: served 4/4 runs" "$TMP/jobs-warm.log"
+python3 "$STRIP" "$TMP/jobs-ref.raw" "$TMP/jobs-ref.json"
+for MODE in storeless cold warm; do
+  python3 "$STRIP" "$TMP/jobs-$MODE.raw" "$TMP/jobs-$MODE.json"
+  cmp "$TMP/jobs-ref.json" "$TMP/jobs-$MODE.json"
+done
+only_objects "$TMP/store3"
 
 # The largest accepted age bound keeps every entry (the GC age test
 # must not wrap); one past it is a usage error (exit 2).

@@ -222,6 +222,24 @@ std::unique_ptr<ContextSelector> csc::makeSelector(const AnalysisRecipe &R) {
   return nullptr;
 }
 
+SolverSetup csc::solverSetup(const AnalysisRecipe &R, uint64_t WorkBudget,
+                             double TimeBudgetMs,
+                             const std::unordered_set<MethodId> *Only) {
+  SolverSetup Out;
+  Out.Opts.DeltaPropagation = !R.DoopMode;
+  Out.Opts.CycleElimination = R.CycleElimination;
+  Out.Opts.WorkBudget = WorkBudget;
+  Out.Opts.TimeBudgetMs = TimeBudgetMs;
+  Out.Inner = makeSelector(R);
+  if (!Only)
+    Only = R.SelectOnly.get();
+  if (Out.Inner && Only)
+    Out.Selective = std::make_unique<SelectiveSelector>(*Out.Inner, *Only);
+  Out.Opts.Selector =
+      Out.Selective ? Out.Selective.get() : Out.Inner.get();
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // The table
 //===----------------------------------------------------------------------===//

@@ -28,11 +28,13 @@
 
 #include "csc/CutShortcutPlugin.h"
 #include "pta/ContextSelector.h"
+#include "pta/Solver.h"
 #include "zipper/Zipper.h"
 
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace csc {
@@ -106,6 +108,23 @@ struct AnalysisRecipe {
 /// The context selector \p R's kind and k call for (the inner selector
 /// of a Zipper-e recipe); null for the context-insensitive kinds.
 std::unique_ptr<ContextSelector> makeSelector(const AnalysisRecipe &R);
+
+/// A recipe wired for the solver: SolverOptions plus the selectors
+/// Opts.Selector points into. They live on the heap, so a moved setup
+/// stays valid; it must outlive every solver built from Opts.
+struct SolverSetup {
+  SolverOptions Opts;
+  std::unique_ptr<ContextSelector> Inner;
+  std::unique_ptr<SelectiveSelector> Selective;
+};
+
+/// The one recipe-to-solver wiring, shared by AnalysisSession and
+/// IncrementalSolver: DoopMode and CycleElimination pick the engine, the
+/// per-run budgets bound it, and makeSelector's selector is restricted
+/// to \p Only (a Zipper-e selection) or else to R.SelectOnly.
+SolverSetup solverSetup(const AnalysisRecipe &R, uint64_t WorkBudget,
+                        double TimeBudgetMs,
+                        const std::unordered_set<MethodId> *Only = nullptr);
 
 /// One row of the analysis table: everything about a name.
 struct AnalysisEntry {

@@ -12,10 +12,7 @@
 #include "stdlib/ContainerSpec.h"
 #include "stdlib/Stdlib.h"
 #include "support/FileIO.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
-
-#include <algorithm>
 
 using namespace csc;
 
@@ -196,36 +193,12 @@ std::vector<AnalysisRun> AnalysisSession::runAll(const std::string &SpecList) {
   return Out;
 }
 
-std::vector<AnalysisRun> AnalysisSession::runAll(const std::string &SpecList,
-                                                 unsigned Jobs) {
-  if (Jobs <= 1)
-    return runAll(SpecList);
-  std::vector<std::string> Specs = splitSpecList(SpecList);
-  std::vector<AnalysisRun> Out(Specs.size());
-  ThreadPool Pool(std::min<unsigned>(
-      Jobs, Specs.empty() ? 1u : static_cast<unsigned>(Specs.size())));
-  for (size_t I = 0; I != Specs.size(); ++I)
-    Pool.submit([this, &Out, &Specs, I] { Out[I] = run(Specs[I]); });
-  Pool.wait();
-  return Out;
-}
-
 AnalysisRun AnalysisSession::run(const AnalysisRecipe &Recipe) {
   AnalysisRun Out;
   Out.Name = Recipe.Name;
   Timer Total;
 
-  SolverOptions SOpts;
-  SOpts.DeltaPropagation = !Recipe.DoopMode;
-  SOpts.CycleElimination = Recipe.CycleElimination;
-  SOpts.WorkBudget = Opts.WorkBudget;
-  SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
-
-  std::unique_ptr<ContextSelector> Inner = makeSelector(Recipe);
-  std::unique_ptr<SelectiveSelector> Selective;
-  std::unique_ptr<CutShortcutPlugin> Plugin;
-  ContainerSpec Spec;
-
+  const std::unordered_set<MethodId> *Selected = nullptr;
   if (Recipe.UseZipper) {
     ZipperOptions ZOpts = Recipe.Zipper;
     ZOpts.PreWorkBudget = Opts.WorkBudget;
@@ -239,18 +212,13 @@ AnalysisRun AnalysisSession::run(const AnalysisRecipe &Recipe) {
       Out.Timings.TotalMs = Total.elapsedMs();
       return Out;
     }
-    if (!Inner)
-      Inner = std::make_unique<KObjSelector>(ZOpts.K);
-    Selective = std::make_unique<SelectiveSelector>(*Inner, Sel.Selected);
-    SOpts.Selector = Selective.get();
-  } else if (Inner && Recipe.SelectOnly) {
-    Selective =
-        std::make_unique<SelectiveSelector>(*Inner, *Recipe.SelectOnly);
-    SOpts.Selector = Selective.get();
-  } else if (Inner) {
-    SOpts.Selector = Inner.get();
+    Selected = &Sel.Selected;
   }
+  SolverSetup Setup =
+      solverSetup(Recipe, Opts.WorkBudget, Opts.TimeBudgetMs, Selected);
 
+  std::unique_ptr<CutShortcutPlugin> Plugin;
+  ContainerSpec Spec;
   if (Recipe.UseCsc) {
     Spec = ContainerSpec::forProgram(*P);
     Plugin = std::make_unique<CutShortcutPlugin>(*P, Spec, Recipe.Csc);
@@ -258,7 +226,7 @@ AnalysisRun AnalysisSession::run(const AnalysisRecipe &Recipe) {
 
   progress("solve", Recipe.Name);
   Timer Main;
-  Solver S(*P, SOpts);
+  Solver S(*P, Setup.Opts);
   if (Plugin)
     S.addPlugin(Plugin.get());
   Out.Result = S.solve();

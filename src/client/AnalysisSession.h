@@ -158,13 +158,6 @@ public:
   AnalysisRun run(const AnalysisRecipe &Recipe);
   /// Runs every spec of a comma-separated list, in order.
   std::vector<AnalysisRun> runAll(const std::string &SpecList);
-  /// Like runAll, but runs the specs on up to \p Jobs pool threads. The
-  /// returned vector is in spec order regardless of completion order,
-  /// and each run's result is identical to its sequential counterpart
-  /// (the solver itself stays single-threaded). Jobs <= 1 falls back to
-  /// the sequential runAll.
-  std::vector<AnalysisRun> runAll(const std::string &SpecList,
-                                  unsigned Jobs);
 
   /// The Zipper-e pre-analysis for \p ZOpts, computed on first use and
   /// cached across runs (keyed on k / cost fraction / floor / budget).

@@ -10,7 +10,7 @@
 #include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/JsonParse.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -334,36 +334,28 @@ void BatchExecutor::loadSlot(ProgramSlot &Slot, const BatchEntry &E) {
 
 void BatchExecutor::runSpec(ProgramSlot &Slot, const std::string &Spec,
                             BatchRunResult &Out) {
-  // The one reuse path: the in-process cache, then the persistent store
-  // (a hit also fills the cache, so repeats stay off the disk), then
-  // compute and publish. An unparsable spec skips both lookups; the
-  // session turns it into a SpecError run with the same diagnostic.
+  // The in-process cache in front of the one reuse path (store lookup,
+  // else compute and publish); a store hit also fills the cache, so
+  // repeats stay off the disk. An unparsable spec skips both lookups;
+  // the session turns it into a SpecError run with the same diagnostic.
   Timer T;
   const ResultKeys &Keys = *Slot.Keys;
   ResultKey K;
   bool Keyed = Keys.key(Spec, K);
-  StoredResult SR;
   if (Keyed && Cache.lookup(K.Key, Out)) {
     Out.FromCache = true;
-  } else if (Keyed && Opts.Store && Opts.Store->lookup(K.Key, SR)) {
-    Out.Status = SR.Status;
-    Out.Error = std::move(SR.Error);
-    Out.Metrics = SR.Metrics;
-    Out.RunJson = std::move(SR.RunJson);
-    Out.StoreKey = K.Key;
-    Cache.store(K.Key, Out);
-    Out.FromStore = true;
   } else {
-    AnalysisRun R = Slot.S->run(Spec);
-    Out.Status = R.Status;
-    Out.Error = R.Error;
-    Out.Metrics = R.Metrics;
-    bool Published = false;
-    Out.RunJson = Keys.publish(Opts.Store.get(), K, R, &Published);
-    if (Published)
+    ResultKeys::Outcome R =
+        Keys.lookupOrRun(*Slot.S, Opts.Store.get(), Spec, K);
+    Out.Status = R.Run.Status;
+    Out.Error = std::move(R.Run.Error);
+    Out.Metrics = R.Run.Metrics;
+    Out.RunJson = std::move(R.RunJson);
+    if (R.Served || R.Published)
       Out.StoreKey = K.Key;
-    if (Keyed && Keys.reusable(R))
+    if (Keyed && Keys.reusable(R.Run))
       Cache.store(K.Key, Out);
+    Out.FromStore = R.Served;
   }
   Out.Spec = Spec;
   Out.Canonical = K.Canonical;
@@ -449,15 +441,8 @@ BatchReport BatchExecutor::runImpl(const std::vector<BatchEntry> &Entries,
     }
   }
 
-  if (Report.Jobs <= 1) {
-    for (const auto &[E, S] : Tasks)
-      RunTask(E, S);
-  } else {
-    ThreadPool Pool(Report.Jobs);
-    for (const auto &[E, S] : Tasks)
-      Pool.submit([&RunTask, E = E, S = S] { RunTask(E, S); });
-    Pool.wait();
-  }
+  parallelFor(Tasks.size(), Report.Jobs,
+              [&](size_t I) { RunTask(Tasks[I].first, Tasks[I].second); });
 
   // Sequence load outcomes (deterministic: slot diags don't depend on
   // which task loaded the program). Entries this worker never touched

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs N analysis specs over M programs concurrently on a work-stealing
-/// thread pool, with two layers of sharing:
+/// Runs N analysis specs over M programs concurrently (parallelFor over
+/// the task list), with two layers of sharing:
 ///
 ///  * one immutable, verified AnalysisSession per distinct program —
 ///    loaded once (compute-once under contention) and shared by every
@@ -19,8 +19,8 @@
 ///    instead of re-solving. With Options::Store the same key then
 ///    consults the persistent store before computing.
 ///
-/// Results are written into pre-assigned slots and sequenced after the
-/// pool drains, and the per-run JSON is timing-free, so the aggregate
+/// Results are written into pre-assigned slots and sequenced after every
+/// task has joined, and the per-run JSON is timing-free, so the aggregate
 /// report is byte-identical regardless of --jobs (given deterministic
 /// run outcomes — work budgets are exact, wall-clock budgets can flip
 /// boundary runs). Wall-clock numbers and cache statistics live on the

@@ -253,54 +253,57 @@ void Solver::addReachable(MethodId M, CtxId C) {
     Pl->onNewMethod(CSMth);
 
   const MethodInfo &MI = P.method(M);
-  for (StmtId SId : MI.AllStmts) {
-    if (!stmtEnabled(SId))
-      continue; // Demand slice: outside the queried variables' cone.
-    const Stmt &S = P.stmt(SId);
-    switch (S.Kind) {
-    case StmtKind::New:
-    case StmtKind::NewArray: {
-      CtxId HCtx = Selector->selectHeap(CM, C, S.Obj);
-      CSObjId O = CSM.getCSObj(S.Obj, HCtx);
-      enqueueObj(varPtr(S.To, C), O);
-      break;
-    }
-    case StmtKind::Assign:
-      addPFGEdge(varPtr(S.From, C), varPtr(S.To, C), InvalidId,
-                 EdgeOrigin::Assign);
-      break;
-    case StmtKind::Cast:
-      addPFGEdge(varPtr(S.From, C), varPtr(S.To, C), S.Type,
-                 EdgeOrigin::Cast);
-      break;
-    case StmtKind::StaticLoad:
-      addPFGEdge(CSM.getStaticPtr(S.Field), varPtr(S.To, C), InvalidId,
-                 EdgeOrigin::StaticLoad);
-      break;
-    case StmtKind::StaticStore:
-      addPFGEdge(varPtr(S.From, C), CSM.getStaticPtr(S.Field), InvalidId,
-                 EdgeOrigin::StaticStore);
-      break;
-    case StmtKind::Invoke:
-      if (S.IKind == InvokeKind::Static) {
-        MethodId Callee = S.DirectCallee;
-        assert(Callee != InvalidId && "unresolved static call");
-        CtxId CalleeCtx = Selector->selectStatic(CM, C, S.CallSite, Callee);
-        CSCallSiteId CS = CG.getCSCallSite(S.CallSite, C);
-        CSMethodId CSCallee = CG.getCSMethod(Callee, CalleeCtx);
-        if (CG.addEdge(CS, CSCallee))
-          processCallEdge(CS, CSCallee, S, C, CalleeCtx);
-      }
-      break;
-    case StmtKind::Load:
-    case StmtKind::Store:
-    case StmtKind::ArrayLoad:
-    case StmtKind::ArrayStore:
-    case StmtKind::Return:
-    case StmtKind::If:
-      break; // Driven by points-to growth / call edges.
-    }
+  for (StmtId SId : MI.AllStmts)
+    if (stmtEnabled(SId)) // else outside the demand slice's cone
+      seedStmt(P.stmt(SId), C);
+}
+
+bool Solver::seedStmt(const Stmt &S, CtxId C) {
+  switch (S.Kind) {
+  case StmtKind::New:
+  case StmtKind::NewArray: {
+    CtxId HCtx = Selector->selectHeap(CM, C, S.Obj);
+    CSObjId O = CSM.getCSObj(S.Obj, HCtx);
+    enqueueObj(varPtr(S.To, C), O);
+    return true;
   }
+  case StmtKind::Assign:
+    addPFGEdge(varPtr(S.From, C), varPtr(S.To, C), InvalidId,
+               EdgeOrigin::Assign);
+    return true;
+  case StmtKind::Cast:
+    addPFGEdge(varPtr(S.From, C), varPtr(S.To, C), S.Type,
+               EdgeOrigin::Cast);
+    return true;
+  case StmtKind::StaticLoad:
+    addPFGEdge(CSM.getStaticPtr(S.Field), varPtr(S.To, C), InvalidId,
+               EdgeOrigin::StaticLoad);
+    return true;
+  case StmtKind::StaticStore:
+    addPFGEdge(varPtr(S.From, C), CSM.getStaticPtr(S.Field), InvalidId,
+               EdgeOrigin::StaticStore);
+    return true;
+  case StmtKind::Invoke: {
+    if (S.IKind != InvokeKind::Static)
+      return false;
+    MethodId Callee = S.DirectCallee;
+    assert(Callee != InvalidId && "unresolved static call");
+    CtxId CalleeCtx = Selector->selectStatic(CM, C, S.CallSite, Callee);
+    CSCallSiteId CS = CG.getCSCallSite(S.CallSite, C);
+    CSMethodId CSCallee = CG.getCSMethod(Callee, CalleeCtx);
+    if (CG.addEdge(CS, CSCallee))
+      processCallEdge(CS, CSCallee, S, C, CalleeCtx);
+    return true;
+  }
+  case StmtKind::Load:
+  case StmtKind::Store:
+  case StmtKind::ArrayLoad:
+  case StmtKind::ArrayStore:
+  case StmtKind::Return:
+  case StmtKind::If:
+    return false; // Driven by points-to growth / call edges.
+  }
+  return false;
 }
 
 void Solver::processCallEdge(CSCallSiteId CS, CSMethodId Callee,
@@ -591,47 +594,19 @@ PTAResult Solver::resolveIncrement(uint32_t OldNumStmts) {
 
 void Solver::replayNewStmt(CSMethodId CSMth, const Stmt &S, StmtId SId,
                            CtxId C) {
+  if (seedStmt(S, C))
+    return;
   switch (S.Kind) {
-  case StmtKind::New:
-  case StmtKind::NewArray: {
-    CtxId HCtx = Selector->selectHeap(CM, C, S.Obj);
-    enqueueObj(varPtr(S.To, C), CSM.getCSObj(S.Obj, HCtx));
+  case StmtKind::Invoke: {
+    // A virtual call (seedStmt took the static ones). Receiver objects
+    // discovered before the delta will never revisit this new site on
+    // their own; replay them. Copy — dispatch may trigger collapses that
+    // grow the base's set mid-iteration.
+    PointsToSet Recv = ptsOf(varPtr(S.Base, C));
+    if (!Recv.empty())
+      processBaseUse(S, SId, C, Recv);
     break;
   }
-  case StmtKind::Assign:
-    addPFGEdge(varPtr(S.From, C), varPtr(S.To, C), InvalidId,
-               EdgeOrigin::Assign);
-    break;
-  case StmtKind::Cast:
-    addPFGEdge(varPtr(S.From, C), varPtr(S.To, C), S.Type,
-               EdgeOrigin::Cast);
-    break;
-  case StmtKind::StaticLoad:
-    addPFGEdge(CSM.getStaticPtr(S.Field), varPtr(S.To, C), InvalidId,
-               EdgeOrigin::StaticLoad);
-    break;
-  case StmtKind::StaticStore:
-    addPFGEdge(varPtr(S.From, C), CSM.getStaticPtr(S.Field), InvalidId,
-               EdgeOrigin::StaticStore);
-    break;
-  case StmtKind::Invoke:
-    if (S.IKind == InvokeKind::Static) {
-      MethodId Callee = S.DirectCallee;
-      assert(Callee != InvalidId && "unresolved static call");
-      CtxId CalleeCtx = Selector->selectStatic(CM, C, S.CallSite, Callee);
-      CSCallSiteId CS = CG.getCSCallSite(S.CallSite, C);
-      CSMethodId CSCallee = CG.getCSMethod(Callee, CalleeCtx);
-      if (CG.addEdge(CS, CSCallee))
-        processCallEdge(CS, CSCallee, S, C, CalleeCtx);
-    } else {
-      // Receiver objects discovered before the delta will never revisit
-      // this new site on their own; replay them. Copy — dispatch may
-      // trigger collapses that grow the base's set mid-iteration.
-      PointsToSet Recv = ptsOf(varPtr(S.Base, C));
-      if (!Recv.empty())
-        processBaseUse(S, SId, C, Recv);
-    }
-    break;
   case StmtKind::Load:
   case StmtKind::Store:
   case StmtKind::ArrayLoad:
@@ -662,6 +637,12 @@ void Solver::replayNewStmt(CSMethodId CSMth, const Stmt &S, StmtId SId,
       }
     }
     break;
+  case StmtKind::New:
+  case StmtKind::NewArray:
+  case StmtKind::Assign:
+  case StmtKind::Cast:
+  case StmtKind::StaticLoad:
+  case StmtKind::StaticStore: // seedStmt took these
   case StmtKind::If:
     break;
   }

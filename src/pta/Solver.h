@@ -185,6 +185,12 @@ public:
 
 private:
   void addReachable(MethodId M, CtxId C);
+  /// Seeds statement \p S in context \p C when its effect needs no
+  /// points-to facts: allocations, local and static copies, static
+  /// calls. False for the rest (field and array accesses, virtual calls,
+  /// returns), which points-to growth and call edges drive. Shared by
+  /// addReachable and replayNewStmt.
+  bool seedStmt(const Stmt &S, CtxId C);
   void processCallEdge(CSCallSiteId CS, CSMethodId Callee, const Stmt &S,
                        CtxId CallerCtx, CtxId CalleeCtx);
   void processCallOnReceiver(const Stmt &S, CtxId CallerCtx, CSObjId Recv);

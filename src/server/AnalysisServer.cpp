@@ -15,7 +15,6 @@
 
 #include <cassert>
 #include <istream>
-#include <optional>
 #include <ostream>
 
 using namespace csc;
@@ -222,19 +221,16 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
       // (see Options::Store): a batch, a single run or an earlier server
       // session over it may already hold this exact result.
       ResultStore *Store = Version == 1 ? Opts.Store.get() : nullptr;
-      std::optional<ResultKeys> Keys;
-      ResultKey K;
-      StoredResult SR;
-      if (Store)
-        Keys.emplace(Sess).key(SpecText, K);
-      if (Store && Store->lookup(K.Key, SR)) {
-        St->Run = runFromStored(std::move(SR));
-        St->Run.Name = St->Recipe.Name;
+      if (Store) {
+        ResultKeys Keys(Sess);
+        ResultKey K;
+        Keys.key(SpecText, K);
+        ResultKeys::Outcome Out = Keys.lookupOrRun(Sess, Store, SpecText, K);
+        St->Run = std::move(Out.Run);
+        St->FullRuns += !Out.Served;
       } else {
         St->Run = Sess.run(St->Recipe);
         ++St->FullRuns;
-        if (Store)
-          Keys->publish(Store, K, St->Run);
       }
       St->RunVersion = Version;
     }

@@ -12,29 +12,13 @@ using namespace csc;
 
 IncrementalSolver::IncrementalSolver(const Program &P,
                                      const AnalysisRecipe &R, Options O)
-    : P(P), Recipe(R), Opts(O) {
+    : P(P), Recipe(R),
+      Setup(solverSetup(Recipe, O.WorkBudget, O.TimeBudgetMs)) {
   assert(eligible(R) && "recipe needs plugins / pre-analysis; use a full "
                         "AnalysisSession instead");
-  Inner = makeSelector(Recipe);
-  if (Inner && Recipe.SelectOnly) {
-    Selective = std::make_unique<SelectiveSelector>(*Inner, *Recipe.SelectOnly);
-    Selector = Selective.get();
-  } else if (Inner) {
-    Selector = Inner.get();
-  }
 }
 
 IncrementalSolver::~IncrementalSolver() = default;
-
-SolverOptions IncrementalSolver::solverOptions() const {
-  SolverOptions SOpts;
-  SOpts.DeltaPropagation = !Recipe.DoopMode;
-  SOpts.CycleElimination = Recipe.CycleElimination;
-  SOpts.WorkBudget = Opts.WorkBudget;
-  SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
-  SOpts.Selector = Selector;
-  return SOpts;
-}
 
 void IncrementalSolver::noteDelta(bool CanWarmStart) {
   Valid = false;
@@ -50,7 +34,7 @@ const PTAResult &IncrementalSolver::ensureCurrent() {
     ++WarmResumesV;
     LastWarm = true;
   } else {
-    S = std::make_unique<Solver>(P, solverOptions());
+    S = std::make_unique<Solver>(P, Setup.Opts);
     Last = S->solve();
     ++FullSolvesV;
     LastWarm = false;
@@ -63,7 +47,7 @@ const PTAResult &IncrementalSolver::ensureCurrent() {
 
 PTAResult
 IncrementalSolver::demandSolve(const std::vector<uint8_t> &EnabledStmts) const {
-  SolverOptions SOpts = solverOptions();
+  SolverOptions SOpts = Setup.Opts;
   SOpts.EnabledStmts = &EnabledStmts;
   Solver DS(P, SOpts);
   return DS.solve();

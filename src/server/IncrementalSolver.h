@@ -36,7 +36,6 @@
 #define CSC_SERVER_INCREMENTALSOLVER_H
 
 #include "client/AnalysisRegistry.h"
-#include "pta/ContextSelector.h"
 #include "pta/Solver.h"
 
 #include <memory>
@@ -82,17 +81,11 @@ public:
   const AnalysisRecipe &recipe() const { return Recipe; }
 
 private:
-  SolverOptions solverOptions() const;
-
   const Program &P;
   AnalysisRecipe Recipe;
-  Options Opts;
-
-  // Selector chain owned here so the resident solver (and any demand
-  // solver) can reference it; all selectors are stateless.
-  std::unique_ptr<ContextSelector> Inner;
-  std::unique_ptr<SelectiveSelector> Selective;
-  ContextSelector *Selector = nullptr; ///< May be null (CI).
+  /// Owns the selector chain the resident solver (and any demand solver)
+  /// references; all selectors are stateless.
+  SolverSetup Setup;
 
   std::unique_ptr<Solver> S;
   PTAResult Last;

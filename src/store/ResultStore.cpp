@@ -98,19 +98,31 @@ bool ResultKeys::reusable(const AnalysisRun &Run) const {
          (Run.Status == RunStatus::BudgetExhausted && TimeBudgetMs == 0);
 }
 
-std::string ResultKeys::publish(ResultStore *Store, const ResultKey &K,
-                                AnalysisRun &Run, bool *Published) const {
-  std::string Display = std::move(Run.Name);
-  Run.Name = K.Canonical;
+ResultKeys::Outcome ResultKeys::lookupOrRun(AnalysisSession &S,
+                                            ResultStore *Store,
+                                            const std::string &Spec,
+                                            const ResultKey &K) const {
+  Outcome Out;
+  StoredResult SR;
+  if (Store && !K.Key.empty() && Store->lookup(K.Key, SR)) {
+    Out.RunJson = std::move(SR.RunJson);
+    Out.Run = runFromStored(std::move(SR));
+    Out.Run.Name = Spec;
+    Out.Served = true;
+    return Out;
+  }
+  Out.Run = S.run(Spec);
+  // The report is written under the canonical name, the run keeps the
+  // requested one.
+  std::string Display = std::move(Out.Run.Name);
+  Out.Run.Name = K.Canonical;
   JsonWriter J;
-  appendRunJson(J, Run, /*IncludeTimings=*/false);
-  Run.Name = std::move(Display);
-  std::string RunJson = J.take();
-  bool Ok = Store && !K.Key.empty() && reusable(Run) &&
-            Store->publish(K.Key, Run, RunJson);
-  if (Published)
-    *Published = Ok;
-  return RunJson;
+  appendRunJson(J, Out.Run, /*IncludeTimings=*/false);
+  Out.Run.Name = std::move(Display);
+  Out.RunJson = J.take();
+  Out.Published = Store && !K.Key.empty() && reusable(Out.Run) &&
+                  Store->publish(K.Key, Out.Run, Out.RunJson);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -102,10 +102,22 @@ class ResultStore;
 
 /// The one result-reuse path of --batch, single runs and --serve. Binds
 /// what a loaded session contributes to every key — program fingerprint,
-/// budgets, registry fingerprint — once, then keys specs, decides which
-/// outcomes may be reused, and publishes them.
+/// budgets, registry fingerprint — once, then keys specs, serves them
+/// from the store or runs and publishes them.
 class ResultKeys {
 public:
+  /// What lookupOrRun produced for one spec.
+  struct Outcome {
+    /// Name is the spec as requested. A served run has no timings: the
+    /// store keeps none.
+    AnalysisRun Run;
+    /// Timing-free report under the canonical name — the bytes batch
+    /// aggregates splice, independent of which spelling computed first.
+    std::string RunJson;
+    bool Served = false;    ///< Loaded from the store, not computed.
+    bool Published = false; ///< Computed, and the store took the entry.
+  };
+
   explicit ResultKeys(const AnalysisSession &S);
 
   /// Fills \p Out for \p Spec; false (Key empty) when the spec does not
@@ -118,13 +130,13 @@ public:
   /// are.
   bool reusable(const AnalysisRun &Run) const;
 
-  /// Serializes \p Run's timing-free report under \p K.Canonical — the
-  /// bytes batch aggregates splice, independent of which spelling
-  /// computed first — and, when \p Store is set, \p K is keyed and the run
-  /// reusable, publishes it. Returns the report; \p Published (if set)
-  /// tells whether the store took the entry.
-  std::string publish(ResultStore *Store, const ResultKey &K,
-                      AnalysisRun &Run, bool *Published = nullptr) const;
+  /// Look up, else run on the session and publish: serves \p Spec from
+  /// \p Store when it holds a valid entry under \p K (key(Spec, K)),
+  /// otherwise runs it on \p S and, when the outcome is reusable,
+  /// publishes it. A null \p Store or an unkeyed \p K only runs.
+  /// Thread-safe, like AnalysisSession::run and ResultStore.
+  Outcome lookupOrRun(AnalysisSession &S, ResultStore *Store,
+                      const std::string &Spec, const ResultKey &K) const;
 
 private:
   uint64_t ProgramFp, RegistryFp, WorkBudget;

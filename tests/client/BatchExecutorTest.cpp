@@ -3,7 +3,7 @@
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
 // Covers the batch analysis engine: determinism across --jobs (the
-// aggregate report must be byte-identical for 1 vs 8 pool threads),
+// aggregate report must be byte-identical for 1 vs 8 threads),
 // result-cache behavior within and across run() calls, program
 // fingerprinting, manifest parsing, and failure sequencing.
 //

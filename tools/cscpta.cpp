@@ -7,48 +7,10 @@
 // list of registered analysis specs over the one parsed program, and
 // reports per-analysis precision metrics as a human table or JSON.
 //
-// Usage:
-//   cscpta [options] <file.jir>...
-//   cscpta [options] --batch <manifest.json>
-//   cscpta [options] --serve <file.jir>...
-//     --analyses <list>    comma-separated specs (default: csc); e.g.
-//                          "ci,csc,2obj" or "k-type;k=3,zipper-e;pv=0.05"
-//     --json               emit a JSON report on stdout
-//     --points-to <v>      also query pt() of "Class.method.var"
-//                          (repeatable and comma-separable; one fixpoint
-//                          serves all queries; not available with --batch)
-//     --demand             answer --points-to queries demand-driven: solve
-//                          only the backward slice reaching the queried
-//                          variables instead of the whole program
-//     --serve              long-lived NDJSON request/response session on
-//                          stdin/stdout (see docs/CLI.md)
-//     --budget-ms <n>      wall-clock budget per analysis (0 = unlimited)
-//     --work-budget <n>    points-to-insertion budget per analysis
-//     --jobs <n>           run analyses on up to n pool threads
-//     --batch <manifest>   run a {program, specs[]} manifest (see
-//                          docs/CLI.md for the schema)
-//     --repeat <n>         run the batch n times in-process (cache demo)
-//     --store <dir>        persistent result store: completed runs are
-//                          published to <dir> and served back on later
-//                          invocations (single runs, --batch, --serve)
-//     --workers <n>        distribute the batch over n pull-mode worker
-//                          processes coordinating through a task ledger
-//                          in --store (crash-tolerant; see docs/CLI.md)
-//     --worker-pull        internal (spawned by --workers): pull task
-//                          leases from the store's ledger until drained
-//     --lease-ttl <ms>     task lease TTL for --workers (default 5000)
-//     --max-task-attempts <n>  quarantine a task after n failed leases
-//                          (default 3)
-//     --store-max-bytes <n>    GC: evict least-recently-used store
-//                          entries once objects/ exceeds n bytes
-//     --store-max-age <s>      GC: evict store entries unused for more
-//                          than s seconds
-//     --scrub              validate every --store entry and exit
-//     --stats              per-run solver/SCC statistics on stderr (with
-//                          --batch: result-cache statistics)
-//     --no-stdlib          do not prepend the modelled standard library
-//     --verbose            phase progress on stderr
-//     --list               list registered analyses and exit
+// Usage: cscpta [options] <file.jir>... | --batch <manifest.json> |
+// --serve <file.jir>... The option list is usage() below; docs/CLI.md
+// is the full reference (scripts/check_docs.sh checks that it documents
+// every flag the parser below accepts).
 //
 // Exit codes: 0 success, 1 load/spec failure, 2 usage error, 3 at least
 // one analysis exhausted its budget.
@@ -59,16 +21,19 @@
 #include "client/BatchExecutor.h"
 #include "client/Report.h"
 #include "server/AnalysisServer.h"
-#include "store/ResultStore.h"
 #include "server/DemandSlicer.h"
 #include "server/IncrementalSolver.h"
+#include "store/ResultStore.h"
+#include "support/ParallelFor.h"
 
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,7 +55,7 @@ int usage(const char *Prog) {
       "  --serve            NDJSON request/response session on stdin/stdout\n"
       "  --budget-ms <n>    wall-clock budget per analysis in ms\n"
       "  --work-budget <n>  points-to-insertion budget per analysis\n"
-      "  --jobs <n>         run analyses on up to n pool threads\n"
+      "  --jobs <n>         run up to n analyses side by side\n"
       "  --batch <manifest> run a {program, specs[]} manifest\n"
       "  --repeat <n>       run the batch n times in-process\n"
       "  --store <dir>      persistent result store (serves repeat runs\n"
@@ -623,48 +588,6 @@ int runDemand(const CliOptions &Cli, const AnalysisSession &S) {
   return 0;
 }
 
-/// Single-run path with a persistent store: per-spec store lookups, one
-/// runAll over the misses, publish-back of the computed runs.
-/// \p Served counts the specs answered straight from the store.
-std::vector<AnalysisRun> runAllWithStore(AnalysisSession &S,
-                                         const CliOptions &Cli,
-                                         ResultStore &Store,
-                                         uint64_t &Served) {
-  std::vector<std::string> Specs = splitSpecList(Cli.Analyses);
-  std::vector<AnalysisRun> Runs(Specs.size());
-  if (Specs.empty())
-    return Runs;
-  ResultKeys Keys(S);
-  std::vector<ResultKey> K(Specs.size());
-  std::vector<size_t> MissIdx;
-  std::string MissList;
-  for (size_t I = 0; I != Specs.size(); ++I) {
-    StoredResult SR;
-    if (Keys.key(Specs[I], K[I]) && Store.lookup(K[I].Key, SR)) {
-      Runs[I] = runFromStored(std::move(SR));
-      Runs[I].Name = Specs[I]; // display the requested spelling
-      ++Served;
-      continue;
-    }
-    // Misses (and unparsable specs, which runAll turns into SpecError
-    // runs carrying the same diagnostic) compute below in one pass.
-    MissIdx.push_back(I);
-    if (!MissList.empty())
-      MissList += ',';
-    MissList += Specs[I];
-  }
-
-  if (!MissIdx.empty()) {
-    std::vector<AnalysisRun> Computed = S.runAll(MissList, Cli.Jobs);
-    for (size_t J = 0; J != MissIdx.size() && J != Computed.size(); ++J) {
-      size_t I = MissIdx[J];
-      Runs[I] = std::move(Computed[J]);
-      Keys.publish(&Store, K[I], Runs[I]);
-    }
-  }
-  return Runs;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -947,11 +870,26 @@ int main(int Argc, char **Argv) {
     return runDemand(Cli, *S);
   }
 
+  // Each spec runs in its own slot. Only a store run builds keys: the
+  // fingerprint would cost a storeless run time for nothing.
   std::shared_ptr<ResultStore> Store = openStore(Cli);
-  uint64_t StoreServed = 0;
-  std::vector<AnalysisRun> Runs =
-      Store ? runAllWithStore(*S, Cli, *Store, StoreServed)
-            : S->runAll(Cli.Analyses, Cli.Jobs);
+  std::optional<ResultKeys> Keys;
+  if (Store)
+    Keys.emplace(*S);
+  std::vector<std::string> Specs = splitSpecList(Cli.Analyses);
+  std::vector<AnalysisRun> Runs(Specs.size());
+  std::atomic<uint64_t> StoreServed{0};
+  parallelFor(Specs.size(), Cli.Jobs, [&](size_t I) {
+    if (!Keys) {
+      Runs[I] = S->run(Specs[I]);
+      return;
+    }
+    ResultKey K;
+    Keys->key(Specs[I], K);
+    ResultKeys::Outcome R = Keys->lookupOrRun(*S, Store.get(), Specs[I], K);
+    StoreServed += R.Served;
+    Runs[I] = std::move(R.Run);
+  });
   if (Runs.empty()) {
     std::fprintf(stderr, "error: no analyses requested\n");
     return usage(Argv[0]);
@@ -968,7 +906,7 @@ int main(int Argc, char **Argv) {
       printRunStats(Run);
   }
   if (Cli.Stats && Store)
-    printStoreStats(*Store, StoreServed, Runs.size());
+    printStoreStats(*Store, StoreServed.load(), Runs.size());
 
   if (Cli.Json) {
     JsonWriter J;
