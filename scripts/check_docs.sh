@@ -10,8 +10,11 @@
 #      docs/CLI.md, and every `--flag` row of docs/CLI.md's option tables
 #      must be a flag the driver accepts (a deleted flag cannot stay
 #      documented), and
-#   4. every request op the analysis server dispatches on must be
-#      documented in docs/CLI.md, and
+#   4. every request op the analysis server dispatches on must have a
+#      row in docs/CLI.md's request table, and every row of that table
+#      must be an op the server dispatches on; likewise every query mode
+#      the server accepts must be listed in the table's `query` row, and
+#      every listed mode must be one the server accepts, and
 #   5. every spec parameter key some analysis accepts (the *Params[]
 #      lists of src/client/AnalysisRegistry.cpp) must have a row in docs/CLI.md's
 #      spec-parameter table, and every row of that table must be a key
@@ -123,7 +126,11 @@ for flag in $documented; do
   fi
 done
 
-# --- 4. Every server request op appears in docs/CLI.md ----------------------
+# --- 4. Server request ops and query modes <-> docs/CLI.md's request table
+# Ops are the `*Op == "x"` dispatch tests of the server and modes its
+# `Mode != "x"` acceptance tests; rows are the table that starts at the
+# `| `op` |` header, and the documented modes are the quoted strings in
+# the parenthesis after `"mode"` in its `query` row.
 ops="$(
   { grep -oE '\*Op == "[a-z-]+"' src/server/AnalysisServer.cpp \
       | grep -oE '"[a-z-]+"' | tr -d '"'; } || true
@@ -133,10 +140,63 @@ if [ -z "$ops" ]; then
        "src/server/AnalysisServer.cpp (did the dispatch syntax change?)"
   fail=1
 fi
+request_rows="$(
+  { awk '/^\| `op` \|/ {t=1; next} t && !/^\|/ {exit} t' docs/CLI.md; } \
+    || true
+)"
+op_rows="$(
+  { grep -oE '^\| `[a-z-]+`' <<< "$request_rows" \
+      | sed -E 's/^\| `//; s/`$//'; } || true
+)"
+if [ -z "$op_rows" ]; then
+  echo "error: could not extract any rows from docs/CLI.md's request" \
+       "table (did the table syntax change?)"
+  fail=1
+fi
 for op in $ops; do
-  if ! grep -qE "\`$op\`" docs/CLI.md; then
-    echo "error: server request op '$op' is not documented in" \
-         "docs/CLI.md (add it as \`$op\`)"
+  if ! grep -qxF -- "$op" <<< "$op_rows"; then
+    echo "error: server request op '$op' has no row in docs/CLI.md's" \
+         "request table"
+    fail=1
+  fi
+done
+for op in $op_rows; do
+  if ! grep -qxF -- "$op" <<< "$ops"; then
+    echo "error: docs/CLI.md documents request op '$op' but the server" \
+         "does not dispatch on it (remove the row)"
+    fail=1
+  fi
+done
+modes="$(
+  { grep -oE 'Mode != "[a-z-]+"' src/server/AnalysisServer.cpp \
+      | grep -oE '"[a-z-]+"' | tr -d '"' | sort -u; } || true
+)"
+if [ -z "$modes" ]; then
+  echo "error: could not extract any query modes from" \
+       "src/server/AnalysisServer.cpp (did the mode check change?)"
+  fail=1
+fi
+mode_docs="$(
+  { grep -E '^\| `query` \|' <<< "$request_rows" \
+      | grep -oE '`"mode"` \([^)]*\)' | sed -E 's/^`"mode"` //' \
+      | grep -oE '"[a-z-]+"' | tr -d '"' | sort -u; } || true
+)"
+if [ -z "$mode_docs" ]; then
+  echo "error: could not extract any query modes from the \`query\` row" \
+       "of docs/CLI.md's request table (did the row syntax change?)"
+  fail=1
+fi
+for mode in $modes; do
+  if ! grep -qxF -- "$mode" <<< "$mode_docs"; then
+    echo "error: server query mode '$mode' is not listed in the" \
+         "\`query\` row of docs/CLI.md's request table"
+    fail=1
+  fi
+done
+for mode in $mode_docs; do
+  if ! grep -qxF -- "$mode" <<< "$modes"; then
+    echo "error: docs/CLI.md lists query mode '$mode' but the server" \
+         "does not accept it (remove it from the \`query\` row)"
     fail=1
   fi
 done
@@ -185,5 +245,6 @@ fi
 echo "docs check OK ($(echo "$names" | wc -l) analysis names," \
      "$(echo "$flags" | sort -u | wc -l) driver flags," \
      "$(echo "$ops" | wc -l) server ops," \
+     "$(echo "$modes" | wc -l) query modes," \
      "$(echo "$params" | wc -l) spec parameters, links in README.md +" \
      "docs/*.md)"

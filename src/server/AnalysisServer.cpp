@@ -132,7 +132,7 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
       return errorResponse("missing or non-string 'mode'");
     Mode = V->Str;
   }
-  if (Mode != "auto" && Mode != "full" && Mode != "demand")
+  if (Mode != "auto" && Mode != "full")
     return errorResponse("unknown query mode '" + Mode + "'");
 
   // Resolve names before solving anything.
@@ -176,18 +176,13 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
   if (!St)
     return errorResponse(Error);
   const std::string &Canonical = St->Recipe.Name;
-  if (Mode == "demand" && !St->Inc)
-    return errorResponse("demand mode is not available for spec '" +
-                         Canonical + "'");
 
   // Mode resolution. "auto" answers demand-driven only while the spec has
   // never been fully solved (the cold-query case); once a resident
   // fixpoint exists, keeping it current via warm resume is cheaper than
-  // slicing per query.
-  bool UseDemand = Mode == "demand";
-  if (Mode == "auto" && St->Inc && St->Inc->fullSolves() == 0 &&
-      St->Inc->warmResumes() == 0)
-    UseDemand = true;
+  // slicing per query. "full" never slices.
+  bool UseDemand = Mode == "auto" && St->Inc && St->Inc->fullSolves() == 0 &&
+                   St->Inc->warmResumes() == 0;
 
   PTAResult DemandResult;
   const PTAResult *R = nullptr;
@@ -305,38 +300,36 @@ std::string AnalysisServer::handleAddDelta(const JsonValue &Req) {
     Name = V->Str;
   }
 
-  // Trial-apply on a copy: the live program (and every resident solver
-  // borrowing it) is only touched once the delta is known to be valid.
-  {
-    Program Trial = *Prog;
-    Parser TP(Trial);
-    std::vector<std::string> Errs;
-    if (!TP.parseSource(*Source, Name) || !TP.finalize()) {
-      Errs = TP.diagnostics();
-    } else {
-      for (const std::string &E : verifyProgram(Trial))
-        Errs.push_back("verifier: " + E);
-    }
-    if (!Errs.empty()) {
-      JsonWriter W;
-      W.beginObject().kv("ok", false).kv("error", "delta rejected");
-      W.key("errors").beginArray();
-      for (const std::string &E : Errs)
-        W.value(E);
-      W.endArray().endObject();
-      return W.take();
-    }
-  }
-
   uint32_t OldTypes = Prog->numTypes();
   uint32_t OldMethods = Prog->numMethods();
   uint32_t OldStmts = Prog->numStmts();
-  // Requests are served one at a time on this thread, so growing the
-  // shared Program here never overlaps a reader of it.
-  Parser LP(*Prog);
-  bool Ok = LP.parseSource(*Source, Name) && LP.finalize();
-  (void)Ok;
-  assert(Ok && "delta passed trial parse but failed on the live program");
+  // Parse into the live program, keeping a copy to restore if the delta
+  // is rejected. Requests are served one at a time on this thread, and
+  // solvers and the slicer borrow the Program object (which keeps its
+  // address) and hold only ids into it, so none of them sees the state in
+  // between. The live tables grow in place: moving a parsed copy in
+  // instead would free them on every delta and fragment the heap, which
+  // raises a long session's peak RSS.
+  Program Backup = *Prog;
+  std::vector<std::string> Errs;
+  {
+    Parser LP(*Prog);
+    if (!LP.parseSource(*Source, Name) || !LP.finalize())
+      Errs = LP.diagnostics();
+    else
+      for (const std::string &E : verifyProgram(*Prog))
+        Errs.push_back("verifier: " + E);
+  }
+  if (!Errs.empty()) {
+    *Prog = std::move(Backup);
+    JsonWriter W;
+    W.beginObject().kv("ok", false).kv("error", "delta rejected");
+    W.key("errors").beginArray();
+    for (const std::string &E : Errs)
+      W.value(E);
+    W.endArray().endObject();
+    return W.take();
+  }
   Slicer->reindex();
 
   // Monotonicity classification: a new method on a pre-existing class can

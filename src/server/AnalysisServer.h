@@ -24,8 +24,9 @@
 /// free recipes: the solver stays resident; additive deltas warm-start the
 /// fixpoint, dispatch-changing ones trigger a full re-solve) or a cached
 /// full AnalysisSession run keyed by program version (csc / zipper-e
-/// recipes). Cold queries on incremental-eligible specs are answered
-/// demand-driven: a DemandSlicer slice restricted to the queried
+/// recipes). Query mode "full" answers from that state; "auto" (the
+/// default) answers a cold query on an incremental-eligible spec
+/// demand-driven instead: a DemandSlicer slice restricted to the queried
 /// variables, solved by a throwaway restricted solver.
 ///
 /// Determinism contract: every field of a query answer outside the "meta"

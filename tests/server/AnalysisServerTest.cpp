@@ -17,6 +17,7 @@
 #include "server/AnalysisServer.h"
 
 #include "TestUtil.h"
+#include "ir/Printer.h"
 #include "store/ResultStore.h"
 #include "support/Json.h"
 
@@ -127,9 +128,6 @@ TEST(AnalysisServerTest, PointsToAnswersAgreeAcrossModes) {
   std::string Full = S->handleLine(
       R"({"op":"query","kind":"points-to","var":"Main.main.result1","mode":"full"})");
   EXPECT_EQ(parsed(Full).get("meta")->get("mode")->Str, "full");
-  std::string Demand = S->handleLine(
-      R"({"op":"query","kind":"points-to","var":"Main.main.result1","mode":"demand"})");
-  EXPECT_EQ(stripMeta(Full), stripMeta(Demand));
   EXPECT_EQ(stripMeta(Auto), stripMeta(Full));
 
   // Context-sensitive specs answer through the same machinery, precisely.
@@ -259,18 +257,26 @@ TEST(AnalysisServerTest, RejectedDeltaLeavesTheSessionUntouched) {
   ASSERT_NE(S, nullptr);
   std::string Before = stripMeta(S->handleLine(
       R"({"op":"query","kind":"points-to","var":"Main.main.result1"})"));
+  std::string ProgramBefore = printProgram(S->program());
 
-  // References an unknown class: fails the trial parse.
-  JsonValue Bad = parsed(S->handleLine(
-      R"({"op":"add-delta","source":"extend class Nope { }"})"));
-  EXPECT_FALSE(okOf(Bad));
-  EXPECT_EQ(errorOf(Bad), "delta rejected");
-  const JsonValue *Errs = Bad.get("errors");
-  ASSERT_TRUE(Errs && Errs->isArray());
-  EXPECT_FALSE(Errs->Arr.empty());
+  // References an unknown class: fails the parse. The second delta adds a
+  // whole class before it fails, so the parse has grown the program.
+  for (const char *Source :
+       {"extend class Nope { }",
+        "class Fresh { field f: Item; } extend class Nope { }"}) {
+    JsonWriter Req;
+    Req.beginObject().kv("op", "add-delta").kv("source", Source).endObject();
+    JsonValue Bad = parsed(S->handleLine(Req.take()));
+    EXPECT_FALSE(okOf(Bad)) << Source;
+    EXPECT_EQ(errorOf(Bad), "delta rejected") << Source;
+    const JsonValue *Errs = Bad.get("errors");
+    ASSERT_TRUE(Errs && Errs->isArray()) << Source;
+    EXPECT_FALSE(Errs->Arr.empty()) << Source;
+  }
 
   // Nothing changed: same version, same program, same answers.
   EXPECT_EQ(S->version(), 1u);
+  EXPECT_EQ(printProgram(S->program()), ProgramBefore);
   JsonValue Stats = parsed(S->handleLine(R"({"op":"stats"})"));
   EXPECT_EQ(Stats.get("deltas")->Num, 0);
   std::string After = stripMeta(S->handleLine(
@@ -400,7 +406,9 @@ TEST(AnalysisServerTest, ExhaustedBudgetIsReportedNotAnswered) {
   O.WorkBudget = 1;
   auto S = makeServer({{"fig.jir", figure1Source()}}, O);
   ASSERT_NE(S, nullptr);
-  for (const char *Mode : {"demand", "full"}) {
+  // The cold "auto" query takes the demand path, then "full" the
+  // whole-program one: both must report the exhausted budget.
+  for (const char *Mode : {"auto", "full"}) {
     JsonValue V = parsed(S->handleLine(
         std::string(
             R"({"op":"query","kind":"points-to","var":"Main.main.result1","mode":")") +
@@ -450,7 +458,7 @@ TEST(AnalysisServerTest, PinnedErrorDiagnostics) {
   EXPECT_EQ(
       ErrorFor(
           R"({"op":"query","kind":"points-to","var":"Main.main.result1","spec":"csc","mode":"demand"})"),
-      "demand mode is not available for spec 'csc'");
+      "unknown query mode 'demand'");
   EXPECT_EQ(ErrorFor(R"({"op":"add-delta"})"),
             "missing or non-string 'source'");
 }

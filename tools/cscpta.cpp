@@ -21,8 +21,6 @@
 #include "client/BatchExecutor.h"
 #include "client/Report.h"
 #include "server/AnalysisServer.h"
-#include "server/DemandSlicer.h"
-#include "server/IncrementalSolver.h"
 #include "store/ResultStore.h"
 #include "support/ParallelFor.h"
 
@@ -51,7 +49,6 @@ int usage(const char *Prog) {
       "  --json             emit a JSON report on stdout\n"
       "  --points-to <var>  query pt() of \"Class.method.var\" (repeatable,\n"
       "                     comma-separable; one fixpoint serves all)\n"
-      "  --demand           solve only the slice reaching --points-to vars\n"
       "  --serve            NDJSON request/response session on stdin/stdout\n"
       "  --budget-ms <n>    wall-clock budget per analysis in ms\n"
       "  --work-budget <n>  points-to-insertion budget per analysis\n"
@@ -100,7 +97,6 @@ struct CliOptions {
   bool Verbose = false;
   bool List = false;
   bool Serve = false;
-  bool Demand = false;
 };
 
 /// Accepts "--opt value" and "--opt=value".
@@ -493,101 +489,6 @@ void appendPointsToJson(JsonWriter &J, const Program &P, const PTAResult &R,
   J.endObject();
 }
 
-/// `--demand`: answers the --points-to queries per spec by solving only
-/// the backward slice reaching the queried variables (one slice serves
-/// every spec — it is selector-independent).
-int runDemand(const CliOptions &Cli, const AnalysisSession &S) {
-  const Program &P = S.program();
-  std::vector<std::string> Specs = splitSpecList(Cli.Analyses);
-  if (Specs.empty()) {
-    std::fprintf(stderr, "error: no analyses requested\n");
-    return 2;
-  }
-
-  std::vector<VarId> Roots;
-  for (const std::string &Q : Cli.PointsToQueries) {
-    VarId V = P.varByName(Q);
-    if (V != InvalidId)
-      Roots.push_back(V);
-  }
-  DemandSlicer Slicer(P);
-  DemandSlicer::Slice Slice = Slicer.sliceFor(Roots);
-
-  bool AnySpecError = false, AnyExhausted = false;
-  JsonWriter J;
-  if (Cli.Json) {
-    J.beginObject().kv("tool", "cscpta").kv("demand", true);
-    J.key("slice")
-        .beginObject()
-        .kv("enabled_stmts", Slice.EnabledStmts)
-        .kv("total_stmts", P.numStmts())
-        .kv("relevant_vars", Slice.RelevantVars)
-        .endObject();
-    J.key("queries").beginArray();
-  } else {
-    std::printf("demand slice: %u/%u statements enabled, %u relevant "
-                "variables\n",
-                Slice.EnabledStmts, P.numStmts(), Slice.RelevantVars);
-  }
-
-  for (const std::string &SpecText : Specs) {
-    AnalysisRecipe Recipe;
-    std::string Error;
-    if (!AnalysisRegistry::global().build(SpecText, Recipe, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      AnySpecError = true;
-      continue;
-    }
-    if (!IncrementalSolver::eligible(Recipe)) {
-      std::fprintf(stderr,
-                   "error: --demand is not available for spec '%s'\n",
-                   Recipe.Name.c_str());
-      AnySpecError = true;
-      continue;
-    }
-    IncrementalSolver::Options IO;
-    IO.WorkBudget = Cli.WorkBudget;
-    IO.TimeBudgetMs = Cli.BudgetMs;
-    IncrementalSolver Inc(P, Recipe, IO);
-    PTAResult R = Inc.demandSolve(Slice.Enabled);
-    if (R.Exhausted) {
-      std::fprintf(stderr, "error: %s: analysis budget exhausted\n",
-                   Recipe.Name.c_str());
-      AnyExhausted = true;
-      continue;
-    }
-    if (Cli.Stats)
-      std::fprintf(stderr,
-                   "[cscpta] stats %s (demand): pops %llu, pts-insertions "
-                   "%llu, pfg-edges %llu\n",
-                   Recipe.Name.c_str(),
-                   static_cast<unsigned long long>(R.Stats.WorklistPops),
-                   static_cast<unsigned long long>(R.Stats.PtsInsertions),
-                   static_cast<unsigned long long>(R.Stats.PFGEdges));
-    if (Cli.Json) {
-      for (const std::string &Q : Cli.PointsToQueries) {
-        J.beginObject().kv("analysis", Recipe.Name).key("points_to");
-        appendPointsToJson(J, P, R, Q);
-        J.endObject();
-      }
-    } else {
-      std::printf("%s (demand):\n", Recipe.Name.c_str());
-      for (const std::string &Q : Cli.PointsToQueries)
-        printPointsTo(P, R, Q);
-    }
-  }
-
-  if (Cli.Json) {
-    J.endArray().endObject();
-    std::printf("%s\n", J.str().c_str());
-  }
-  if (AnySpecError)
-    return 1;
-  if (AnyExhausted)
-    return 3;
-  return 0;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -679,8 +580,6 @@ int main(int Argc, char **Argv) {
       Cli.Json = true;
     } else if (Arg == "--serve") {
       Cli.Serve = true;
-    } else if (Arg == "--demand") {
-      Cli.Demand = true;
     } else if (Arg == "--stats") {
       Cli.Stats = true;
     } else if (Arg == "--no-stdlib") {
@@ -762,11 +661,6 @@ int main(int Argc, char **Argv) {
                            "--serve (send query requests instead)\n");
       return usage(Argv[0]);
     }
-    if (Cli.Demand) {
-      std::fprintf(stderr, "error: --demand is not available with --serve "
-                           "(send mode \"demand\" queries instead)\n");
-      return usage(Argv[0]);
-    }
     if (Cli.Json) {
       std::fprintf(stderr, "error: --json is not available with --serve "
                            "(responses are always JSON)\n");
@@ -820,11 +714,6 @@ int main(int Argc, char **Argv) {
                    "error: --points-to is not available with --batch\n");
       return usage(Argv[0]);
     }
-    if (Cli.Demand) {
-      std::fprintf(stderr,
-                   "error: --demand is not available with --batch\n");
-      return usage(Argv[0]);
-    }
     if (Cli.AnalysesSet) {
       std::fprintf(stderr, "error: --analyses conflicts with --batch "
                            "(specs come from the manifest)\n");
@@ -836,8 +725,9 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --repeat requires --batch\n");
     return usage(Argv[0]);
   }
-  if (Cli.Demand && Cli.PointsToQueries.empty()) {
-    std::fprintf(stderr, "error: --demand requires --points-to\n");
+  std::vector<std::string> Specs = splitSpecList(Cli.Analyses);
+  if (Specs.empty()) {
+    std::fprintf(stderr, "error: no analyses requested\n");
     return usage(Argv[0]);
   }
   if (Cli.Files.empty())
@@ -862,21 +752,12 @@ int main(int Argc, char **Argv) {
   }
   const Program &P = S->program();
 
-  if (Cli.Demand) {
-    // The default spec list is "csc", which needs its plugin and cannot
-    // run restricted; default the demand path to the plugin-free "ci".
-    if (!Cli.AnalysesSet)
-      Cli.Analyses = "ci";
-    return runDemand(Cli, *S);
-  }
-
   // Each spec runs in its own slot. Only a store run builds keys: the
   // fingerprint would cost a storeless run time for nothing.
   std::shared_ptr<ResultStore> Store = openStore(Cli);
   std::optional<ResultKeys> Keys;
   if (Store)
     Keys.emplace(*S);
-  std::vector<std::string> Specs = splitSpecList(Cli.Analyses);
   std::vector<AnalysisRun> Runs(Specs.size());
   std::atomic<uint64_t> StoreServed{0};
   parallelFor(Specs.size(), Cli.Jobs, [&](size_t I) {
@@ -890,10 +771,6 @@ int main(int Argc, char **Argv) {
     StoreServed += R.Served;
     Runs[I] = std::move(R.Run);
   });
-  if (Runs.empty()) {
-    std::fprintf(stderr, "error: no analyses requested\n");
-    return usage(Argv[0]);
-  }
 
   bool AnySpecError = false, AnyExhausted = false;
   for (const AnalysisRun &Run : Runs) {
