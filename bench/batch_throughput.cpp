@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -55,9 +56,16 @@ double specsPerSec(size_t Runs, double WallMs) {
 }
 
 /// Writes the tier programs as .jir files plus a cscpta --batch manifest
-/// into \p Dir (which must exist). Returns the process exit code.
+/// into \p Dir, creating it and its parents. Returns the process exit code.
 int emitTiers(const std::string &Dir, size_t MaxTiers,
               const std::vector<std::string> &Specs) {
+  std::error_code EC;
+  std::filesystem::create_directories(Dir, EC);
+  if (EC) {
+    std::fprintf(stderr, "error: cannot create '%s': %s\n", Dir.c_str(),
+                 EC.message().c_str());
+    return 1;
+  }
   JsonWriter M;
   M.beginObject().key("entries").beginArray();
   size_t Tier = 0;

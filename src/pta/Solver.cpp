@@ -254,8 +254,7 @@ void Solver::addReachable(MethodId M, CtxId C) {
 
   const MethodInfo &MI = P.method(M);
   for (StmtId SId : MI.AllStmts)
-    if (stmtEnabled(SId)) // else outside the demand slice's cone
-      seedStmt(P.stmt(SId), C);
+    seedStmt(P.stmt(SId), C);
 }
 
 bool Solver::seedStmt(const Stmt &S, CtxId C) {
@@ -367,11 +366,8 @@ void Solver::processPointer(PtrId Pr, const PointsToSet &Delta) {
   if (PI.Kind == PtrKind::Var) {
     VarId V = PI.A;
     CtxId C = PI.B;
-    for (StmtId SId : BaseUses[V]) {
-      if (!stmtEnabled(SId))
-        continue; // Demand slice: outside the queried variables' cone.
+    for (StmtId SId : BaseUses[V])
       processBaseUse(P.stmt(SId), SId, C, Delta);
-    }
   }
   for (SolverPlugin *Pl : Plugins)
     Pl->onNewPointsTo(Pr, Delta);
@@ -581,11 +577,9 @@ PTAResult Solver::resolveIncrement(uint32_t OldNumStmts) {
   for (CSMethodId CSMth : Snapshot) {
     const CSMethodInfo &CSMI = CG.csMethod(CSMth);
     const MethodInfo &MI = P.method(CSMI.M);
-    for (StmtId SId : MI.AllStmts) {
-      if (SId < OldNumStmts || !stmtEnabled(SId))
-        continue;
-      replayNewStmt(CSMth, P.stmt(SId), SId, CSMI.Ctx);
-    }
+    for (StmtId SId : MI.AllStmts)
+      if (SId >= OldNumStmts)
+        replayNewStmt(CSMth, P.stmt(SId), SId, CSMI.Ctx);
   }
 
   runFixpointLoop();

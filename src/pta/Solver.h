@@ -65,15 +65,6 @@ struct SolverOptions {
   uint64_t WorkBudget = ~0ULL;
   /// Optional wall-clock cap in milliseconds (0 = unlimited).
   double TimeBudgetMs = 0.0;
-  /// Optional statement restriction for demand-driven solving (not owned;
-  /// must outlive the solver). When set, statement discovery
-  /// (addReachable) and points-to-driven statement reprocessing skip any
-  /// statement whose id maps to 0; ids at or beyond the bitset's size are
-  /// enabled. The caller (server/DemandSlicer) guarantees the enabled set
-  /// is closed under the dependences of the queried variables, so the
-  /// restricted fixpoint computes exactly the whole-program points-to
-  /// sets for them at slice-bounded cost. nullptr = all enabled.
-  const std::vector<uint8_t> *EnabledStmts = nullptr;
 };
 
 class Solver {
@@ -204,10 +195,6 @@ private:
   /// to replay a *new* statement against a base's already-computed set.
   void processBaseUse(const Stmt &S, StmtId SId, CtxId C,
                       const PointsToSet &Delta);
-  bool stmtEnabled(StmtId S) const {
-    return !Opts.EnabledStmts || S >= Opts.EnabledStmts->size() ||
-           (*Opts.EnabledStmts)[S];
-  }
   /// (Re)indexes BaseUses for statements with id >= Begin.
   void indexBaseUses(StmtId Begin);
   /// Seeds the effects of one delta statement in an already-reachable

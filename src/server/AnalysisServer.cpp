@@ -64,7 +64,6 @@ bool AnalysisServer::load(
       !verifyRunnable(*NewProg, Diags))
     return false;
   Prog = std::move(NewProg);
-  Slicer = std::make_unique<DemandSlicer>(*Prog);
   Specs.clear();
   Version = 1;
   Deltas = 0;
@@ -177,36 +176,27 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
     return errorResponse(Error);
   const std::string &Canonical = St->Recipe.Name;
 
-  // Mode resolution. "auto" answers demand-driven only while the spec has
-  // never been fully solved (the cold-query case); once a resident
-  // fixpoint exists, keeping it current via warm resume is cheaper than
-  // slicing per query. "full" never slices.
-  bool UseDemand = Mode == "auto" && St->Inc && St->Inc->fullSolves() == 0 &&
-                   St->Inc->warmResumes() == 0;
+  // Mode resolution. A "full" query makes the spec's fixpoint resident,
+  // and from then on every query keeps it current by warm resume. Until
+  // then "auto" answers from one from-scratch run per program version, as
+  // csc and zipper-e always do: a session that never asks "full" holds no
+  // solver between requests.
+  bool Resident = St->Inc && (Mode == "full" || St->Inc->fullSolves() > 0);
 
-  PTAResult DemandResult;
   const PTAResult *R = nullptr;
-  DemandSlicer::Slice Slice;
   bool WarmStart = false;
-  double FullRunMs = 0;
-  if (UseDemand) {
-    std::vector<VarId> Roots;
-    if (IsPointsTo)
-      Roots.push_back(QueryVar);
-    else if (IsMayAlias) {
-      Roots.push_back(AliasA);
-      Roots.push_back(AliasB);
-    } // callees: the call-graph core alone answers it.
-    Slice = Slicer->sliceFor(Roots);
-    DemandResult = St->Inc->demandSolve(Slice.Enabled);
-    ++St->DemandSolves;
-    R = &DemandResult;
-  } else if (St->Inc) {
+  if (Resident) {
+    if (St->RunVersion != 0) { // superseded by the resident fixpoint
+      St->Run = AnalysisRun();
+      St->RunVersion = 0;
+    }
     R = &St->Inc->ensureCurrent();
     WarmStart = St->Inc->lastWasWarm();
   } else {
-    // Plugin / pre-analysis recipes: cached from-scratch run per version.
     if (St->RunVersion != Version) {
+      // Release the previous version's result before solving this one,
+      // so the two never coexist.
+      St->Run = AnalysisRun();
       AnalysisSession::Options SOpts;
       SOpts.WithStdlib = Opts.WithStdlib;
       SOpts.WorkBudget = Opts.WorkBudget;
@@ -232,7 +222,6 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
     if (St->Run.Status != RunStatus::Completed)
       return errorResponse("analysis budget exhausted");
     R = &St->Run.Result;
-    FullRunMs = St->Run.Timings.TotalMs;
   }
   if (R->Exhausted)
     return errorResponse("analysis budget exhausted");
@@ -266,21 +255,16 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
     W.endArray();
   }
 
-  // Diagnostics: session version, mode, work, timing. Everything in here
-  // may legitimately differ between a warm resume, a demand slice, and a
-  // cold oracle run — CI strips it (with timings) before diffing answers.
-  W.key("meta").beginObject();
-  W.kv("version", Version);
-  W.kv("mode", UseDemand ? "demand" : "full");
-  if (UseDemand) {
-    W.kv("enabled_stmts", Slice.EnabledStmts)
-        .kv("relevant_vars", Slice.RelevantVars)
-        .kv("pts_insertions", R->Stats.PtsInsertions);
-  } else {
-    W.kv("warm_start", WarmStart);
-  }
-  W.kv("time_ms", St->Inc ? R->TimeMs : FullRunMs);
-  W.endObject().endObject();
+  // Diagnostics: session version, warm start, timing. Everything in here
+  // may legitimately differ between a warm resume, a per-version run and
+  // a cold oracle run — CI strips it (with timings) before diffing answers.
+  W.key("meta")
+      .beginObject()
+      .kv("version", Version)
+      .kv("warm_start", WarmStart)
+      .kv("time_ms", Resident ? R->TimeMs : St->Run.Timings.TotalMs)
+      .endObject()
+      .endObject();
   return W.take();
 }
 
@@ -305,11 +289,11 @@ std::string AnalysisServer::handleAddDelta(const JsonValue &Req) {
   uint32_t OldStmts = Prog->numStmts();
   // Parse into the live program, keeping a copy to restore if the delta
   // is rejected. Requests are served one at a time on this thread, and
-  // solvers and the slicer borrow the Program object (which keeps its
-  // address) and hold only ids into it, so none of them sees the state in
-  // between. The live tables grow in place: moving a parsed copy in
-  // instead would free them on every delta and fragment the heap, which
-  // raises a long session's peak RSS.
+  // solvers borrow the Program object (which keeps its address) and hold
+  // only ids into it, so none of them sees the state in between. The live
+  // tables grow in place: moving a parsed copy in instead would free them
+  // on every delta and fragment the heap, which raises a long session's
+  // peak RSS.
   Program Backup = *Prog;
   std::vector<std::string> Errs;
   {
@@ -330,7 +314,6 @@ std::string AnalysisServer::handleAddDelta(const JsonValue &Req) {
     W.endArray().endObject();
     return W.take();
   }
-  Slicer->reindex();
 
   // Monotonicity classification: a new method on a pre-existing class can
   // change dispatch for objects already flowing through the fixpoint —
@@ -383,16 +366,17 @@ std::string AnalysisServer::handleStats() {
       .endObject();
   W.key("specs").beginArray();
   for (const auto &[Key, St] : Specs) {
-    W.beginObject().kv("spec", Key).kv("incremental", St.Inc != nullptr);
-    if (St.Inc) {
-      W.kv("full_solves", St.Inc->fullSolves())
-          .kv("warm_resumes", St.Inc->warmResumes())
-          .kv("current", St.Inc->current());
-    } else {
-      W.kv("full_solves", St.FullRuns)
-          .kv("current", St.RunVersion == Version);
-    }
-    W.kv("demand_solves", St.DemandSolves).endObject();
+    // full_solves counts every from-scratch solve: per-version runs plus
+    // the resident solver's cold solves.
+    W.beginObject()
+        .kv("spec", Key)
+        .kv("incremental", St.Inc != nullptr)
+        .kv("full_solves",
+            St.FullRuns + (St.Inc ? St.Inc->fullSolves() : 0));
+    if (St.Inc)
+      W.kv("warm_resumes", St.Inc->warmResumes());
+    W.kv("current", (St.Inc && St.Inc->current()) || St.RunVersion == Version)
+        .endObject();
   }
   W.endArray();
   if (Opts.Store) {

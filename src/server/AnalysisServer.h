@@ -20,21 +20,21 @@
 ///   {"op":"stats"}
 ///   {"op":"shutdown"}
 ///
-/// Per analysis spec the server keeps either an IncrementalSolver (plugin-
-/// free recipes: the solver stays resident; additive deltas warm-start the
-/// fixpoint, dispatch-changing ones trigger a full re-solve) or a cached
-/// full AnalysisSession run keyed by program version (csc / zipper-e
-/// recipes). Query mode "full" answers from that state; "auto" (the
-/// default) answers a cold query on an incremental-eligible spec
-/// demand-driven instead: a DemandSlicer slice restricted to the queried
-/// variables, solved by a throwaway restricted solver.
+/// Per analysis spec the server keeps a cached full AnalysisSession run
+/// keyed by program version, and for plugin-free recipes also an
+/// IncrementalSolver. A "full" query makes that solver resident: additive
+/// deltas then warm-start the fixpoint, dispatch-changing ones trigger a
+/// full re-solve, and every later query of the spec reads it. Until then
+/// ("auto", the default, on a spec never queried "full") a query answers
+/// from the per-version run, solved once per program version, as csc and
+/// zipper-e always do.
 ///
 /// Determinism contract: every field of a query answer outside the "meta"
 /// object is a pure function of the post-delta program and the spec —
-/// byte-identical whether produced by a warm resume, a demand slice, or a
-/// from-scratch session (CI's server smoke diffs exactly this). "meta"
-/// carries mode/work/timing diagnostics and is stripped before diffing,
-/// like timings in batch reports.
+/// byte-identical whether produced by a warm resume, a per-version run,
+/// or a from-scratch session (CI's server smoke diffs exactly this).
+/// "meta" carries version/warm-start/timing diagnostics and is stripped
+/// before diffing, like timings in batch reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +42,6 @@
 #define CSC_SERVER_ANALYSISSERVER_H
 
 #include "client/AnalysisSession.h"
-#include "server/DemandSlicer.h"
 #include "server/IncrementalSolver.h"
 #include "support/JsonParse.h"
 
@@ -64,11 +63,11 @@ public:
     bool WithStdlib = true;
     uint64_t WorkBudget = ~0ULL; ///< Per solve; ~0 = unlimited.
     double TimeBudgetMs = 0;     ///< Per solve; 0 = unlimited.
-    /// Optional persistent result store: the fallback full-run path
-    /// (non-incremental recipes) consults it before solving and publishes
-    /// after, at the loaded program (version 1) only. Demand slices and
-    /// post-delta programs are never looked up or stored — their results
-    /// are not whole-program facts of an on-disk-addressable input.
+    /// Optional persistent result store: the per-version run consults it
+    /// before solving and publishes after, at the loaded program (version
+    /// 1) only. The resident fixpoint and post-delta programs are never
+    /// looked up or stored — post-delta results are not facts of an
+    /// on-disk-addressable input.
     std::shared_ptr<ResultStore> Store;
   };
 
@@ -99,15 +98,14 @@ public:
   const Program &program() const { return *Prog; }
 
 private:
-  /// Per-spec resident state: exactly one of Inc (incremental-eligible
-  /// recipes) or the version-keyed full-run cache is active.
+  /// Per-spec state: the version-keyed full-run cache until Inc (for
+  /// incremental-eligible recipes) holds a fixpoint, then Inc alone.
   struct SpecState {
     AnalysisRecipe Recipe;
     std::unique_ptr<IncrementalSolver> Inc;
-    AnalysisRun Run;            ///< Fallback path: last full run.
+    AnalysisRun Run;            ///< Last per-version run.
     uint64_t RunVersion = 0;    ///< Version Run was computed at; 0 = none.
     uint64_t FullRuns = 0;      ///< Runs computed here (not store hits).
-    uint64_t DemandSolves = 0;
   };
 
   /// Resolves \p SpecText to resident state (creating it on first use);
@@ -120,7 +118,6 @@ private:
 
   Options Opts;
   std::unique_ptr<Program> Prog;
-  std::unique_ptr<DemandSlicer> Slicer;
   uint64_t Version = 0;
   uint64_t Deltas = 0;
   std::map<std::string, SpecState> Specs; ///< Keyed by canonical spec.

@@ -8,10 +8,8 @@
 
 using namespace csc;
 
-DemandSlicer::DemandSlicer(const Program &P) : P(P) { reindex(); }
-
-void DemandSlicer::reindex() {
-  for (StmtId S = IndexedStmts; S < P.numStmts(); ++S) {
+DemandSlicer::DemandSlicer(const Program &P) : P(P) {
+  for (StmtId S = 0; S < P.numStmts(); ++S) {
     const Stmt &St = P.stmt(S);
     switch (St.Kind) {
     case StmtKind::Store:
@@ -33,11 +31,6 @@ void DemandSlicer::reindex() {
       break;
     }
   }
-  IndexedStmts = P.numStmts();
-
-  // Method index rebuilt from scratch: methods are few relative to
-  // statements and may gain bodies (append) without changing identity.
-  MethodsBySubsig.clear();
   for (MethodId M = 0; M < P.numMethods(); ++M) {
     const MethodInfo &MI = P.method(M);
     if (!MI.IsAbstract)

@@ -6,10 +6,15 @@
 ///
 /// \file
 /// Computes the set of statements a fixpoint restricted to a handful of
-/// queried variables needs — the demand-driven half of the analysis
-/// server, per Lazy Pointer Analysis (PAPERS.md): a query for pt(v) only
-/// has to evaluate the backward slice of the pointer flow graph reaching
-/// v, so cold-query latency is bounded by slice size, not program size.
+/// queried variables would need, per Lazy Pointer Analysis (PAPERS.md): a
+/// query for pt(v) only has to evaluate the backward slice of the pointer
+/// flow graph reaching v.
+///
+/// Nothing solves a slice any more. Every slice keeps the call-graph core
+/// below, so on the scaling workloads a slice is most of the program and a
+/// restricted solve ran about as long as a whole-program one; the server
+/// answers every query from a whole-program fixpoint. The slicer remains
+/// as a measurement: perfbench times sliceFor() and counts slice sizes.
 ///
 /// The slice is syntactic (computed before any solving) and closed under
 /// every rule that can add an object to a relevant pointer's set:
@@ -20,7 +25,7 @@
 ///    static-store sources, CHA-approximated callee return variables,
 ///    CHA-approximated caller arguments for relevant parameters);
 ///  * the "call-graph core": every invoke statement plus every invoke
-///    receiver base, so the restricted run builds the exact on-the-fly
+///    receiver base, so a restricted run would build the exact on-the-fly
 ///    call graph (receivers dispatch on points-to facts, and parameter /
 ///    return bindings are wired per discovered call edge — identical to
 ///    the whole-program run). The CHA closures above only decide which
@@ -28,11 +33,11 @@
 ///    dispatch, which is always sound.
 ///
 /// Soundness is per-variable and selector-independent: for every variable
-/// marked relevant, the restricted fixpoint computes exactly the
+/// marked relevant, a restricted fixpoint would compute exactly the
 /// whole-program points-to set under any ContextSelector (the slice never
 /// mentions contexts). Variables outside the slice may see smaller sets —
-/// that is the point — so results of a restricted run must only be read
-/// for the queried roots (and the call graph, which stays exact).
+/// that is the point — so a restricted run could only be read for the
+/// queried roots (and the call graph, which stays exact).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,17 +54,11 @@ namespace csc {
 class DemandSlicer {
 public:
   /// Indexes \p P (stores by field, call sites by callee); O(#stmts).
-  /// The slicer borrows the program and must be rebuilt (or refreshed via
-  /// reindex()) after it grows.
+  /// The slicer borrows the program and must be rebuilt after it grows.
   explicit DemandSlicer(const Program &P);
 
-  /// Re-indexes statements added since construction / the last reindex.
-  void reindex();
-
   struct Slice {
-    /// Per-StmtId enable bit, sized to the program at slicing time; feed
-    /// as SolverOptions::EnabledStmts. Ids beyond the vector (statements
-    /// added later) are treated as enabled by the solver.
+    /// Per-StmtId enable bit, sized to the program at slicing time.
     std::vector<uint8_t> Enabled;
     uint32_t EnabledStmts = 0;  ///< Number of set bits.
     uint32_t RelevantVars = 0;  ///< Variables in the backward closure.
@@ -70,7 +69,6 @@ public:
 
 private:
   const Program &P;
-  uint32_t IndexedStmts = 0;
 
   // Value-flow indexes, each in ascending statement order.
   std::unordered_map<FieldId, std::vector<StmtId>> StoresByField;

@@ -44,11 +44,3 @@ const PTAResult &IncrementalSolver::ensureCurrent() {
   ForceFull = false;
   return Last;
 }
-
-PTAResult
-IncrementalSolver::demandSolve(const std::vector<uint8_t> &EnabledStmts) const {
-  SolverOptions SOpts = Setup.Opts;
-  SOpts.EnabledStmts = &EnabledStmts;
-  Solver DS(P, SOpts);
-  return DS.solve();
-}

@@ -20,11 +20,6 @@
 /// method on a pre-existing class) are non-monotone in the call graph and
 /// must be reported with CanWarmStart=false, forcing a full re-solve.
 ///
-/// Also hosts the demand-driven one-shot path: demandSolve() runs a fresh
-/// restricted solver over a DemandSlicer slice without touching the
-/// resident state, for cold queries where a whole-program fixpoint would
-/// be wasteful.
-///
 /// Eligibility: recipes with plugins (csc) or a pre-analysis (zipper-e)
 /// cannot warm-start — plugin state is not replayed and the zipper method
 /// selection itself depends on the pre-delta program. eligible() screens
@@ -70,10 +65,6 @@ public:
   /// The reference stays valid until the next noteDelta/ensureCurrent.
   const PTAResult &ensureCurrent();
 
-  /// Runs a fresh solver restricted to \p EnabledStmts (a DemandSlicer
-  /// slice) and returns its result. Leaves the resident state untouched.
-  PTAResult demandSolve(const std::vector<uint8_t> &EnabledStmts) const;
-
   bool current() const { return Valid; }
   bool lastWasWarm() const { return LastWarm; }
   uint64_t warmResumes() const { return WarmResumesV; }
@@ -83,8 +74,8 @@ public:
 private:
   const Program &P;
   AnalysisRecipe Recipe;
-  /// Owns the selector chain the resident solver (and any demand solver)
-  /// references; all selectors are stateless.
+  /// Owns the selector chain the resident solver references; all
+  /// selectors are stateless.
   SolverSetup Setup;
 
   std::unique_ptr<Solver> S;

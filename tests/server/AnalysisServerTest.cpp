@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // The analysis server's request/response protocol: query answers across
-// modes (demand slice, warm resume, cached full run) must be
+// modes (per-version run, resident warm resume) must be
 // byte-identical outside the "meta" object to a fresh oracle server that
 // loaded the post-delta program from scratch — the contract CI's server
 // smoke job diffs. Also pins delta classification (warm vs full), the
@@ -96,6 +96,19 @@ std::string errorOf(const JsonValue &V) {
   return E && E->isString() ? E->Str : "";
 }
 
+/// The member names of a JSON object, in order.
+std::vector<std::string> keysOf(const JsonValue &V) {
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Member] : V.Obj)
+    Keys.push_back(Key);
+  return Keys;
+}
+
+/// The members of a stats entry for an incremental-eligible spec: the
+/// from-scratch solve count, warm resumes and currency, nothing else.
+const std::vector<std::string> IncrementalSpecKeys = {
+    "spec", "incremental", "full_solves", "warm_resumes", "current"};
+
 /// Drops the trailing "meta" member — the diagnostics CI strips before
 /// diffing answers (meta is always the last member of a query response).
 std::string stripMeta(const std::string &Response) {
@@ -114,12 +127,18 @@ std::string stripMeta(const std::string &Response) {
 TEST(AnalysisServerTest, PointsToAnswersAgreeAcrossModes) {
   auto S = makeServer({{"fig.jir", figure1Source()}});
   ASSERT_NE(S, nullptr);
-  // The very first query on an eligible spec is answered demand-driven.
+  // An "auto" query on a spec never queried "full" is answered from the
+  // per-version run; meta says only version, warm start and time.
   std::string Auto = S->handleLine(
       R"({"op":"query","kind":"points-to","var":"Main.main.result1"})");
   JsonValue AutoV = parsed(Auto);
   ASSERT_TRUE(okOf(AutoV)) << Auto;
-  EXPECT_EQ(AutoV.get("meta")->get("mode")->Str, "demand");
+  const JsonValue *Meta = AutoV.get("meta");
+  ASSERT_TRUE(Meta && Meta->isObject());
+  ASSERT_EQ(keysOf(*Meta),
+            (std::vector<std::string>{"version", "warm_start", "time_ms"}));
+  EXPECT_EQ(Meta->get("version")->Num, 1);
+  EXPECT_FALSE(Meta->get("warm_start")->B);
   EXPECT_EQ(AutoV.get("spec")->Str, "ci");
   EXPECT_EQ(AutoV.get("size")->Num, 2); // ci merges both cartons' items
   EXPECT_EQ(AutoV.get("objects")->Arr.size(), 2u);
@@ -127,7 +146,7 @@ TEST(AnalysisServerTest, PointsToAnswersAgreeAcrossModes) {
 
   std::string Full = S->handleLine(
       R"({"op":"query","kind":"points-to","var":"Main.main.result1","mode":"full"})");
-  EXPECT_EQ(parsed(Full).get("meta")->get("mode")->Str, "full");
+  EXPECT_EQ(parsed(Full).get("meta")->get("mode"), nullptr);
   EXPECT_EQ(stripMeta(Auto), stripMeta(Full));
 
   // Context-sensitive specs answer through the same machinery, precisely.
@@ -175,7 +194,7 @@ TEST(AnalysisServerTest, AdditiveDeltaWarmStartsAndMatchesOracle) {
   auto Warm = makeServer({{"fig.jir", figure1Source()}});
   ASSERT_NE(Warm, nullptr);
   // Solve fully first so the post-delta query exercises the warm resume
-  // (a cold spec would be answered demand-driven instead).
+  // (a spec never queried "full" would run from scratch instead).
   for (const char *Spec : {"ci", "2obj"}) {
     std::string Line =
         std::string(R"({"op":"query","kind":"points-to",)") +
@@ -226,7 +245,6 @@ TEST(AnalysisServerTest, AdditiveDeltaWarmStartsAndMatchesOracle) {
   // The ci answer above came from a warm resume, not a re-solve.
   JsonValue R = parsed(Warm->handleLine(
       R"({"op":"query","kind":"points-to","var":"Main.main.result1"})"));
-  EXPECT_EQ(R.get("meta")->get("mode")->Str, "full");
   EXPECT_TRUE(R.get("meta")->get("warm_start")->B);
   EXPECT_EQ(R.get("size")->Num, 3);
 }
@@ -291,7 +309,8 @@ TEST(AnalysisServerTest, RejectedDeltaLeavesTheSessionUntouched) {
 TEST(AnalysisServerTest, StatsDocumentTracksSpecsAndSolves) {
   auto S = makeServer({{"fig.jir", figure1Source()}});
   ASSERT_NE(S, nullptr);
-  // demand (cold auto), then a full solve, then a csc fallback run.
+  // A per-version run (auto), then a resident solve (full), then a csc
+  // run: full_solves counts both of ci's from-scratch solves.
   S->handleLine(
       R"({"op":"query","kind":"points-to","var":"Main.main.result1"})");
   S->handleLine(
@@ -310,8 +329,8 @@ TEST(AnalysisServerTest, StatsDocumentTracksSpecsAndSolves) {
   const JsonValue &Ci = Specs->Arr[0];
   EXPECT_EQ(Ci.get("spec")->Str, "ci");
   EXPECT_TRUE(Ci.get("incremental")->B);
-  EXPECT_EQ(Ci.get("demand_solves")->Num, 1);
-  EXPECT_EQ(Ci.get("full_solves")->Num, 1);
+  EXPECT_EQ(keysOf(Ci), IncrementalSpecKeys);
+  EXPECT_EQ(Ci.get("full_solves")->Num, 2);
   EXPECT_EQ(Ci.get("warm_resumes")->Num, 0);
   EXPECT_TRUE(Ci.get("current")->B);
   const JsonValue &Csc = Specs->Arr[1];
@@ -319,6 +338,52 @@ TEST(AnalysisServerTest, StatsDocumentTracksSpecsAndSolves) {
   EXPECT_FALSE(Csc.get("incremental")->B);
   EXPECT_EQ(Csc.get("full_solves")->Num, 1);
   EXPECT_TRUE(Csc.get("current")->B);
+}
+
+TEST(AnalysisServerTest, AutoQueriesSolveOncePerVersion) {
+  // A session that never asks "full" solves ci once per program version,
+  // however many queries it asks, and answers exactly as a session whose
+  // every query asks "full" (resident solve, then warm resume).
+  auto Auto = makeServer({{"fig.jir", figure1Source()}});
+  auto Full = makeServer({{"fig.jir", figure1Source()}});
+  ASSERT_NE(Auto, nullptr);
+  ASSERT_NE(Full, nullptr);
+  auto CiSpec = [](AnalysisServer &S) {
+    JsonValue V = parsed(S.handleLine(R"({"op":"stats"})"));
+    const JsonValue *Specs = V.get("specs");
+    EXPECT_TRUE(Specs && Specs->Arr.size() == 1u);
+    return Specs && !Specs->Arr.empty() ? Specs->Arr[0] : JsonValue();
+  };
+  auto Ask = [&](const std::string &Q) {
+    std::string A = Auto->handleLine(Q);
+    std::string F =
+        Full->handleLine(Q.substr(0, Q.size() - 1) + R"(,"mode":"full"})");
+    ASSERT_TRUE(okOf(parsed(A))) << A;
+    EXPECT_EQ(stripMeta(A), stripMeta(F)) << Q;
+  };
+
+  Ask(R"({"op":"query","kind":"points-to","var":"Main.main.result1"})");
+  Ask(R"({"op":"query","kind":"points-to","var":"Main.main.result2"})");
+  Ask(R"({"op":"query","kind":"may-alias","a":"Main.main.result1","b":"Main.main.result2"})");
+  JsonValue Ci = CiSpec(*Auto);
+  EXPECT_EQ(Ci.get("full_solves")->Num, 1);
+  EXPECT_EQ(keysOf(Ci), IncrementalSpecKeys);
+
+  JsonWriter W;
+  W.beginObject().kv("op", "add-delta").kv("source", WarmDelta).endObject();
+  std::string Delta = W.take();
+  ASSERT_TRUE(okOf(parsed(Auto->handleLine(Delta))));
+  ASSERT_TRUE(okOf(parsed(Full->handleLine(Delta))));
+  Ask(R"({"op":"query","kind":"points-to","var":"Main.main.got"})");
+  Ask(R"({"op":"query","kind":"may-alias","a":"Main.main.got","b":"Main.main.i3"})");
+  Ci = CiSpec(*Auto);
+  EXPECT_EQ(Ci.get("full_solves")->Num, 2);
+  EXPECT_EQ(Ci.get("warm_resumes")->Num, 0);
+  EXPECT_TRUE(Ci.get("current")->B);
+  // The all-"full" session solved once and warm-resumed once.
+  JsonValue FullCi = CiSpec(*Full);
+  EXPECT_EQ(FullCi.get("full_solves")->Num, 1);
+  EXPECT_EQ(FullCi.get("warm_resumes")->Num, 1);
 }
 
 TEST(AnalysisServerTest, FallbackFullSolvesCountEveryRecompute) {
@@ -347,7 +412,9 @@ TEST(AnalysisServerTest, FallbackFullSolvesCountEveryRecompute) {
 
 TEST(AnalysisServerTest, StoreIsUsedOnlyAtTheLoadedProgram) {
   // Post-delta results are not whole-program facts of an on-disk input:
-  // the csc query after a delta recomputes without touching the store.
+  // the csc and "auto" ci queries after a delta recompute without
+  // touching the store, while at the loaded program both publish, and a
+  // later session over the same store reuses them.
   char Template[] = "server-store-XXXXXX";
   ASSERT_NE(::mkdtemp(Template), nullptr);
   std::string Dir = Template;
@@ -357,25 +424,42 @@ TEST(AnalysisServerTest, StoreIsUsedOnlyAtTheLoadedProgram) {
   Opts.Store = std::make_shared<ResultStore>(SO);
   auto S = makeServer({{"fig.jir", figure1Source()}}, Opts);
   ASSERT_NE(S, nullptr);
-  const char *Query =
-      R"({"op":"query","kind":"points-to","var":"Main.main.result1","spec":"csc"})";
-  EXPECT_TRUE(okOf(parsed(S->handleLine(Query))));
+  const char *Queries[] = {
+      R"({"op":"query","kind":"points-to","var":"Main.main.result1","spec":"csc"})",
+      R"({"op":"query","kind":"points-to","var":"Main.main.result1"})"};
+  for (const char *Q : Queries)
+    EXPECT_TRUE(okOf(parsed(S->handleLine(Q))));
   JsonWriter W;
   W.beginObject().kv("op", "add-delta").kv("source", DispatchDelta);
   W.endObject();
   EXPECT_TRUE(okOf(parsed(S->handleLine(W.take()))));
-  EXPECT_TRUE(okOf(parsed(S->handleLine(Query))));
+  for (const char *Q : Queries)
+    EXPECT_TRUE(okOf(parsed(S->handleLine(Q))));
 
   JsonValue V = parsed(S->handleLine(R"({"op":"stats"})"));
   const JsonValue *Store = V.get("store");
   ASSERT_TRUE(Store && Store->isObject());
   EXPECT_EQ(Store->get("hits")->Num, 0);
-  EXPECT_EQ(Store->get("misses")->Num, 1);
-  EXPECT_EQ(Store->get("publishes")->Num, 1);
-  EXPECT_EQ(V.get("specs")->Arr[0].get("full_solves")->Num, 2);
+  EXPECT_EQ(Store->get("misses")->Num, 2);
+  EXPECT_EQ(Store->get("publishes")->Num, 2);
+  const JsonValue *Specs = V.get("specs");
+  ASSERT_TRUE(Specs && Specs->Arr.size() == 2u); // "ci" and "csc", sorted
+  EXPECT_EQ(Specs->Arr[0].get("full_solves")->Num, 2);
+  EXPECT_EQ(Specs->Arr[1].get("full_solves")->Num, 2);
   ResultStore::ScrubReport R = Opts.Store->scrub();
-  EXPECT_EQ(R.Valid, 1u);
+  EXPECT_EQ(R.Valid, 2u);
+
+  // A fresh session at the loaded program is served from the store.
+  auto Again = makeServer({{"fig.jir", figure1Source()}}, Opts);
+  ASSERT_NE(Again, nullptr);
+  EXPECT_EQ(stripMeta(Again->handleLine(Queries[1])),
+            stripMeta(makeServer({{"fig.jir", figure1Source()}})
+                          ->handleLine(Queries[1])));
+  V = parsed(Again->handleLine(R"({"op":"stats"})"));
+  EXPECT_EQ(V.get("store")->get("hits")->Num, 1);
+  EXPECT_EQ(V.get("specs")->Arr[0].get("full_solves")->Num, 0);
   S.reset();
+  Again.reset();
   Opts.Store.reset();
   std::filesystem::remove_all(Dir);
 }
@@ -406,8 +490,8 @@ TEST(AnalysisServerTest, ExhaustedBudgetIsReportedNotAnswered) {
   O.WorkBudget = 1;
   auto S = makeServer({{"fig.jir", figure1Source()}}, O);
   ASSERT_NE(S, nullptr);
-  // The cold "auto" query takes the demand path, then "full" the
-  // whole-program one: both must report the exhausted budget.
+  // The "auto" query takes the per-version run, then "full" the resident
+  // solver: both must report the exhausted budget.
   for (const char *Mode : {"auto", "full"}) {
     JsonValue V = parsed(S->handleLine(
         std::string(

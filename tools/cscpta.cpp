@@ -687,7 +687,7 @@ int main(int Argc, char **Argv) {
       }
       AO.DefaultSpec = Specs.front();
     } else {
-      AO.DefaultSpec = "ci"; // incremental/demand-capable default
+      AO.DefaultSpec = "ci"; // incremental-capable default
     }
     AnalysisServer Server(AO);
     std::vector<std::string> Diags;
