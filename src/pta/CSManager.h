@@ -16,11 +16,10 @@
 #ifndef CSC_PTA_CSMANAGER_H
 #define CSC_PTA_CSMANAGER_H
 
-#include "support/DenseTable.h"
+#include "support/FlatTable.h"
 #include "support/Hash.h"
 #include "support/Ids.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace csc {
@@ -47,68 +46,43 @@ struct CSObjInfo {
 class CSManager {
 public:
   PtrId getVarPtr(VarId V, CtxId C) {
-    // Dense fast path for the empty context: the CI-based analyses (CI
-    // itself and Cut-Shortcut) intern every variable there, and the
-    // lookup sits on the propagation hot path.
-    if (C == EmptyCtx) {
-      PtrId Cached = denseGet(VarPtrCI, V, InvalidId);
-      if (Cached != InvalidId)
-        return Cached;
-      PtrId Id = internPtr(VarPtrs, {V, C}, PtrKind::Var, V, C);
-      denseAssign(VarPtrCI, V, Id, InvalidId);
-      return Id;
-    }
-    return internPtr(VarPtrs, {V, C}, PtrKind::Var, V, C);
+    // The empty context indexes densely by VarId: the CI-based analyses
+    // (CI itself and Cut-Shortcut) intern every variable there, and the
+    // lookup sits on the propagation hot path. Other contexts go through
+    // the flat table.
+    if (C == EmptyCtx)
+      return internDense(VarPtrCI, V, PtrKind::Var, V, C);
+    return internPtr(VarPtrs, V, C, PtrKind::Var);
   }
   PtrId getFieldPtr(CSObjId O, FieldId F) {
-    // Objects have a handful of fields: a per-object (field, ptr) list
-    // beats hashing on the hot path.
-    if (O >= FieldPtrCache.size())
-      FieldPtrCache.resize(O + 1);
-    for (const auto &[CachedF, CachedP] : FieldPtrCache[O])
-      if (CachedF == F)
-        return CachedP;
-    PtrId Id = internPtr(FieldPtrs, {O, F}, PtrKind::Field, O, F);
-    FieldPtrCache[O].emplace_back(F, Id);
-    return Id;
+    return internPtr(FieldPtrs, O, F, PtrKind::Field);
   }
   PtrId getArrayPtr(CSObjId O) {
-    PtrId Cached = denseGet(ArrayPtrCI, O, InvalidId);
-    if (Cached != InvalidId)
-      return Cached;
-    PtrId Id = internPtr(ArrayPtrs, {O, 0}, PtrKind::Array, O, 0);
-    denseAssign(ArrayPtrCI, O, Id, InvalidId);
-    return Id;
+    return internDense(ArrayPtrs, O, PtrKind::Array, O, 0);
   }
   PtrId getStaticPtr(FieldId F) {
-    PtrId Cached = denseGet(StaticPtrCI, F, InvalidId);
-    if (Cached != InvalidId)
-      return Cached;
-    PtrId Id = internPtr(StaticPtrs, {F, 0}, PtrKind::Static, F, 0);
-    denseAssign(StaticPtrCI, F, Id, InvalidId);
-    return Id;
+    return internDense(StaticPtrs, F, PtrKind::Static, F, 0);
   }
 
   CSObjId getCSObj(ObjId O, CtxId HeapCtx) {
     if (HeapCtx == EmptyCtx) {
-      CSObjId Cached = denseGet(CSObjCI, O, InvalidId);
-      if (Cached != InvalidId)
-        return Cached;
-      CSObjId Id = internCSObj(O, HeapCtx);
-      denseAssign(CSObjCI, O, Id, InvalidId);
-      return Id;
+      if (O >= CSObjCI.size())
+        CSObjCI.resize(O + 1, InvalidId);
+      if (CSObjCI[O] == InvalidId)
+        CSObjCI[O] = newCSObj(O, HeapCtx);
+      return CSObjCI[O];
     }
-    return internCSObj(O, HeapCtx);
+    auto [Id, Inserted] = CSObjIndex.insert(packPair(O, HeapCtx),
+                                            numCSObjs());
+    if (Inserted)
+      newCSObj(O, HeapCtx);
+    return Id;
   }
 
-  /// Pre-sizes the interning tables from the program's entity counts.
+  /// Pre-sizes the descriptor tables from the program's entity counts.
   void reserveHint(std::size_t Vars, std::size_t Objs) {
     Ptrs.reserve(Vars + 2 * Objs);
-    VarPtrs.reserve(Vars);
-    FieldPtrs.reserve(2 * Objs);
     CSObjs.reserve(Objs);
-    CSObjIndex.reserve(Objs);
-    FieldPtrCache.reserve(Objs);
   }
 
   const PtrInfo &ptr(PtrId P) const { return Ptrs[P]; }
@@ -118,43 +92,49 @@ public:
   uint32_t numCSObjs() const { return static_cast<uint32_t>(CSObjs.size()); }
 
 private:
-  using Key = std::pair<uint32_t, uint32_t>;
-  using Map = std::unordered_map<Key, PtrId, PairHash>;
-
   static constexpr CtxId EmptyCtx = 0; ///< ContextManager::empty().
 
-  PtrId internPtr(Map &M, Key K, PtrKind Kind, uint32_t A, uint32_t B) {
-    auto It = M.find(K);
-    if (It != M.end())
-      return It->second;
-    PtrId Id = static_cast<PtrId>(Ptrs.size());
+  PtrId newPtr(PtrKind Kind, uint32_t A, uint32_t B) {
     Ptrs.push_back({Kind, A, B});
-    M.emplace(K, Id);
-    return Id;
+    return numPtrs() - 1;
   }
 
-  CSObjId internCSObj(ObjId O, CtxId HeapCtx) {
-    auto Key = std::make_pair(O, HeapCtx);
-    auto It = CSObjIndex.find(Key);
-    if (It != CSObjIndex.end())
-      return It->second;
-    CSObjId Id = static_cast<CSObjId>(CSObjs.size());
+  CSObjId newCSObj(ObjId O, CtxId HeapCtx) {
     CSObjs.push_back({O, HeapCtx});
-    CSObjIndex.emplace(Key, Id);
+    return numCSObjs() - 1;
+  }
+
+  /// A pointer keyed by one dense id: \p Index[I] is its id.
+  PtrId internDense(std::vector<PtrId> &Index, uint32_t I, PtrKind Kind,
+                    uint32_t A, uint32_t B) {
+    if (I >= Index.size())
+      Index.resize(I + 1, InvalidId);
+    if (Index[I] == InvalidId)
+      Index[I] = newPtr(Kind, A, B);
+    return Index[I];
+  }
+
+  /// A pointer keyed by the pair (\p A, \p B).
+  PtrId internPtr(FlatTable<PtrId> &Index, uint32_t A, uint32_t B,
+                  PtrKind Kind) {
+    auto [Id, Inserted] = Index.insert(packPair(A, B), numPtrs());
+    if (Inserted)
+      newPtr(Kind, A, B);
     return Id;
   }
 
   std::vector<PtrInfo> Ptrs;
-  Map VarPtrs, FieldPtrs, ArrayPtrs, StaticPtrs;
   std::vector<CSObjInfo> CSObjs;
-  std::unordered_map<Key, CSObjId, PairHash> CSObjIndex;
 
-  // Dense hot-path caches over the hash maps above (see the getters).
-  std::vector<PtrId> VarPtrCI;    ///< By VarId, empty context only.
-  std::vector<PtrId> ArrayPtrCI;  ///< By CSObjId.
-  std::vector<PtrId> StaticPtrCI; ///< By FieldId.
-  std::vector<CSObjId> CSObjCI;   ///< By ObjId, empty heap context only.
-  std::vector<std::vector<std::pair<FieldId, PtrId>>> FieldPtrCache;
+  // Each key has exactly one index: the dense tables for the empty
+  // context and for single-id keys, the flat tables for the rest.
+  std::vector<PtrId> VarPtrCI;     ///< By VarId, empty context only.
+  std::vector<PtrId> ArrayPtrs;    ///< By CSObjId.
+  std::vector<PtrId> StaticPtrs;   ///< By FieldId.
+  std::vector<CSObjId> CSObjCI;    ///< By ObjId, empty heap context only.
+  FlatTable<PtrId> VarPtrs;        ///< (VarId, CtxId), other contexts.
+  FlatTable<PtrId> FieldPtrs;      ///< (CSObjId, FieldId).
+  FlatTable<CSObjId> CSObjIndex;   ///< (ObjId, CtxId), other contexts.
 };
 
 } // namespace csc

@@ -15,11 +15,10 @@
 #ifndef CSC_PTA_CALLGRAPH_H
 #define CSC_PTA_CALLGRAPH_H
 
-#include "support/DenseTable.h"
+#include "support/FlatTable.h"
 #include "support/Hash.h"
 #include "support/Ids.h"
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -38,42 +37,39 @@ struct CSMethodInfo {
 class CallGraph {
 public:
   CSCallSiteId getCSCallSite(CallSiteId CS, CtxId C) {
-    // Dense fast path for the empty context (the CI-based analyses; see
-    // CSManager for the same pattern on pointers).
+    // The empty context (the CI-based analyses) indexes densely by
+    // CallSiteId; other contexts go through the flat table (see CSManager
+    // for the same split on pointers).
     if (C == 0) {
-      CSCallSiteId Cached = denseGet(CSSiteCI, CS, InvalidId);
-      if (Cached != InvalidId)
-        return Cached;
-      CSCallSiteId Id = internCSCallSite(CS, C);
-      denseAssign(CSSiteCI, CS, Id, InvalidId);
-      return Id;
+      if (CS >= CSSiteCI.size())
+        CSSiteCI.resize(CS + 1, InvalidId);
+      if (CSSiteCI[CS] == InvalidId)
+        CSSiteCI[CS] = newCSCallSite(CS, C);
+      return CSSiteCI[CS];
     }
-    return internCSCallSite(CS, C);
+    auto [Id, Inserted] = CSIndex.insert(packPair(CS, C), numCSSites());
+    if (Inserted)
+      newCSCallSite(CS, C);
+    return Id;
   }
 
   CSMethodId getCSMethod(MethodId M, CtxId C) {
     if (C == 0) {
-      CSMethodId Cached = denseGet(CSMethodCI, M, InvalidId);
-      if (Cached != InvalidId)
-        return Cached;
-      CSMethodId Id = internCSMethod(M, C);
-      denseAssign(CSMethodCI, M, Id, InvalidId);
-      return Id;
+      if (M >= CSMethodCI.size())
+        CSMethodCI.resize(M + 1, InvalidId);
+      if (CSMethodCI[M] == InvalidId)
+        CSMethodCI[M] = newCSMethod(M, C);
+      return CSMethodCI[M];
     }
-    return internCSMethod(M, C);
-  }
-
-  /// Pre-sizes the dedup tables from the program's call-site count.
-  void reserveHint(std::size_t CallSites) {
-    EdgeSet.reserve(CallSites * 2);
-    CIEdgeSet.reserve(CallSites * 2);
-    CSIndex.reserve(CallSites);
+    auto [Id, Inserted] = MIndex.insert(packPair(M, C), numCSMethods());
+    if (Inserted)
+      newCSMethod(M, C);
+    return Id;
   }
 
   /// Adds a call edge; returns false if it already existed.
   bool addEdge(CSCallSiteId CS, CSMethodId Callee) {
-    uint64_t Key = packPair(CS, Callee);
-    if (!EdgeSet.insert(Key).second)
+    if (!EdgeSet.insert(packPair(CS, Callee)).second)
       return false;
     Callees[CS].push_back(Callee);
     Callers[Callee].push_back(CS);
@@ -87,8 +83,9 @@ public:
 
   /// Marks a context-sensitive method reachable; returns true if new.
   bool addReachable(CSMethodId M) {
-    if (!ReachableCS.insert(M).second)
+    if (ReachableCS[M])
       return false;
+    ReachableCS[M] = 1;
     ReachableCI.insert(CSMethods[M].M);
     ReachableList.push_back(M);
     return true;
@@ -125,44 +122,35 @@ public:
   }
 
 private:
-  CSCallSiteId internCSCallSite(CallSiteId CS, CtxId C) {
-    auto Key = std::make_pair(CS, C);
-    auto It = CSIndex.find(Key);
-    if (It != CSIndex.end())
-      return It->second;
-    CSCallSiteId Id = static_cast<CSCallSiteId>(CSSites.size());
-    CSSites.push_back({CS, C});
-    Callees.emplace_back();
-    CSIndex.emplace(Key, Id);
-    return Id;
+  uint32_t numCSSites() const {
+    return static_cast<uint32_t>(CSSites.size());
   }
 
-  CSMethodId internCSMethod(MethodId M, CtxId C) {
-    auto Key = std::make_pair(M, C);
-    auto It = MIndex.find(Key);
-    if (It != MIndex.end())
-      return It->second;
-    CSMethodId Id = static_cast<CSMethodId>(CSMethods.size());
+  CSCallSiteId newCSCallSite(CallSiteId CS, CtxId C) {
+    CSSites.push_back({CS, C});
+    Callees.emplace_back();
+    return numCSSites() - 1;
+  }
+
+  CSMethodId newCSMethod(MethodId M, CtxId C) {
     CSMethods.push_back({M, C});
     Callers.emplace_back();
-    MIndex.emplace(Key, Id);
-    return Id;
+    ReachableCS.push_back(0);
+    return numCSMethods() - 1;
   }
 
   std::vector<CSCallSiteInfo> CSSites;
   std::vector<CSMethodInfo> CSMethods;
   std::vector<CSCallSiteId> CSSiteCI; ///< By CallSiteId, empty ctx only.
   std::vector<CSMethodId> CSMethodCI; ///< By MethodId, empty ctx only.
-  std::unordered_map<std::pair<uint32_t, uint32_t>, CSCallSiteId, PairHash>
-      CSIndex;
-  std::unordered_map<std::pair<uint32_t, uint32_t>, CSMethodId, PairHash>
-      MIndex;
+  FlatTable<CSCallSiteId> CSIndex; ///< (CallSiteId, CtxId), other ctxs.
+  FlatTable<CSMethodId> MIndex;    ///< (MethodId, CtxId), other ctxs.
   std::vector<std::vector<CSMethodId>> Callees;  ///< Indexed by CSCallSiteId.
   std::vector<std::vector<CSCallSiteId>> Callers; ///< Indexed by CSMethodId.
-  std::unordered_set<uint64_t> EdgeSet;
-  std::unordered_set<uint64_t> CIEdgeSet;
+  FlatSet EdgeSet;   ///< (CSCallSiteId, CSMethodId).
+  FlatSet CIEdgeSet; ///< (CallSiteId, MethodId).
   std::vector<std::pair<CallSiteId, MethodId>> CIEdges;
-  std::unordered_set<CSMethodId> ReachableCS;
+  std::vector<uint8_t> ReachableCS; ///< By CSMethodId.
   std::unordered_set<MethodId> ReachableCI;
   std::vector<CSMethodId> ReachableList;
   uint64_t NumCSEdges = 0;

@@ -19,8 +19,10 @@
 #include "ir/Program.h"
 #include "pta/CSManager.h"
 #include "pta/Context.h"
+#include "support/DenseTable.h"
 
 #include <unordered_set>
+#include <vector>
 
 namespace csc {
 
@@ -134,19 +136,23 @@ private:
 class SelectiveSelector : public ContextSelector {
 public:
   SelectiveSelector(ContextSelector &Inner,
-                    std::unordered_set<MethodId> Selected)
-      : Inner(Inner), Selected(std::move(Selected)) {}
+                    const std::unordered_set<MethodId> &Selected)
+      : Inner(Inner) {
+    // Dense flags: the test runs once per (call site, receiver object).
+    for (MethodId M : Selected)
+      denseAssign<uint8_t>(IsSelected, M, 1, 0);
+  }
 
   CtxId select(ContextManager &CM, const CSManager &CSM, const Program &P,
                CtxId CallerCtx, CallSiteId CS, CSObjId Recv,
                MethodId Callee) override {
-    if (!Selected.count(Callee))
+    if (!denseGet<uint8_t>(IsSelected, Callee, 0))
       return CM.empty();
     return Inner.select(CM, CSM, P, CallerCtx, CS, Recv, Callee);
   }
   CtxId selectStatic(ContextManager &CM, CtxId CallerCtx, CallSiteId CS,
                      MethodId Callee) override {
-    if (!Selected.count(Callee))
+    if (!denseGet<uint8_t>(IsSelected, Callee, 0))
       return CM.empty();
     return Inner.selectStatic(CM, CallerCtx, CS, Callee);
   }
@@ -154,11 +160,9 @@ public:
     return Inner.selectHeap(CM, MethodCtx, O);
   }
 
-  const std::unordered_set<MethodId> &selected() const { return Selected; }
-
 private:
   ContextSelector &Inner;
-  std::unordered_set<MethodId> Selected;
+  std::vector<uint8_t> IsSelected; ///< By MethodId.
 };
 
 } // namespace csc

@@ -33,12 +33,10 @@ Solver::Solver(const Program &P, SolverOptions Opts) : P(P), Opts(Opts) {
   CutStores.assign(P.numStmts(), 0);
   CutReturns.assign(P.numVars(), 0);
 
-  // Capacity hints proportional to program size: the dedup tables are on
-  // the propagation hot path and rehash storms showed up in profiles.
+  // Capacity hints proportional to program size for the per-pointer
+  // tables and the PFG's hashed edge dedup.
   CSM.reserveHint(P.numVars(), P.numObjs());
-  CG.reserveHint(P.numCallSites());
   PFG.reserveHint(P.numVars(), 2 * static_cast<std::size_t>(P.numStmts()));
-  ShortcutEdgeKeys.reserve(P.numStmts() / 4);
 
   if (Opts.CycleElimination) {
     Scc = std::make_unique<SccCollapser>(PFG);
@@ -123,9 +121,32 @@ bool Solver::addShortcutEdge(PtrId Src, PtrId Dst) {
 void Solver::ensurePtr(PtrId Pr) {
   if (Pr >= Pts.size()) {
     Pts.resize(Pr + 1);
-    Pending.resize(Pr + 1);
+    PendingSlot.resize(Pr + 1, InvalidId);
     InQueue.resize(Pr + 1, 0);
   }
+}
+
+PointsToSet &Solver::pendingOf(PtrId Rep) {
+  uint32_t &Slot = PendingSlot[Rep];
+  if (Slot == InvalidId) {
+    if (FreePending.empty()) {
+      Slot = static_cast<uint32_t>(PendingPool.size());
+      PendingPool.emplace_back();
+    } else {
+      Slot = FreePending.back();
+      FreePending.pop_back();
+    }
+  }
+  return PendingPool[Slot];
+}
+
+void Solver::releasePending(PtrId Rep) {
+  uint32_t &Slot = PendingSlot[Rep];
+  if (Slot == InvalidId)
+    return;
+  PendingPool[Slot] = PointsToSet();
+  FreePending.push_back(Slot);
+  Slot = InvalidId;
 }
 
 void Solver::markDirty(PtrId Pr) {
@@ -179,7 +200,7 @@ void Solver::enqueueObj(PtrId Pr, CSObjId O) {
   if (Opts.DeltaPropagation) {
     if (Pts[Pr].contains(O))
       return;
-    if (Pending[Pr].insert(O))
+    if (pendingOf(Pr).insert(O))
       markDirty(Pr);
     return;
   }
@@ -195,14 +216,16 @@ void Solver::enqueueSet(PtrId Pr, const PointsToSet &Set, TypeId Filter) {
   ensurePtr(Pr);
   if (Opts.DeltaPropagation) {
     // Pending |= (Set ∩ mask) ∖ Pts: one word-parallel pass; only
-    // genuinely new facts queue work.
-    uint32_t Added =
-        Filter == InvalidId
-            ? Pending[Pr].unionWithExcluding(Set, Pts[Pr])
-            : Pending[Pr].unionWithFiltered(Set, filterMask(Filter),
-                                            Pts[Pr]);
+    // genuinely new facts queue work (and keep a pool entry).
+    const PointsToSet *Mask = Filter == InvalidId ? nullptr
+                                                  : &filterMask(Filter);
+    PointsToSet &Pend = pendingOf(Pr);
+    uint32_t Added = Mask ? Pend.unionWithFiltered(Set, *Mask, Pts[Pr])
+                          : Pend.unionWithExcluding(Set, Pts[Pr]);
     if (Added)
       markDirty(Pr);
+    else if (Pend.empty())
+      releasePending(Pr);
     return;
   }
   uint32_t Added = Filter == InvalidId
@@ -494,8 +517,10 @@ void Solver::collapseClass(std::vector<PtrId> Classes) {
         CU.Members.push_back(C);
       CatchUps.push_back(std::move(CU));
     }
-    MergedPending.unionWith(Pending[C]);
-    Pending[C].clear();
+    if (PendingSlot[C] != InvalidId) {
+      MergedPending.unionWith(PendingPool[PendingSlot[C]]);
+      releasePending(C);
+    }
     AnyQueued = AnyQueued || InQueue[C];
     InQueue[C] = 0;
   }
@@ -503,17 +528,17 @@ void Solver::collapseClass(std::vector<PtrId> Classes) {
   // (b) Structural merge: union-find, member lists, orders, adjacency.
   PtrId W = Scc->mergeClass(Classes);
   Pts[W] = std::move(Merged);
-  Pending[W] = std::move(MergedPending);
   // Release the losing classes' storage outright (clear() would keep the
   // buffers): the slots are unreachable now — every reader remaps
   // through the representative — and a class built over many merges
   // would otherwise retain one dead bitmap per absorbed representative.
   for (PtrId C : Classes)
-    if (C != W) {
+    if (C != W)
       Pts[C] = PointsToSet();
-      Pending[C] = PointsToSet();
-    }
-  if (!Pending[W].empty() || (AnyQueued && !Opts.DeltaPropagation))
+  bool HasPending = !MergedPending.empty();
+  if (HasPending)
+    pendingOf(W) = std::move(MergedPending);
+  if (HasPending || (AnyQueued && !Opts.DeltaPropagation))
     markDirty(W);
 
   // (c) Fire the semantics of the merge. First flow the merged set along
@@ -677,9 +702,13 @@ void Solver::runFixpointLoop() {
 
       if (Opts.DeltaPropagation) {
         // Merge the pending facts in one word-parallel union; Delta
-        // receives exactly the genuinely new elements.
-        uint32_t Added = Pts[Pr].unionWith(Pending[Pr], Delta);
-        Pending[Pr].clear();
+        // receives exactly the genuinely new elements. The pool entry is
+        // released, not cleared, so no drained bitmap outlives its facts.
+        if (PendingSlot[Pr] == InvalidId)
+          continue;
+        uint32_t Added =
+            Pts[Pr].unionWith(PendingPool[PendingSlot[Pr]], Delta);
+        releasePending(Pr);
         if (!Added)
           continue;
         // Logical work counter: every member of the class gains Added

@@ -34,6 +34,7 @@
 #include "pta/Plugin.h"
 #include "pta/PointerFlowGraph.h"
 #include "pta/SccCollapser.h"
+#include "support/FlatTable.h"
 #include "support/Hash.h"
 #include "support/PointsToSet.h"
 #include "support/Timer.h"
@@ -41,7 +42,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace csc {
@@ -120,7 +120,7 @@ public:
   /// True if the edge was added via addShortcutEdge (for diagnostics and
   /// graph dumps).
   bool isShortcutEdge(PtrId Src, PtrId Dst) const {
-    return ShortcutEdgeKeys.count(packPair(Src, Dst)) != 0;
+    return ShortcutEdgeKeys.contains(packPair(Src, Dst));
   }
 
   /// Current points-to set of a pointer (empty if never touched).
@@ -137,6 +137,13 @@ public:
   /// off or \p Pr is not in any collapsed class). Diagnostics/tests only:
   /// the query surface above already remaps.
   PtrId representative(PtrId Pr) const { return repOf(Pr); }
+
+  /// Pending sets the solver holds: pointers with facts awaiting their
+  /// pop. 0 whenever solve()/resolveIncrement() has returned from a
+  /// completed run. Diagnostics/tests only.
+  std::size_t numPendingSets() const {
+    return PendingPool.size() - FreePending.size();
+  }
 
   // The Fig. 7 cut/shortcut sets, populated by the Cut-Shortcut plugin.
   void addCutStore(StmtId S);
@@ -208,6 +215,10 @@ private:
   PTAResult finishRun();
   void markDirty(PtrId Pr);
   void ensurePtr(PtrId Pr);
+  /// \p Rep's pending set, taking a pool entry if it holds none.
+  PointsToSet &pendingOf(PtrId Rep);
+  /// Returns \p Rep's pool entry (if any), freeing its buffers.
+  void releasePending(PtrId Rep);
   void buildProjection(PTAResult &R);
 
   // Cycle elimination / worklist internals.
@@ -247,8 +258,18 @@ private:
   // individual sets stay valid while new pointers are interned mid-flight
   // (enqueueSet unions from a source set while growing the tables).
   std::deque<PointsToSet> Pts;
-  std::vector<PointsToSet> Pending; ///< Facts awaiting the pointer's pop.
-  std::vector<uint8_t> InQueue;     ///< By representative.
+  std::vector<uint8_t> InQueue; ///< By representative.
+
+  // Facts awaiting a pointer's pop (delta propagation only) live in a
+  // pool sized by the worklist, not by the pointer count: PendingSlot
+  // maps a representative to its entry (InvalidId for none), a pointer
+  // holds an entry only while it has pending facts, and a popped or
+  // merged-away entry is released — its buffers freed — onto
+  // FreePending for reuse. A deque, like Pts, so growing the pool keeps
+  // references to held entries valid.
+  std::vector<uint32_t> PendingSlot;
+  std::deque<PointsToSet> PendingPool;
+  std::vector<uint32_t> FreePending;
 
   // Two-level topology-aware worklist: Current is one sweep, sorted by
   // (approximate topological order, id) when it was sealed; pointers
@@ -276,7 +297,7 @@ private:
   std::vector<uint8_t> CutReturns;
   std::vector<uint8_t> DeferredReturns;
   std::unordered_map<VarId, std::vector<PtrId>> PendingReturnTargets;
-  std::unordered_set<uint64_t> ShortcutEdgeKeys;
+  FlatSet ShortcutEdgeKeys; ///< packPair(Src, Dst).
 
   // Per-variable statement index: statements whose Base is this variable.
   std::vector<std::vector<StmtId>> BaseUses;

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Helpers for the recurring hot-path idiom of a vector indexed by a dense
-/// 32-bit id, grown with a sentinel fill value on first write: interning
-/// caches (CSManager, CallGraph) and fast-reject flag tables (the csc
-/// pattern plugins) all share these.
+/// 32-bit id, grown with a sentinel fill value on first write: the
+/// fast-reject flag tables and memos of the csc pattern plugins and the
+/// selective context selector share these.
 ///
 //===----------------------------------------------------------------------===//
 
