@@ -86,13 +86,11 @@ void ContainerPattern::onNewPFGEdge(PtrId Src, PtrId Dst,
       return;
     }
   }
-  if (denseGet<uint8_t>(HasHosts, Src, 0)) {
-    auto It = Hosts.find(Src);
-    if (It != Hosts.end()) {
-      std::vector<ObjId> Existing = It->second.toVector();
-      for (ObjId H : Existing)
-        pendHost(Dst, H);
-    }
+  const PointsToSet &SrcHosts = hostsOf(Src);
+  if (!SrcHosts.empty()) {
+    std::vector<ObjId> Existing = SrcHosts.toVector();
+    for (ObjId H : Existing)
+      pendHost(Dst, H);
     drain();
   }
 }
@@ -110,18 +108,14 @@ void ContainerPattern::drain() {
     HostWL.pop_front();
     if (!Hosts[P].insert(H))
       continue;
-    denseAssign<uint8_t>(HasHosts, P, 1, 0);
     // Propagate along current out-edges ([PropHost]).
     for (const PFGEdge &E : St.S->pfg().succ(P))
-      if (!ExcludedEdges.count(edgeKey(P, E.To)))
+      if (!ExcludedEdges.contains(edgeKey(P, E.To)))
         pendHost(E.To, H);
     // Wake subscribed container call sites on this receiver.
-    auto It = RecvSubs.find(P);
-    if (It != RecvSubs.end()) {
-      std::vector<Sub> Subs = It->second;
-      for (const Sub &SubInfo : Subs)
-        processSub(SubInfo, H);
-    }
+    std::vector<Sub> Subs = RecvSubs.lookup(P);
+    for (const Sub &SubInfo : Subs)
+      processSub(SubInfo, H);
   }
   Draining = false;
 }

@@ -20,6 +20,7 @@
 #include "csc/CscState.h"
 #include "stdlib/ContainerSpec.h"
 #include "support/DenseTable.h"
+#include "support/FlatTable.h"
 #include "support/Hash.h"
 #include "support/PointsToSet.h"
 
@@ -40,11 +41,8 @@ public:
   void onNewPFGEdge(PtrId Src, PtrId Dst, EdgeOrigin Origin);
 
   /// ptH(P): hosts associated with a pointer (for tests/diagnostics).
-  const PointsToSet &hostsOf(PtrId P) const {
-    static const PointsToSet None;
-    auto It = Hosts.find(P);
-    return It == Hosts.end() ? None : It->second;
-  }
+  /// Valid until the next host is recorded.
+  const PointsToSet &hostsOf(PtrId P) const { return Hosts.lookup(P); }
 
 private:
   /// A call site subscribed to its receiver's hosts, with the container
@@ -78,17 +76,15 @@ private:
   CscState &St;
   const ContainerSpec &Spec;
 
-  std::unordered_map<PtrId, std::vector<Sub>> RecvSubs;
-  std::unordered_set<uint64_t> SeenSubs; ///< (recvPtr, stmt) dedup.
-  std::unordered_map<PtrId, PointsToSet> Hosts;
-  /// Dense fast paths for the per-pop/per-edge hooks: memoized host-type
-  /// classification by TypeId and a byte per PtrId marking Hosts keys, so
-  /// the common no-host case costs no hash lookup.
+  SlotTable<std::vector<Sub>> RecvSubs; ///< By receiver PtrId.
+  FlatSet SeenSubs;                     ///< (recvPtr, stmt) dedup.
+  SlotTable<PointsToSet> Hosts;         ///< ptH, by PtrId.
+  /// Memoized host-type classification by TypeId and container-method
+  /// classification by MethodId.
   std::vector<int8_t> HostTypeMemo;        ///< -1 unknown, else 0/1.
   std::vector<int8_t> ContainerMethodMemo; ///< -1 unknown, else 0/1.
-  std::vector<uint8_t> HasHosts;
   std::unordered_map<uint64_t, Matches> MatchesByHostCat;
-  std::unordered_set<uint64_t> ExcludedEdges; ///< Transfer return edges.
+  FlatSet ExcludedEdges; ///< Transfer return edges.
   std::deque<std::pair<PtrId, ObjId>> HostWL;
   bool Draining = false;
 };

@@ -36,8 +36,6 @@ void CutShortcutPlugin::onNewMethod(CSMethodId M) {
   const CSMethodInfo &MI = CG.csMethod(M);
   assert(MI.Ctx == State.S->ctxManager().empty() &&
          "Cut-Shortcut requires the context-insensitive solver");
-  if (!SeenMethods.insert(MI.M).second)
-    return;
   if (Field)
     Field->onNewMethod(MI.M);
   if (Cont)

@@ -33,7 +33,6 @@
 #include "stdlib/ContainerSpec.h"
 
 #include <memory>
-#include <unordered_set>
 
 namespace csc {
 
@@ -58,10 +57,6 @@ public:
   void onFixpoint() override;
 
   const CutShortcutStats &stats() const { return State.Stats; }
-  /// Methods involved in cut/shortcut edges (Table 3's "Involved methods").
-  const std::unordered_set<MethodId> &involvedMethods() const {
-    return State.Stats.Involved;
-  }
   const ContainerPattern *container() const { return Cont.get(); }
 
 private:
@@ -71,7 +66,6 @@ private:
   std::unique_ptr<FieldAccessPattern> Field;
   std::unique_ptr<ContainerPattern> Cont;
   std::unique_ptr<LocalFlowPattern> Local;
-  std::unordered_set<MethodId> SeenMethods;
 };
 
 } // namespace csc

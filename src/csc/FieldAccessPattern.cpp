@@ -6,6 +6,8 @@
 
 #include "csc/FieldAccessPattern.h"
 
+#include <utility>
+
 using namespace csc;
 
 void FieldAccessPattern::onNewMethod(MethodId M) {
@@ -60,8 +62,8 @@ void FieldAccessPattern::markNestedCandidates(MethodId M) {
       if (!St.S->isDeferredReturn(RV))
         DeferredRegistry.push_back(RV);
       St.S->addDeferredReturn(RV);
-      FlushOnResolve.emplace(D, RV);
-      setFlag(HasFlushStmt, D);
+      if (denseGet(FlushOnResolve, D, InvalidId) == InvalidId)
+        denseAssign(FlushOnResolve, D, RV, InvalidId);
     }
   }
 }
@@ -94,11 +96,9 @@ void FieldAccessPattern::undeferAndNotify(VarId V) {
 }
 
 void FieldAccessPattern::resolveDependents(VarId V) {
-  auto It = DeferDeps.find(V);
-  if (It == DeferDeps.end())
+  if (DeferDeps.lookup(V).empty())
     return;
-  std::vector<DeferDep> Deps = std::move(It->second);
-  DeferDeps.erase(It);
+  std::vector<DeferDep> Deps = std::exchange(DeferDeps[V], {});
   for (const DeferDep &D : Deps)
     decideDeferred(D.CallStmt, D.Callee, D.Var);
 }
@@ -129,7 +129,6 @@ void FieldAccessPattern::addTempStore(MethodId InMethod, VarId Base,
     // store travels to every (current and future) caller.
     PropStore PS{Base, F, From, KBase, KFrom};
     PropagatingStores[InMethod].push_back(PS);
-    setFlag(HasPropStores, InMethod);
     CallGraph &CG = St.S->callGraph();
     const Program &P = St.S->program();
     CSMethodId CSM =
@@ -146,8 +145,7 @@ void FieldAccessPattern::addTempStore(MethodId InMethod, VarId Base,
   // and as pt(Base) grows.
   St.involveVar(Base);
   St.involveVar(From);
-  TerminalByBase[Base].push_back({F, From});
-  setFlag(HasTerminalStore, Base);
+  TerminalByBase[Base].Stores.push_back({F, From});
   PtrId BasePtr = St.S->varPtrCI(Base);
   PtrId FromPtr = St.S->varPtrCI(From);
   const CSManager &CSM = St.S->csManager();
@@ -175,14 +173,13 @@ void FieldAccessPattern::registerCutLoadVar(MethodId M, VarId RetV,
                                             LoadEntry E) {
   if (!SeenTempLoads[{RetV, E.BaseVar}].insert(E.F).second)
     return;
-  bool First = CutLoadRets.find(RetV) == CutLoadRets.end();
-  CutLoadRets[RetV].push_back(E);
-  setFlag(HasCutLoadRet, RetV);
+  std::vector<LoadEntry> &Loads = CutLoadRets[RetV].Loads;
+  bool First = Loads.empty();
+  Loads.push_back(E);
   if (First) {
     St.cutReturn(RetV);
     St.involve(M);
     CutLoadVarsByMethod[M].push_back(RetV);
-    setFlag(HasCutLoadVars, M);
     // Classify in-edges that already exist (the nested-discovery case,
     // where RetV was cut after its method was analyzed).
     PtrId RetPtr = St.S->varPtrCI(RetV);
@@ -190,8 +187,8 @@ void FieldAccessPattern::registerCutLoadVar(MethodId M, VarId RetV,
     for (PtrId Src : Preds) {
       if (isReturnLoadEdge(RetV, Src))
         continue;
-      if (NonRLESeen[RetV].insert(Src).second)
-        NonRLEIn[RetV].push_back(Src);
+      if (NonRLESeen.insert(packPair(RetV, Src)).second)
+        CutLoadRets[RetV].NonRLEIn.push_back(Src);
     }
     // Re-process existing call edges of M for this newly cut variable.
     CallGraph &CG = St.S->callGraph();
@@ -212,10 +209,7 @@ bool FieldAccessPattern::isReturnLoadEdge(VarId RetV, PtrId Src) const {
   const PtrInfo &PI = St.S->csManager().ptr(Src);
   if (PI.Kind != PtrKind::Field)
     return false;
-  auto It = CutLoadRets.find(RetV);
-  if (It == CutLoadRets.end())
-    return false;
-  for (const LoadEntry &E : It->second) {
+  for (const LoadEntry &E : CutLoadRets.lookup(RetV).Loads) {
     if (E.F != PI.B)
       continue;
     // Src is o.F; it is a returnLoadEdge if o came through the qualifying
@@ -229,26 +223,21 @@ bool FieldAccessPattern::isReturnLoadEdge(VarId RetV, PtrId Src) const {
 
 void FieldAccessPattern::processLoadCallEdge(const Stmt &CallStmt,
                                              MethodId Callee) {
-  if (!testFlag(HasCutLoadVars, Callee))
-    return;
-  auto It = CutLoadVarsByMethod.find(Callee);
-  if (It == CutLoadVarsByMethod.end())
-    return;
-  if (CallStmt.To == InvalidId)
+  // Copy: nested registration can invalidate iterators.
+  std::vector<VarId> Vars = CutLoadVarsByMethod.lookup(Callee);
+  if (Vars.empty() || CallStmt.To == InvalidId)
     return;
   const Program &P = St.S->program();
   PtrId TargetPtr = St.S->varPtrCI(CallStmt.To);
-  // Copy: nested registration can invalidate iterators.
-  std::vector<VarId> Vars = It->second;
   for (VarId RetV : Vars) {
     // [RelayEdge]: non-returnLoad in-edges of RetV flow to this LHS.
-    if (RelaySeen[RetV].insert(TargetPtr).second) {
-      RelayTargets[RetV].push_back(TargetPtr);
-      std::vector<PtrId> Srcs = NonRLEIn[RetV];
+    if (RelaySeen.insert(packPair(RetV, TargetPtr)).second) {
+      CutLoadRets[RetV].RelayTargets.push_back(TargetPtr);
+      std::vector<PtrId> Srcs = CutLoadRets.lookup(RetV).NonRLEIn;
       for (PtrId Src : Srcs)
         St.shortcut(Src, TargetPtr);
     }
-    std::vector<LoadEntry> Entries = CutLoadRets[RetV];
+    std::vector<LoadEntry> Entries = CutLoadRets.lookup(RetV).Loads;
     for (const LoadEntry &E : Entries) {
       VarId ArgVar = P.callArg(CallStmt, E.KBase);
       if (ArgVar == InvalidId)
@@ -259,8 +248,7 @@ void FieldAccessPattern::processLoadCallEdge(const Stmt &CallStmt,
       St.involveVar(ArgVar);
       St.involveVar(CallStmt.To);
       // [ShortcutLoad]: o.F -> lhs for o in pt(ArgVar), now and later.
-      TermLoadByBase[ArgVar].push_back({E.F, CallStmt.To});
-      setFlag(HasTerminalLoad, ArgVar);
+      TerminalByBase[ArgVar].Loads.push_back({E.F, CallStmt.To});
       PtrId ArgPtr = St.S->varPtrCI(ArgVar);
       const CSManager &CSMgr = St.S->csManager();
       FieldId F = E.F;
@@ -291,21 +279,16 @@ void FieldAccessPattern::onNewCallEdge(CSCallSiteId CS, CSMethodId Callee) {
   StmtId CallSId = P.callSite(CG.csCallSite(CS).CS).S;
   const Stmt &CallStmt = P.stmt(CallSId);
 
-  if (HandleStores && testFlag(HasPropStores, M)) {
-    auto It = PropagatingStores.find(M);
-    if (It != PropagatingStores.end()) {
-      std::vector<PropStore> Stores = It->second;
-      for (const PropStore &PS : Stores)
-        propagateStoreToCaller(PS, CallStmt);
-    }
+  if (HandleStores) {
+    std::vector<PropStore> Stores = PropagatingStores.lookup(M);
+    for (const PropStore &PS : Stores)
+      propagateStoreToCaller(PS, CallStmt);
   }
   if (HandleLoads) {
     processLoadCallEdge(CallStmt, M);
-    if (testFlag(HasFlushStmt, CallSId)) {
-      auto It = FlushOnResolve.find(CallSId);
-      if (It != FlushOnResolve.end())
-        decideDeferred(CallSId, M, It->second);
-    }
+    VarId Deferred = denseGet(FlushOnResolve, CallSId, InvalidId);
+    if (Deferred != InvalidId)
+      decideDeferred(CallSId, M, Deferred);
   }
 }
 
@@ -315,32 +298,20 @@ void FieldAccessPattern::onNewPointsTo(PtrId Pr, const PointsToSet &Delta) {
     return;
   VarId V = PI.A;
   const CSManager &CSMgr = St.S->csManager();
-
-  if (HandleStores && testFlag(HasTerminalStore, V)) {
-    auto It = TerminalByBase.find(V);
-    if (It != TerminalByBase.end()) {
-      std::vector<TerminalStore> Stores = It->second;
-      for (const TerminalStore &TS : Stores) {
-        PtrId FromPtr = St.S->varPtrCI(TS.From);
-        Delta.forEach([&](CSObjId O) {
-          St.shortcut(FromPtr,
-                      St.S->fieldPtrCI(CSMgr.csObj(O).O, TS.F));
-        });
-      }
-    }
+  // Copy: shortcut() re-enters the plugin's hooks. Stores are only added
+  // with HandleStores, loads only with HandleLoads.
+  Terminals T = TerminalByBase.lookup(V);
+  for (const TerminalStore &TS : T.Stores) {
+    PtrId FromPtr = St.S->varPtrCI(TS.From);
+    Delta.forEach([&](CSObjId O) {
+      St.shortcut(FromPtr, St.S->fieldPtrCI(CSMgr.csObj(O).O, TS.F));
+    });
   }
-  if (HandleLoads && testFlag(HasTerminalLoad, V)) {
-    auto It = TermLoadByBase.find(V);
-    if (It != TermLoadByBase.end()) {
-      std::vector<TerminalLoad> Loads = It->second;
-      for (const TerminalLoad &TL : Loads) {
-        PtrId TargetPtr = St.S->varPtrCI(TL.Target);
-        Delta.forEach([&](CSObjId O) {
-          St.shortcut(St.S->fieldPtrCI(CSMgr.csObj(O).O, TL.F),
-                      TargetPtr);
-        });
-      }
-    }
+  for (const TerminalLoad &TL : T.Loads) {
+    PtrId TargetPtr = St.S->varPtrCI(TL.Target);
+    Delta.forEach([&](CSObjId O) {
+      St.shortcut(St.S->fieldPtrCI(CSMgr.csObj(O).O, TL.F), TargetPtr);
+    });
   }
 }
 
@@ -353,17 +324,12 @@ void FieldAccessPattern::onNewPFGEdge(PtrId Src, PtrId Dst,
   if (PI.Kind != PtrKind::Var)
     return;
   VarId V = PI.A;
-  if (!testFlag(HasCutLoadRet, V))
+  if (CutLoadRets.lookup(V).Loads.empty() || isReturnLoadEdge(V, Src))
     return;
-  auto It = CutLoadRets.find(V);
-  if (It == CutLoadRets.end())
+  if (!NonRLESeen.insert(packPair(V, Src)).second)
     return;
-  if (isReturnLoadEdge(V, Src))
-    return;
-  if (!NonRLESeen[V].insert(Src).second)
-    return;
-  NonRLEIn[V].push_back(Src);
-  std::vector<PtrId> Targets = RelayTargets[V];
+  CutLoadRets[V].NonRLEIn.push_back(Src);
+  std::vector<PtrId> Targets = CutLoadRets.lookup(V).RelayTargets;
   for (PtrId T : Targets)
     St.shortcut(Src, T);
 }

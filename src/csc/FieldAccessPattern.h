@@ -30,9 +30,11 @@
 
 #include "csc/CscState.h"
 #include "support/DenseTable.h"
+#include "support/FlatTable.h"
 
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace csc {
 
@@ -68,25 +70,9 @@ private:
   void addTempStore(MethodId InMethod, VarId Base, FieldId F, VarId From);
   void propagateStoreToCaller(const PropStore &PS, const Stmt &CallStmt);
 
-  std::unordered_map<MethodId, std::vector<PropStore>> PropagatingStores;
-  std::unordered_map<VarId, std::vector<TerminalStore>> TerminalByBase;
-  /// Dense fast-reject flags mirroring the sparse maps above: the solver
-  /// fires onNewPointsTo/onNewPFGEdge for every pointer, and almost no
-  /// variable has terminal stores/loads or cut returns — a byte test
-  /// avoids the hash lookup on that hot path.
-  std::vector<uint8_t> HasTerminalStore; ///< TerminalByBase keys.
-  std::vector<uint8_t> HasTerminalLoad;  ///< TermLoadByBase keys.
-  std::vector<uint8_t> HasCutLoadRet;    ///< CutLoadRets keys.
-  std::vector<uint8_t> HasPropStores;    ///< PropagatingStores keys.
-  std::vector<uint8_t> HasCutLoadVars;   ///< CutLoadVarsByMethod keys.
-  std::vector<uint8_t> HasFlushStmt;     ///< FlushOnResolve keys.
-
-  static void setFlag(std::vector<uint8_t> &F, uint32_t I) {
-    denseAssign<uint8_t>(F, I, 1, 0);
-  }
-  static bool testFlag(const std::vector<uint8_t> &F, uint32_t I) {
-    return denseGet<uint8_t>(F, I, 0) != 0;
-  }
+  // Tables keyed by one id are SlotTables: an empty entry means "none",
+  // which is the fast reject on the per-pointer hooks.
+  SlotTable<std::vector<PropStore>> PropagatingStores; ///< By MethodId.
   /// Dedup of tempStores: (Base, From) -> fields already handled.
   std::unordered_map<std::pair<uint32_t, uint32_t>,
                      std::unordered_set<FieldId>, PairHash>
@@ -114,20 +100,32 @@ private:
   bool isReturnLoadEdge(VarId RetV, PtrId Src) const;
   void markNestedCandidates(MethodId M);
 
-  std::unordered_map<VarId, std::vector<LoadEntry>> CutLoadRets;
-  std::unordered_map<MethodId, std::vector<VarId>> CutLoadVarsByMethod;
-  std::unordered_map<VarId, std::vector<PtrId>> RelayTargets;
-  std::unordered_map<VarId, std::unordered_set<PtrId>> RelaySeen;
-  std::unordered_map<VarId, std::vector<PtrId>> NonRLEIn;
-  std::unordered_map<VarId, std::unordered_set<PtrId>> NonRLESeen;
-  std::unordered_map<VarId, std::vector<TerminalLoad>> TermLoadByBase;
+  /// A cut return variable: its qualifying loads, the sources of its
+  /// non-returnLoad in-edges, and the call-site LHS pointers those are
+  /// relayed to ([RelayEdge]).
+  struct CutLoadRet {
+    std::vector<LoadEntry> Loads;
+    std::vector<PtrId> NonRLEIn;
+    std::vector<PtrId> RelayTargets;
+  };
+  SlotTable<CutLoadRet> CutLoadRets; ///< By cut return VarId.
+  /// packPair(cut return, pointer) dedups of NonRLEIn and RelayTargets.
+  FlatSet NonRLESeen;
+  FlatSet RelaySeen;
+  SlotTable<std::vector<VarId>> CutLoadVarsByMethod; ///< By MethodId.
+  /// The tempStores and tempLoads anchored at one base variable.
+  struct Terminals {
+    std::vector<TerminalStore> Stores;
+    std::vector<TerminalLoad> Loads;
+  };
+  SlotTable<Terminals> TerminalByBase; ///< By base VarId.
   /// Dedup of tempLoads: (Target, Base) -> fields already handled.
   std::unordered_map<std::pair<uint32_t, uint32_t>,
                      std::unordered_set<FieldId>, PairHash>
       SeenTempLoads;
-  /// Deferred-return bookkeeping: invoke statements whose resolution
-  /// decides the deferred LHS variable's fate.
-  std::unordered_map<StmtId, VarId> FlushOnResolve;
+  /// Deferred-return bookkeeping, by invoke StmtId: the deferred LHS
+  /// variable whose fate the invoke's resolution decides (InvalidId: none).
+  std::vector<VarId> FlushOnResolve;
   /// Chains: a deferred variable waiting on a callee return variable that
   /// is itself still deferred (3+-level nested accessors).
   struct DeferDep {
@@ -135,7 +133,7 @@ private:
     MethodId Callee;
     VarId Var;
   };
-  std::unordered_map<VarId, std::vector<DeferDep>> DeferDeps;
+  SlotTable<std::vector<DeferDep>> DeferDeps; ///< By awaited VarId.
   std::vector<VarId> DeferredRegistry;
 
   void decideDeferred(StmtId CallStmt, MethodId Callee, VarId V);

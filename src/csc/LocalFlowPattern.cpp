@@ -8,13 +8,22 @@
 
 #include "support/Hash.h"
 
+#include <algorithm>
+
 using namespace csc;
 
-std::unordered_map<VarId, uint64_t>
-LocalFlowPattern::computeFlows(MethodId M) const {
+/// The mask computeFlows found for \p V in \p MI, 0 if \p V is not one of
+/// MI's variables. MI.Vars is ascending: Program::addVar appends fresh ids.
+static uint64_t maskOf(const MethodInfo &MI, const std::vector<uint64_t> &Mask,
+                       VarId V) {
+  auto It = std::lower_bound(MI.Vars.begin(), MI.Vars.end(), V);
+  return It != MI.Vars.end() && *It == V ? Mask[It - MI.Vars.begin()] : 0;
+}
+
+std::vector<uint64_t> LocalFlowPattern::computeFlows(MethodId M) const {
   const Program &P = St.S->program();
   const MethodInfo &MI = P.method(M);
-  std::unordered_map<VarId, uint64_t> Mask;
+  std::vector<uint64_t> Mask(MI.Vars.size(), 0);
   if (MI.Params.size() > 64)
     return Mask; // Mask width exceeded; pattern disabled for this method.
 
@@ -22,16 +31,19 @@ LocalFlowPattern::computeFlows(MethodId M) const {
   // Parameters with definitions do NOT qualify: their values mix incoming
   // arguments with the redefinitions, which the shortcut edges could not
   // cover soundly.
-  for (size_t K = 0; K != MI.Params.size(); ++K)
+  for (size_t K = 0; K != MI.Params.size(); ++K) {
+    auto It = std::lower_bound(MI.Vars.begin(), MI.Vars.end(), MI.Params[K]);
     if (P.var(MI.Params[K]).Defs.empty())
-      Mask[MI.Params[K]] = 1ULL << K;
+      Mask[It - MI.Vars.begin()] = 1ULL << K;
+  }
 
   // [Param2VarRec]: least fixed point — x qualifies if it has definitions
   // and every definition is a local assignment from a qualifying variable.
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (VarId V : MI.Vars) {
+    for (size_t I = 0; I != MI.Vars.size(); ++I) {
+      VarId V = MI.Vars[I];
       const VarInfo &VI = P.var(V);
       if (VI.Defs.empty())
         continue;
@@ -49,16 +61,16 @@ LocalFlowPattern::computeFlows(MethodId M) const {
           AllQualify = false;
           break;
         }
-        auto It = Mask.find(DS.From);
-        if (It == Mask.end() || It->second == 0) {
+        uint64_t From = maskOf(MI, Mask, DS.From);
+        if (From == 0) {
           AllQualify = false;
           break;
         }
-        Combined |= It->second;
+        Combined |= From;
       }
       if (!AllQualify)
         continue;
-      uint64_t &Cur = Mask[V];
+      uint64_t &Cur = Mask[I];
       if (Cur != Combined) {
         Cur = Combined;
         Changed = true;
@@ -69,9 +81,7 @@ LocalFlowPattern::computeFlows(MethodId M) const {
 }
 
 uint64_t LocalFlowPattern::paramMaskOf(MethodId M, VarId V) {
-  auto Flows = computeFlows(M);
-  auto It = Flows.find(V);
-  return It == Flows.end() ? 0 : It->second;
+  return maskOf(St.S->program().method(M), computeFlows(M), V);
 }
 
 void LocalFlowPattern::onNewMethod(MethodId M) {
@@ -79,26 +89,26 @@ void LocalFlowPattern::onNewMethod(MethodId M) {
   const MethodInfo &MI = P.method(M);
   if (MI.RetVars.empty())
     return;
-  auto Flows = computeFlows(M);
+  std::vector<uint64_t> Flows = computeFlows(M);
   std::vector<CutRet> Cuts;
   for (VarId RV : MI.RetVars) {
-    auto It = Flows.find(RV);
-    if (It == Flows.end() || It->second == 0)
+    uint64_t Mask = maskOf(MI, Flows, RV);
+    if (Mask == 0)
       continue;
     // [CutLFlow].
     St.cutReturn(RV);
     St.involve(M);
-    Cuts.push_back({RV, It->second});
+    Cuts.push_back({RV, Mask});
   }
   if (!Cuts.empty())
-    CutRets.emplace(M, std::move(Cuts));
+    CutRets[M] = std::move(Cuts);
 }
 
 void LocalFlowPattern::onNewCallEdge(CSCallSiteId CS, CSMethodId Callee) {
   CallGraph &CG = St.S->callGraph();
   MethodId M = CG.csMethod(Callee).M;
-  auto It = CutRets.find(M);
-  if (It == CutRets.end())
+  const std::vector<CutRet> &Cuts = CutRets.lookup(M);
+  if (Cuts.empty())
     return;
   const Program &P = St.S->program();
   const Stmt &S = P.stmt(P.callSite(CG.csCallSite(CS).CS).S);
@@ -106,7 +116,7 @@ void LocalFlowPattern::onNewCallEdge(CSCallSiteId CS, CSMethodId Callee) {
     return;
   St.involve(S.Method);
   PtrId TargetPtr = St.S->varPtrCI(S.To);
-  for (const CutRet &CR : It->second) {
+  for (const CutRet &CR : Cuts) {
     // [ShortcutLFlow]: argument k -> call-site LHS for each flowing k.
     uint64_t Mask = CR.Mask;
     while (Mask) {

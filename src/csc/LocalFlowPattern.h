@@ -18,8 +18,9 @@
 #define CSC_CSC_LOCALFLOWPATTERN_H
 
 #include "csc/CscState.h"
+#include "support/DenseTable.h"
 
-#include <unordered_map>
+#include <vector>
 
 namespace csc {
 
@@ -41,10 +42,11 @@ private:
     uint64_t Mask; ///< Bit k: values come from call-argument k.
   };
 
-  /// Computes ⟨m,k⟩↣x for all variables of M (least fixed point).
-  std::unordered_map<VarId, uint64_t> computeFlows(MethodId M) const;
+  /// Computes ⟨m,k⟩↣x for all variables of M (least fixed point): entry I
+  /// is the mask of M's I-th variable (MethodInfo::Vars order).
+  std::vector<uint64_t> computeFlows(MethodId M) const;
 
-  std::unordered_map<MethodId, std::vector<CutRet>> CutRets;
+  SlotTable<std::vector<CutRet>> CutRets; ///< By MethodId.
 
   CscState &St;
 };

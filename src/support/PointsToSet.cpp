@@ -328,64 +328,6 @@ uint32_t PointsToSet::unionWithExcluding(const PointsToSet &Other,
   return unionImpl(Other, nullptr, &Exclude, nullptr);
 }
 
-PointsToSet PointsToSet::intersectWith(const PointsToSet &Other) const {
-  PointsToSet Out;
-  if (UseBits && Other.UseBits) {
-    size_t Words = std::min(Bits.size(), Other.Bits.size());
-    size_t Needed = 0;
-    for (size_t W = 0; W < Words; ++W)
-      if (Bits[W] & Other.Bits[W])
-        Needed = W + 1;
-    uint32_t Common = 0;
-    for (size_t W = 0; W < Needed; ++W)
-      Common += popCount(Bits[W] & Other.Bits[W]);
-    if (Common > SmallLimit) {
-      Out.UseBits = true;
-      Out.Bits.resize(Needed, 0);
-      for (size_t W = 0; W < Needed; ++W)
-        Out.Bits[W] = Bits[W] & Other.Bits[W];
-      Out.Count = Common;
-      return Out;
-    }
-    for (size_t W = 0; W < Needed; ++W) {
-      uint64_t Word = Bits[W] & Other.Bits[W];
-      while (Word) {
-        Out.insert(static_cast<uint32_t>(W * 64 + countTrailingZeros(Word)));
-        Word &= Word - 1;
-      }
-    }
-    return Out;
-  }
-  // At least one side is small: iterate it, probe the other.
-  const PointsToSet &S = !UseBits ? *this : Other;
-  const PointsToSet &L = !UseBits ? Other : *this;
-  uint32_t N;
-  const uint32_t *Elems = S.smallData(N);
-  for (uint32_t I = 0; I != N; ++I)
-    if (L.contains(Elems[I]))
-      Out.insert(Elems[I]);
-  return Out;
-}
-
-uint32_t PointsToSet::intersectCount(const PointsToSet &Other) const {
-  if (UseBits && Other.UseBits) {
-    size_t Words = std::min(Bits.size(), Other.Bits.size());
-    uint32_t N = 0;
-    for (size_t W = 0; W < Words; ++W)
-      N += popCount(Bits[W] & Other.Bits[W]);
-    return N;
-  }
-  const PointsToSet &S = !UseBits ? *this : Other;
-  const PointsToSet &L = !UseBits ? Other : *this;
-  uint32_t N;
-  const uint32_t *Elems = S.smallData(N);
-  uint32_t Common = 0;
-  for (uint32_t I = 0; I != N; ++I)
-    if (L.contains(Elems[I]))
-      ++Common;
-  return Common;
-}
-
 bool PointsToSet::intersects(const PointsToSet &Other) const {
   if (UseBits && Other.UseBits) {
     size_t Words = std::min(Bits.size(), Other.Bits.size());

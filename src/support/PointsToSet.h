@@ -82,12 +82,6 @@ public:
   uint32_t unionWithExcluding(const PointsToSet &Other,
                               const PointsToSet &Exclude);
 
-  /// The elements common to both sets.
-  PointsToSet intersectWith(const PointsToSet &Other) const;
-
-  /// |this ∩ Other| without materializing the intersection.
-  uint32_t intersectCount(const PointsToSet &Other) const;
-
   /// Returns true if this set and \p Other share an element.
   bool intersects(const PointsToSet &Other) const;
 

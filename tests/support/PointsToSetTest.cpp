@@ -194,24 +194,6 @@ TEST(PointsToSetTest, InternerKeepsOneCopyOfEachSet) {
   EXPECT_EQ(Pool.size(), 203u);
 }
 
-TEST(PointsToSetTest, IntersectWithAndCount) {
-  PointsToSet A, B;
-  for (uint32_t I = 0; I < 300; I += 2)
-    A.insert(I);
-  for (uint32_t I = 0; I < 300; I += 3)
-    B.insert(I);
-  PointsToSet C = A.intersectWith(B);
-  EXPECT_EQ(C.size(), 50u); // multiples of 6 below 300
-  C.forEach([](uint32_t O) { EXPECT_EQ(O % 6, 0u); });
-  EXPECT_EQ(A.intersectCount(B), 50u);
-  PointsToSet SmallSet;
-  SmallSet.insert(6);
-  SmallSet.insert(7);
-  EXPECT_EQ(SmallSet.intersectCount(A), 1u);
-  EXPECT_EQ(SmallSet.intersectWith(B).toVector(),
-            std::vector<uint32_t>{6});
-}
-
 /// Property sweep: the hybrid set must behave exactly like std::set under
 /// random insert/query sequences, across sizes that cross the promotion
 /// threshold.
