@@ -10,26 +10,44 @@ using namespace csc;
 
 std::vector<StmtId> csc::mayFailCasts(const Program &P, const PTAResult &R) {
   std::vector<StmtId> Out;
-  // Per cast target type, a bitmap over source TypeIds that would fail
-  // the cast. Built once per target type (numTypes subtype queries), it
-  // turns the per-pointee check into a bit test — points-to sets here can
-  // hold hundreds of objects per cast on container-heavy programs.
-  std::unordered_map<TypeId, PointsToSet> FailTypeMasks;
+  // Per cast target type: a bitmap over the source TypeIds that would
+  // fail the cast (numTypes subtype queries, once), so checking a pointee
+  // is one bit test and a scan stops at the first failing pointee. A
+  // verdict depends only on the type and the set, and the result keeps
+  // one copy of each distinct set, so verdicts on large sets are kept:
+  // under ci thousands of casts read the same few hundred sets of
+  // hundreds of objects.
+  struct CastCheck {
+    PointsToSet FailTypes;
+    std::unordered_map<const PointsToSet *, bool> LargeVerdicts;
+  };
+  constexpr uint32_t LargeSet = 64;
+  std::unordered_map<TypeId, CastCheck> Checks;
   for (StmtId S = 0; S < P.numStmts(); ++S) {
     const Stmt &St = P.stmt(S);
     if (St.Kind != StmtKind::Cast || !R.isReachable(St.Method))
       continue;
-    auto [It, New] = FailTypeMasks.try_emplace(St.Type);
-    PointsToSet &Mask = It->second;
+    auto [It, New] = Checks.try_emplace(St.Type);
+    CastCheck &C = It->second;
     if (New)
       for (TypeId T = 0; T < P.numTypes(); ++T)
         if (!P.isSubtype(T, St.Type))
-          Mask.insert(T);
-    bool MayFail = false;
-    R.pt(St.From).forEach([&](ObjId O) {
-      MayFail = MayFail || Mask.contains(P.obj(O).Type);
-    });
-    if (MayFail)
+          C.FailTypes.insert(T);
+    const PointsToSet &Pts = R.pt(St.From);
+    auto MayFail = [&] {
+      return Pts.anyOf(
+          [&](ObjId O) { return C.FailTypes.contains(P.obj(O).Type); });
+    };
+    bool Fails;
+    if (Pts.size() <= LargeSet) {
+      Fails = MayFail();
+    } else {
+      auto [Verdict, Unseen] = C.LargeVerdicts.try_emplace(&Pts);
+      if (Unseen)
+        Verdict->second = MayFail();
+      Fails = Verdict->second;
+    }
+    if (Fails)
       Out.push_back(S);
   }
   return Out;

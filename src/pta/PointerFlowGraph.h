@@ -11,10 +11,11 @@
 /// the Cut-Shortcut relay rule ([RelayEdge], Fig. 9) needs the in-edges of
 /// cut return variables.
 ///
-/// This graph always stores **original, un-collapsed** endpoints: under
-/// online cycle elimination (SccCollapser) the solver propagates on a
-/// separate representative-level adjacency, while this graph remains the
-/// system of record for edge dedup and Stats.PFGEdges, for the plugins'
+/// This graph always stores **original, un-collapsed** endpoints. Cycle
+/// elimination (SccCollapser) finds cycles with full Tarjan passes and
+/// propagates on a representative-level view computed from these lists
+/// (no second adjacency is stored), while this graph remains the system
+/// of record for edge dedup and Stats.PFGEdges, for the plugins'
 /// pred()/succ() queries, for shortcut-edge bookkeeping, and for graph
 /// dumps — so every consumer sees the same PFG whether or not cycles
 /// were collapsed.
@@ -24,10 +25,11 @@
 #ifndef CSC_PTA_POINTERFLOWGRAPH_H
 #define CSC_PTA_POINTERFLOWGRAPH_H
 
+#include "support/FlatTable.h"
 #include "support/Hash.h"
 #include "support/Ids.h"
 
-#include <unordered_set>
+#include <algorithm>
 #include <vector>
 
 namespace csc {
@@ -41,24 +43,26 @@ class PointerFlowGraph {
 public:
   /// Adds s -> t (with optional cast filter); returns false if present.
   /// Dedup is hybrid: low-degree sources scan their (short) successor
-  /// list, only sources past SmallDegree pay for hashed membership — the
-  /// common case in the solver hot path is a handful of out-edges.
+  /// list; sources past SmallDegree look the (s, t) pair up in one flat
+  /// table that keeps the first filter seen for it. A hit with another
+  /// filter is a parallel cast edge, settled by scanning the list.
   bool addEdge(PtrId S, PtrId T, TypeId Filter) {
     ensure(std::max(S, T));
     std::vector<PFGEdge> &Out = Succ[S];
     if (Out.size() <= SmallDegree) {
-      for (const PFGEdge &E : Out)
-        if (E.To == T && E.Filter == Filter)
-          return false;
+      if (hasEdge(Out, T, Filter))
+        return false;
       if (Out.size() == SmallDegree) {
-        // Crossing the threshold: seed the hash set with every edge of
-        // this source (including the new one) before switching over.
+        // Crossing the threshold: index every edge of this source
+        // (including the new one) before switching over.
         for (const PFGEdge &E : Out)
-          Edges.insert({S, E.To, E.Filter});
-        Edges.insert({S, T, Filter});
+          Index.insert(packPair(S, E.To), E.Filter);
+        Index.insert(packPair(S, T), Filter);
       }
-    } else if (!Edges.insert({S, T, Filter}).second) {
-      return false;
+    } else {
+      auto [First, New] = Index.insert(packPair(S, T), Filter);
+      if (!New && (First == Filter || hasEdge(Out, T, Filter)))
+        return false;
     }
     Out.push_back({T, Filter});
     Pred[T].push_back(S);
@@ -66,12 +70,12 @@ public:
     return true;
   }
 
-  /// Pre-sizes the node tables and the high-degree dedup set (rehash
-  /// storms on the hot path showed up in profiles).
-  void reserveHint(std::size_t Nodes, std::size_t Edges) {
+  /// Pre-sizes the node tables. The dedup index grows on demand:
+  /// reserving it from the statement count raised 2obj's peak RSS on
+  /// scale-xl by 0.5 MB.
+  void reserveHint(std::size_t Nodes) {
     Succ.reserve(Nodes);
     Pred.reserve(Nodes);
-    this->Edges.reserve(Edges / 4);
   }
 
   const std::vector<PFGEdge> &succ(PtrId P) const {
@@ -84,22 +88,12 @@ public:
   uint64_t numEdges() const { return NumEdges; }
 
 private:
-  struct EdgeKey {
-    PtrId S;
-    PtrId T;
-    TypeId Filter;
-    bool operator==(const EdgeKey &O) const {
-      return S == O.S && T == O.T && Filter == O.Filter;
-    }
-  };
-  struct EdgeKeyHash {
-    size_t operator()(const EdgeKey &K) const {
-      size_t Seed = K.S;
-      hashCombine(Seed, K.T);
-      hashCombine(Seed, K.Filter);
-      return Seed;
-    }
-  };
+  static bool hasEdge(const std::vector<PFGEdge> &Out, PtrId T,
+                      TypeId Filter) {
+    return std::any_of(Out.begin(), Out.end(), [&](const PFGEdge &E) {
+      return E.To == T && E.Filter == Filter;
+    });
+  }
 
   void ensure(PtrId P) {
     if (P >= Succ.size()) {
@@ -113,7 +107,9 @@ private:
 
   std::vector<std::vector<PFGEdge>> Succ;
   std::vector<std::vector<PtrId>> Pred;
-  std::unordered_set<EdgeKey, EdgeKeyHash> Edges;
+  /// packPair(s, t) -> the first filter added for the pair, for sources
+  /// with more than SmallDegree out-edges.
+  FlatTable<TypeId> Index;
   uint64_t NumEdges = 0;
 
   inline static const std::vector<PFGEdge> EmptyEdges{};

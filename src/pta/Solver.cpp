@@ -34,9 +34,9 @@ Solver::Solver(const Program &P, SolverOptions Opts) : P(P), Opts(Opts) {
   CutReturns.assign(P.numVars(), 0);
 
   // Capacity hints proportional to program size for the per-pointer
-  // tables and the PFG's hashed edge dedup.
+  // tables and the PFG's node tables.
   CSM.reserveHint(P.numVars(), P.numObjs());
-  PFG.reserveHint(P.numVars(), 2 * static_cast<std::size_t>(P.numStmts()));
+  PFG.reserveHint(P.numVars());
 
   if (Opts.CycleElimination) {
     Scc = std::make_unique<SccCollapser>(PFG);

@@ -7,6 +7,7 @@
 #include "support/PointsToSet.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace csc;
 
@@ -202,24 +203,67 @@ uint32_t PointsToSetInterner::intern(PointsToSet &&S) {
 // Word-parallel bulk operations
 //===----------------------------------------------------------------------===//
 
+/// Reads a set's 64-bit words in ascending word order: a bitmap's in
+/// place, a small set's assembled from its sorted elements with a forward
+/// cursor. Each reader serves one pass; word indices must increase.
+class PointsToSet::WordCursor {
+public:
+  explicit WordCursor(const PointsToSet *S) : S(S) {
+    if (S && !S->UseBits)
+      Elems = S->smallData(N);
+  }
+
+  uint64_t at(std::size_t W) {
+    if (S->UseBits)
+      return S->wordAt(W);
+    while (I != N && Elems[I] / 64 < W)
+      ++I;
+    uint64_t Word = 0;
+    for (; I != N && Elems[I] / 64 == W; ++I)
+      Word |= 1ULL << (Elems[I] % 64);
+    return Word;
+  }
+
+private:
+  const PointsToSet *S;
+  const uint32_t *Elems = nullptr;
+  uint32_t N = 0;
+  uint32_t I = 0;
+};
+
+void PointsToSet::demote() {
+  assert(Count <= SmallLimit && "only a small-tier-sized set demotes");
+  uint32_t Elems[SmallLimit] = {};
+  uint32_t N = 0;
+  forEach([&](uint32_t O) { Elems[N++] = O; });
+  Bits.clear();
+  UseBits = false;
+  if (N <= InlineLimit)
+    std::copy(Elems, Elems + N, Inline);
+  else
+    Small.assign(Elems, Elems + N);
+}
+
 /// The shared union kernel: this |= ((Other ∩ Mask) ∖ Exclude), with new
 /// elements reported through DeltaOut. Null Mask/Exclude/DeltaOut skip the
-/// respective step. Word-parallel whenever every participating operand is
-/// in bitmap representation; small operands fall back to element-at-a-time
-/// (they hold at most SmallLimit elements, so the fallback is cheap).
+/// respective step. A bitmap Other is walked a word at a time whatever the
+/// representation of Mask and Exclude (WordCursor), and the delta is
+/// written a word at a time; only a small Other (at most SmallLimit
+/// elements) is merged element by element.
 uint32_t PointsToSet::unionImpl(const PointsToSet &Other,
                                 const PointsToSet *Mask,
                                 const PointsToSet *Exclude,
                                 PointsToSet *DeltaOut) {
   if (DeltaOut)
     DeltaOut->clear();
-  if (Other.empty() || &Other == this)
+  if (Other.empty() || &Other == this || (Mask && Mask->empty()))
     return 0;
+  // Excluding this set from a union into it changes nothing.
+  if (Exclude && (Exclude->empty() || Exclude == this))
+    Exclude = nullptr;
 
-  bool WordParallel = Other.UseBits && (!Mask || Mask->UseBits) &&
-                      (!Exclude || Exclude->UseBits);
   uint32_t Added = 0;
-  if (!WordParallel) {
+  if (!Other.UseBits) {
     Other.forEach([&](uint32_t O) {
       if (Mask && !Mask->contains(O))
         return;
@@ -235,31 +279,32 @@ uint32_t PointsToSet::unionImpl(const PointsToSet &Other,
   }
 
   const size_t Words = Other.Bits.size();
+  auto Incoming = [&](WordCursor &MaskWords, WordCursor &ExcludeWords,
+                      size_t W) {
+    uint64_t In = Other.Bits[W];
+    if (In && Mask)
+      In &= MaskWords.at(W);
+    if (In && Exclude)
+      In &= ~ExcludeWords.at(W);
+    return In;
+  };
   if (!UseBits) {
     // A masked/excluded union may shrink far below Other's size, so count
     // the incoming elements word-parallel first: if everything fits under
     // the promotion threshold the set stays a small vector (huge bitmaps
     // must not leak into the many tiny sets a run produces). Unmasked
     // unions skip the pre-pass — Other alone already exceeds the limit.
-    uint64_t Incoming = Other.Count;
+    uint64_t Arriving = Other.Count;
     if (Mask || Exclude) {
-      Incoming = 0;
-      for (size_t W = 0; W < Words && Count + Incoming <= SmallLimit; ++W) {
-        uint64_t In = Other.Bits[W];
-        if (Mask)
-          In &= Mask->wordAt(W);
-        if (Exclude)
-          In &= ~Exclude->wordAt(W);
-        Incoming += popCount(In);
-      }
+      Arriving = 0;
+      WordCursor MaskWords(Mask), ExcludeWords(Exclude);
+      for (size_t W = 0; W < Words && Count + Arriving <= SmallLimit; ++W)
+        Arriving += popCount(Incoming(MaskWords, ExcludeWords, W));
     }
-    if (Count + Incoming <= SmallLimit) {
+    if (Count + Arriving <= SmallLimit) {
+      WordCursor MaskWords(Mask), ExcludeWords(Exclude);
       for (size_t W = 0; W < Words; ++W) {
-        uint64_t In = Other.Bits[W];
-        if (Mask)
-          In &= Mask->wordAt(W);
-        if (Exclude)
-          In &= ~Exclude->wordAt(W);
+        uint64_t In = Incoming(MaskWords, ExcludeWords, W);
         while (In) {
           uint32_t O = static_cast<uint32_t>(W * 64 + countTrailingZeros(In));
           In &= In - 1;
@@ -277,29 +322,32 @@ uint32_t PointsToSet::unionImpl(const PointsToSet &Other,
 
   if (Bits.size() < Words)
     Bits.resize(Words, 0);
+  if (DeltaOut) {
+    DeltaOut->UseBits = true;
+    DeltaOut->Bits.resize(Words, 0);
+  }
+  size_t DeltaWords = 0;
+  WordCursor MaskWords(Mask), ExcludeWords(Exclude);
   for (size_t W = 0; W < Words; ++W) {
-    uint64_t In = Other.Bits[W];
-    if (!In)
-      continue;
-    if (Mask)
-      In &= Mask->wordAt(W);
-    if (Exclude)
-      In &= ~Exclude->wordAt(W);
-    uint64_t New = In & ~Bits[W];
+    uint64_t New = Incoming(MaskWords, ExcludeWords, W) & ~Bits[W];
     if (!New)
       continue;
     Bits[W] |= New;
     Added += popCount(New);
     if (DeltaOut) {
-      uint64_t Rest = New;
-      while (Rest) {
-        DeltaOut->insert(
-            static_cast<uint32_t>(W * 64 + countTrailingZeros(Rest)));
-        Rest &= Rest - 1;
-      }
+      DeltaOut->Bits[W] = New;
+      DeltaWords = W + 1;
     }
   }
   Count += Added;
+  if (DeltaOut) {
+    // Keep the delta's word extent exact, and give a small delta its
+    // cheap small-tier forEach back.
+    DeltaOut->Bits.resize(DeltaWords);
+    DeltaOut->Count = Added;
+    if (Added <= SmallLimit)
+      DeltaOut->demote();
+  }
   return Added;
 }
 

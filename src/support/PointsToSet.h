@@ -18,6 +18,9 @@
 /// delta), masked union (set-valued type filters), exclusion (pending-work
 /// diffing) and intersection — which the solver uses to move whole
 /// points-to sets per step instead of materializing per-element copies.
+/// A union from a bitmap stays word-parallel whatever the representation
+/// of the mask or the excluded set: a small operand's words are assembled
+/// from its sorted elements as the union walks the bitmap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,21 +90,33 @@ public:
 
   /// Calls \p Fn(ObjId) for every element in ascending id order.
   template <typename F> void forEach(F &&Fn) const {
+    anyOf([&Fn](uint32_t O) {
+      Fn(O);
+      return false;
+    });
+  }
+
+  /// True if \p Pred(ObjId) holds for some element; tests elements in
+  /// ascending id order and stops at the first match.
+  template <typename F> bool anyOf(F &&Pred) const {
     if (!UseBits) {
       uint32_t N;
       const uint32_t *Elems = smallData(N);
       for (uint32_t I = 0; I != N; ++I)
-        Fn(Elems[I]);
-      return;
+        if (Pred(Elems[I]))
+          return true;
+      return false;
     }
     for (std::size_t W = 0, E = Bits.size(); W != E; ++W) {
       uint64_t Word = Bits[W];
       while (Word) {
         unsigned Bit = countTrailingZeros(Word);
-        Fn(static_cast<uint32_t>(W * 64 + Bit));
+        if (Pred(static_cast<uint32_t>(W * 64 + Bit)))
+          return true;
         Word &= Word - 1;
       }
     }
+    return false;
   }
 
   /// All elements, ascending. Convenience for tests and clients.
@@ -120,7 +135,11 @@ public:
   bool operator==(const PointsToSet &Other) const;
 
 private:
+  class WordCursor;
+
   void promote();
+  /// Back to the inline/small tier; requires Count <= SmallLimit.
+  void demote();
   uint32_t unionImpl(const PointsToSet &Other, const PointsToSet *Mask,
                      const PointsToSet *Exclude, PointsToSet *DeltaOut);
   uint64_t wordAt(std::size_t W) const {

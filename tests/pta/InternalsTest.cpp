@@ -66,6 +66,78 @@ TEST(PFGTest, EdgeDeduplication) {
   EXPECT_EQ(G.pred(2).size(), 2u);
 }
 
+namespace {
+
+std::vector<std::pair<PtrId, TypeId>> succPairs(const PointerFlowGraph &G,
+                                                PtrId S) {
+  std::vector<std::pair<PtrId, TypeId>> Out;
+  for (const PFGEdge &E : G.succ(S))
+    Out.push_back({E.To, E.Filter});
+  return Out;
+}
+
+} // namespace
+
+TEST(PFGTest, DeduplicationAboveScanThreshold) {
+  // Source 0 gets nine out-edges, more than the eight it dedups by scan.
+  PointerFlowGraph G;
+  for (PtrId T = 100; T != 109; ++T)
+    EXPECT_TRUE(G.addEdge(0, T, InvalidId));
+  // Parallel edges (unfiltered, then two casts) between the same pair.
+  EXPECT_TRUE(G.addEdge(0, 50, InvalidId));
+  EXPECT_TRUE(G.addEdge(0, 50, 7));
+  EXPECT_TRUE(G.addEdge(0, 50, 9));
+  EXPECT_FALSE(G.addEdge(0, 50, InvalidId));
+  EXPECT_FALSE(G.addEdge(0, 50, 7));
+  EXPECT_FALSE(G.addEdge(0, 50, 9));
+  // A cast edge first, then the unfiltered one.
+  EXPECT_TRUE(G.addEdge(0, 51, 7));
+  EXPECT_TRUE(G.addEdge(0, 51, InvalidId));
+  EXPECT_FALSE(G.addEdge(0, 51, InvalidId));
+  EXPECT_FALSE(G.addEdge(0, 51, 7));
+  EXPECT_FALSE(G.addEdge(0, 100, InvalidId));
+  EXPECT_TRUE(G.addEdge(0, 100, 7));
+
+  EXPECT_EQ(G.numEdges(), 15u);
+  std::vector<std::pair<PtrId, TypeId>> Expected;
+  for (PtrId T = 100; T != 109; ++T)
+    Expected.push_back({T, InvalidId});
+  Expected.insert(Expected.end(), {{50, InvalidId},
+                                   {50, 7},
+                                   {50, 9},
+                                   {51, 7},
+                                   {51, InvalidId},
+                                   {100, 7}});
+  EXPECT_EQ(succPairs(G, 0), Expected);
+  EXPECT_EQ(G.pred(50), (std::vector<PtrId>{0, 0, 0}));
+  EXPECT_EQ(G.pred(51), (std::vector<PtrId>{0, 0}));
+  EXPECT_EQ(G.pred(100), (std::vector<PtrId>{0, 0}));
+}
+
+TEST(PFGTest, DeduplicationAcrossScanThreshold) {
+  // Source 1 holds a parallel cast edge when it crosses the threshold.
+  PointerFlowGraph G;
+  EXPECT_TRUE(G.addEdge(1, 2, InvalidId));
+  EXPECT_TRUE(G.addEdge(1, 2, 7));
+  for (PtrId T = 10; T != 17; ++T)
+    EXPECT_TRUE(G.addEdge(1, T, InvalidId)); // the 7th crosses the threshold
+  EXPECT_FALSE(G.addEdge(1, 2, InvalidId));
+  EXPECT_FALSE(G.addEdge(1, 2, 7));
+  EXPECT_FALSE(G.addEdge(1, 16, InvalidId));
+  EXPECT_TRUE(G.addEdge(1, 2, 9));
+  EXPECT_FALSE(G.addEdge(1, 2, 9));
+
+  EXPECT_EQ(G.numEdges(), 10u);
+  std::vector<std::pair<PtrId, TypeId>> Expected = {{2, InvalidId},
+                                                    {2, 7}};
+  for (PtrId T = 10; T != 17; ++T)
+    Expected.push_back({T, InvalidId});
+  Expected.push_back({2, 9});
+  EXPECT_EQ(succPairs(G, 1), Expected);
+  EXPECT_EQ(G.pred(2), (std::vector<PtrId>{1, 1, 1}));
+  EXPECT_EQ(G.pred(16), (std::vector<PtrId>{1}));
+}
+
 TEST(PFGTest, OutOfRangeQueriesAreEmpty) {
   PointerFlowGraph G;
   G.addEdge(0, 1, InvalidId);

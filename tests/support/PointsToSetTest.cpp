@@ -218,3 +218,167 @@ TEST_P(PointsToSetPropertyTest, MatchesReferenceSet) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PointsToSetPropertyTest,
                          ::testing::Range(1, 21));
+
+/// Property sweep of the bulk operations: every union kernel must match a
+/// std::set reference for every representation of this, Other, Mask and
+/// Exclude — empty, inline, small, bitmap, and a bitmap holding no more
+/// elements than the small tier would.
+namespace {
+
+enum class Tier { Empty, Inline, Small, Bitmap, SparseBitmap };
+constexpr Tier AllTiers[] = {Tier::Empty, Tier::Inline, Tier::Small,
+                             Tier::Bitmap, Tier::SparseBitmap};
+constexpr uint32_t SmallLimit = 24; // PointsToSet's small-tier bound.
+
+using RefSet = std::set<uint32_t>;
+
+/// A random set of tier \p T over [0, Universe), mirrored into \p Ref.
+PointsToSet makeSet(Rng &R, Tier T, RefSet &Ref) {
+  static constexpr uint32_t Universes[] = {64, 200, 700};
+  uint32_t Universe = Universes[R.nextInRange(3)];
+  uint32_t N = 0;
+  switch (T) {
+  case Tier::Empty:
+    break;
+  case Tier::Inline:
+    N = 1 + R.nextInRange(4);
+    break;
+  case Tier::Small:
+    N = 5 + R.nextInRange(SmallLimit - 4);
+    break;
+  case Tier::Bitmap:
+    N = SmallLimit + 1 + R.nextInRange(Universe / 2);
+    break;
+  case Tier::SparseBitmap:
+    N = 1 + R.nextInRange(SmallLimit);
+    break;
+  }
+  PointsToSet S;
+  Ref.clear();
+  while (Ref.size() < N) {
+    uint32_t O = R.nextInRange(Universe);
+    Ref.insert(O);
+    S.insert(O);
+  }
+  if (T == Tier::SparseBitmap)
+    S.ensureBitmap();
+  return S;
+}
+
+PointsToSet fromRef(const RefSet &Ref) {
+  PointsToSet S;
+  for (uint32_t O : Ref)
+    S.insert(O);
+  return S;
+}
+
+/// Per-sweep tallies of the deltas a bitmap Other produced, to show both
+/// sides of the small-tier bound were exercised.
+struct DeltaTally {
+  unsigned Small = 0;
+  unsigned Large = 0;
+};
+
+/// Runs one union and checks it against the reference: this |= ((Other ∩
+/// Mask) ∖ Exclude), with a null Mask/Exclude skipping that step.
+void checkUnion(Rng &R, Tier ThisT, Tier OtherT, const Tier *MaskT,
+                const Tier *ExclT, bool WithDelta, PointsToSet &Delta,
+                DeltaTally &Tally) {
+  RefSet RThis, ROther, RMask, RExcl;
+  PointsToSet This = makeSet(R, ThisT, RThis);
+  PointsToSet Other = makeSet(R, OtherT, ROther);
+  PointsToSet Mask, Excl;
+  if (MaskT)
+    Mask = makeSet(R, *MaskT, RMask);
+  if (ExclT)
+    Excl = makeSet(R, *ExclT, RExcl);
+
+  RefSet Expected = RThis;
+  std::vector<uint32_t> New;
+  for (uint32_t O : ROther)
+    if ((!MaskT || RMask.count(O)) && (!ExclT || !RExcl.count(O)) &&
+        Expected.insert(O).second)
+      New.push_back(O);
+
+  uint32_t Added;
+  if (MaskT && ExclT)
+    Added = This.unionWithFiltered(Other, Mask, Excl);
+  else if (MaskT)
+    Added = This.unionWithFiltered(Other, Mask);
+  else if (ExclT)
+    Added = This.unionWithExcluding(Other, Excl);
+  else if (WithDelta)
+    Added = This.unionWith(Other, Delta);
+  else
+    Added = This.unionWith(Other);
+
+  SCOPED_TRACE(::testing::Message()
+               << "tiers this=" << int(ThisT) << " other=" << int(OtherT)
+               << " mask=" << (MaskT ? int(*MaskT) : -1)
+               << " exclude=" << (ExclT ? int(*ExclT) : -1)
+               << " delta=" << WithDelta);
+  EXPECT_EQ(Added, New.size());
+  EXPECT_EQ(This.size(), Expected.size());
+  EXPECT_EQ(This.toVector(),
+            std::vector<uint32_t>(Expected.begin(), Expected.end()));
+  PointsToSet Fresh = fromRef(Expected);
+  EXPECT_TRUE(This == Fresh);
+  EXPECT_EQ(This.hash(), Fresh.hash());
+  for (uint32_t Q = 0; Q < 720; Q += 7)
+    EXPECT_EQ(This.contains(Q), Expected.count(Q) != 0) << "query " << Q;
+  // The result keeps working as a set.
+  EXPECT_TRUE(This.insert(5000));
+  EXPECT_EQ(This.size(), Expected.size() + 1);
+
+  if (!WithDelta)
+    return;
+  EXPECT_EQ(Delta.toVector(), New);
+  EXPECT_EQ(Delta.size(), New.size());
+  PointsToSet FreshDelta = fromRef(RefSet(New.begin(), New.end()));
+  EXPECT_TRUE(Delta == FreshDelta);
+  EXPECT_EQ(Delta.hash(), FreshDelta.hash());
+  for (uint32_t O : New)
+    EXPECT_TRUE(Delta.contains(O));
+  if (OtherT == Tier::Bitmap || OtherT == Tier::SparseBitmap)
+    (New.size() <= SmallLimit ? Tally.Small : Tally.Large)++;
+}
+
+} // namespace
+
+class PointsToSetBulkPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PointsToSetBulkPropertyTest, MatchesReferenceSet) {
+  Rng R(GetParam());
+  // One delta reused across calls, as the solver reuses its scratch set.
+  PointsToSet Delta;
+  DeltaTally Tally;
+  for (Tier ThisT : AllTiers)
+    for (Tier OtherT : AllTiers) {
+      checkUnion(R, ThisT, OtherT, nullptr, nullptr, false, Delta, Tally);
+      checkUnion(R, ThisT, OtherT, nullptr, nullptr, true, Delta, Tally);
+      for (const Tier &MaskT : AllTiers) {
+        checkUnion(R, ThisT, OtherT, &MaskT, nullptr, false, Delta, Tally);
+        for (const Tier &ExclT : AllTiers)
+          checkUnion(R, ThisT, OtherT, &MaskT, &ExclT, false, Delta, Tally);
+      }
+      for (const Tier &ExclT : AllTiers)
+        checkUnion(R, ThisT, OtherT, nullptr, &ExclT, false, Delta, Tally);
+    }
+  EXPECT_GT(Tally.Small, 0u);
+  EXPECT_GT(Tally.Large, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PointsToSetBulkPropertyTest,
+                         ::testing::Range(1, 11));
+
+TEST(PointsToSetTest, UnionExcludingItselfIsPlainUnion) {
+  PointsToSet S, Other;
+  for (uint32_t I = 0; I < 100; ++I)
+    Other.insert(I * 3);
+  S.insert(3);
+  S.insert(4);
+  EXPECT_EQ(S.unionWithExcluding(Other, S), 99u);
+  EXPECT_EQ(S.size(), 101u);
+  EXPECT_TRUE(S.contains(4));
+  EXPECT_TRUE(S.contains(297));
+}
