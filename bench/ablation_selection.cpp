@@ -63,7 +63,7 @@ int main(int Argc, char **Argv) {
   for (BenchProgram &BP : buildSuite()) {
     AnalysisSession &S = *BP.S;
 
-    const ZipperSelection &ZSel = S.zipperSelection(ZipperOptions{});
+    ZipperSelection ZSel = S.zipperSelection(ZipperOptions{});
 
     // One CSC run to obtain the involved-method set (and its own cell).
     AnalysisRun Csc = runWithBudget(S, "csc", /*DoopMode=*/false);

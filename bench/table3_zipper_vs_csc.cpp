@@ -55,8 +55,9 @@ HalfRow measure(AnalysisSession &S, bool DoopMode, BenchJson &J,
   Row.CscTime = C.completed() ? Fmt(C.Timings.MainMs) : ">budget";
   Row.Involved = static_cast<uint32_t>(C.Csc.Involved.size());
 
-  // Overlap against the cached selection (same key the recipe used).
-  const ZipperSelection &Sel = S.zipperSelection(ZipperOptions{});
+  // Overlap against the selection the zipper-e run used (its default
+  // options, over the session's ci pre-analysis).
+  ZipperSelection Sel = S.zipperSelection(ZipperOptions{});
   uint32_t Overlap = 0;
   for (MethodId M : C.Csc.Involved)
     Overlap += Sel.Selected.count(M) ? 1 : 0;

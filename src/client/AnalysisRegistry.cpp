@@ -328,8 +328,14 @@ bool AnalysisRegistry::build(const AnalysisSpec &Spec, AnalysisRecipe &Out,
   R.UseCsc = E->Kind == AnalysisKind::CSC;
   R.UseZipper = E->Kind == AnalysisKind::ZipperE;
   double Floor = static_cast<double>(R.Zipper.MinCostFloor);
-  if (!Spec.checkKnownParams(E->Params, Error) ||
-      !Spec.paramUnsigned("k", R.K, Error) ||
+  if (!Spec.checkKnownParams(E->Params, Error))
+    return false;
+  if (Spec.param("pv") && Spec.param("cf")) {
+    Error = "parameters 'pv' and 'cf' are synonyms; spec '" + Spec.Text +
+            "' gives both";
+    return false;
+  }
+  if (!Spec.paramUnsigned("k", R.K, Error) ||
       !Spec.paramBool("field", R.Csc.FieldStore, Error) ||
       !Spec.paramBool("load", R.Csc.FieldLoad, Error) ||
       !Spec.paramBool("container", R.Csc.Container, Error) ||
@@ -339,7 +345,6 @@ bool AnalysisRegistry::build(const AnalysisSpec &Spec, AnalysisRecipe &Out,
       !Spec.paramDouble("floor", MaxFloor, "[0, 2^64)", Floor, Error) ||
       !Spec.paramBool("scc", R.CycleElimination, Error))
     return false;
-  R.Zipper.K = R.K;
   R.Zipper.MinCostFloor = static_cast<uint64_t>(Floor);
 
   // "engine=doop|taie". Doop mode implies the Cut-Shortcut load pattern

@@ -141,36 +141,23 @@ AnalysisSession::fromFiles(const std::vector<std::string> &Paths, Options O,
 // Running analyses
 //===----------------------------------------------------------------------===//
 
-const ZipperSelection &
-AnalysisSession::zipperSelection(const ZipperOptions &ZOpts,
-                                 bool *FromCache) {
-  ZipperKey Key{ZOpts.K, ZOpts.CostFraction, ZOpts.MinCostFloor,
-                ZOpts.PreWorkBudget};
-  ZipperEntry *Entry = nullptr;
-  bool Created = false;
-  {
-    std::lock_guard<std::mutex> G(ZipperMutex);
-    for (ZipperEntry &E : ZipperCache)
-      if (E.Key == Key) {
-        Entry = &E;
-        break;
-      }
-    if (!Entry) {
-      ZipperCache.emplace_back(Key);
-      Entry = &ZipperCache.back();
-      Created = true;
-    }
+const AnalysisSession::CiFixpoint &AnalysisSession::ciFixpoint(bool &Reused) {
+  std::lock_guard<std::mutex> G(CiMutex);
+  Reused = Ci.has_value();
+  if (!Reused) {
+    progress("zipper-pre", "ci");
+    SolverSetup Setup = solverSetup(AnalysisRecipe(), Opts.WorkBudget,
+                                    /*TimeBudgetMs=*/0);
+    Timer Solve;
+    PTAResult R = Solver(*P, Setup.Opts).solve();
+    Ci = CiFixpoint{std::move(R), Solve.elapsedMs()};
   }
-  // The computation runs outside the cache lock: same-key requesters
-  // block on the once_flag until it finishes, other keys proceed. Exactly
-  // one thread computes; everyone else observes a cache hit.
-  std::call_once(Entry->Once, [&] {
-    progress("zipper-pre", "k=" + std::to_string(ZOpts.K));
-    Entry->Sel = runZipperSelection(*P, ZOpts);
-  });
-  if (FromCache)
-    *FromCache = !Created;
-  return Entry->Sel;
+  return *Ci;
+}
+
+ZipperSelection AnalysisSession::zipperSelection(const ZipperOptions &ZOpts) {
+  bool Reused = false;
+  return runZipperSelection(*P, ciFixpoint(Reused).Result, ZOpts);
 }
 
 AnalysisRun AnalysisSession::run(const std::string &SpecText) {
@@ -198,24 +185,21 @@ AnalysisRun AnalysisSession::run(const AnalysisRecipe &Recipe) {
   Out.Name = Recipe.Name;
   Timer Total;
 
-  const std::unordered_set<MethodId> *Selected = nullptr;
+  ZipperSelection Sel;
   if (Recipe.UseZipper) {
-    ZipperOptions ZOpts = Recipe.Zipper;
-    ZOpts.PreWorkBudget = Opts.WorkBudget;
-    bool FromCache = false;
-    const ZipperSelection &Sel = zipperSelection(ZOpts, &FromCache);
-    Out.Timings.PreMs = Sel.PreAnalysisMs;
-    Out.PreFromCache = FromCache;
+    const CiFixpoint &CI = ciFixpoint(Out.PreFromCache);
+    Timer Select;
+    Sel = runZipperSelection(*P, CI.Result, Recipe.Zipper);
+    Out.Timings.PreMs = CI.SolveMs + Select.elapsedMs();
     Out.SelectedMethods = static_cast<uint32_t>(Sel.Selected.size());
-    if (Sel.PreExhausted) {
+    if (CI.Result.Exhausted) {
       Out.Status = RunStatus::BudgetExhausted;
       Out.Timings.TotalMs = Total.elapsedMs();
       return Out;
     }
-    Selected = &Sel.Selected;
   }
-  SolverSetup Setup =
-      solverSetup(Recipe, Opts.WorkBudget, Opts.TimeBudgetMs, Selected);
+  SolverSetup Setup = solverSetup(Recipe, Opts.WorkBudget, Opts.TimeBudgetMs,
+                                  Recipe.UseZipper ? &Sel.Selected : nullptr);
 
   std::unique_ptr<CutShortcutPlugin> Plugin;
   ContainerSpec Spec;

@@ -10,7 +10,9 @@
 ///
 ///  * spec-string dispatch through the AnalysisRegistry table ("csc",
 ///    "k-type;k=3", "zipper-e;pv=0.05", ...),
-///  * caching of the Zipper-e pre-analysis across runs,
+///  * one context-insensitive fixpoint per session: Zipper-e's
+///    pre-analysis, solved on the first zipper-e run and reused by the
+///    rest (a plain `ci` run still solves its own),
 ///  * structured phase timings, optional progress callbacks, and an
 ///    explicit run status (Completed / BudgetExhausted / SpecError)
 ///    instead of metrics that are silently "not meaningful".
@@ -22,8 +24,8 @@
 /// Thread-safety: once constructed, a session is safe to share across
 /// threads — the program is immutable (Program has no lazily filled
 /// state, so every const query is a pure read), each run() builds its own
-/// solver, and the Zipper pre-analysis cache is internally synchronized
-/// (one computation per key, concurrent requesters block on it). Construction,
+/// solver, and the pre-analysis slot is internally synchronized (solved
+/// once, concurrent requesters block on it). Construction,
 /// setWorkBudget/setTimeBudgetMs, and destruction are NOT thread-safe and
 /// must not race with runs. The batch executor (client/BatchExecutor.h)
 /// builds on exactly this contract.
@@ -40,10 +42,10 @@
 #include "pta/PTAResult.h"
 #include "zipper/Zipper.h"
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,7 +60,9 @@ enum class RunStatus {
 const char *runStatusName(RunStatus S);
 
 struct PhaseTimings {
-  double PreMs = 0;  ///< Zipper-e pre-analysis + selection.
+  /// Zipper-e pre-analysis (the slot's solve time, also when reused) +
+  /// this run's selection.
+  double PreMs = 0;
   double MainMs = 0; ///< Main (solver) analysis.
   double TotalMs = 0;
 };
@@ -71,7 +75,7 @@ struct AnalysisRun {
   PTAResult Result;
   PrecisionMetrics Metrics; ///< Valid only when completed().
   PhaseTimings Timings;
-  bool PreFromCache = false; ///< Zipper pre-analysis reused from cache.
+  bool PreFromCache = false; ///< Zipper pre-analysis slot reused.
   uint32_t SelectedMethods = 0; ///< Zipper-e selection size.
   CutShortcutStats Csc;         ///< Cut-Shortcut statistics.
 
@@ -132,9 +136,13 @@ public:
   const Program &program() const { return *P; }
   /// The options the session was built with.
   const Options &options() const { return Opts; }
-  /// Adjusts the per-run work budget. NOT thread-safe: do not call
+  /// Adjusts the per-run work budget and drops the pre-analysis slot,
+  /// which was solved under the old one. NOT thread-safe: do not call
   /// while runs are in flight.
-  void setWorkBudget(uint64_t B) { Opts.WorkBudget = B; }
+  void setWorkBudget(uint64_t B) {
+    Opts.WorkBudget = B;
+    Ci.reset();
+  }
   /// Adjusts the per-run wall-clock budget. NOT thread-safe (see above).
   void setTimeBudgetMs(double Ms) { Opts.TimeBudgetMs = Ms; }
   /// The registry specs resolve against.
@@ -150,7 +158,7 @@ public:
   /// Runs one analysis named by a spec string. A bad spec yields a run
   /// with Status == SpecError and the message in Error. Thread-safe:
   /// any number of threads may run() concurrently over the one shared
-  /// program (each run builds its own solver; the Zipper cache is
+  /// program (each run builds its own solver; the pre-analysis slot is
   /// internally locked). The Progress callback, if set, must itself be
   /// thread-safe when runs are concurrent.
   AnalysisRun run(const std::string &SpecText);
@@ -159,13 +167,10 @@ public:
   /// Runs every spec of a comma-separated list, in order.
   std::vector<AnalysisRun> runAll(const std::string &SpecList);
 
-  /// The Zipper-e pre-analysis for \p ZOpts, computed on first use and
-  /// cached across runs (keyed on k / cost fraction / floor / budget).
-  /// Thread-safe: concurrent calls with the same key block until the one
-  /// computing thread finishes, so the pre-analysis runs exactly once per
-  /// key; distinct keys compute in parallel.
-  const ZipperSelection &zipperSelection(const ZipperOptions &ZOpts,
-                                         bool *FromCache = nullptr);
+  /// The Zipper-e selection for \p ZOpts over the session's ci fixpoint,
+  /// which is solved on first use and kept until setWorkBudget. Every
+  /// zipper-e run computes its selection this way. Thread-safe.
+  ZipperSelection zipperSelection(const ZipperOptions &ZOpts);
 
 private:
   AnalysisSession(std::unique_ptr<Program> Owned, Options O);
@@ -181,31 +186,20 @@ private:
   double ParseMsV = 0;
   double VerifyMsV = 0;
 
-  struct ZipperKey {
-    unsigned K;
-    double CostFraction;
-    uint64_t MinCostFloor;
-    uint64_t PreWorkBudget;
-    bool operator==(const ZipperKey &O) const {
-      return K == O.K && CostFraction == O.CostFraction &&
-             MinCostFloor == O.MinCostFloor &&
-             PreWorkBudget == O.PreWorkBudget;
-    }
+  /// The ci fixpoint Zipper-e's pre-analysis reads: the default `ci`
+  /// recipe under the session's work budget and no time budget.
+  struct CiFixpoint {
+    PTAResult Result;
+    double SolveMs = 0;
   };
-  /// One cached pre-analysis. The entry is registered in the cache under
-  /// ZipperMutex, but the (possibly long) computation itself runs inside
-  /// call_once outside the lock: concurrent requests for the same key
-  /// block on the once_flag, requests for other keys proceed.
-  struct ZipperEntry {
-    explicit ZipperEntry(const ZipperKey &K) : Key(K) {}
-    ZipperKey Key;
-    std::once_flag Once;
-    ZipperSelection Sel;
-  };
-  // deque: cached selections must stay address-stable across inserts,
-  // and ZipperEntry (once_flag) is neither movable nor copyable.
-  std::deque<ZipperEntry> ZipperCache;
-  std::mutex ZipperMutex; ///< Guards ZipperCache lookups/inserts only.
+  /// The slot, solved on first use; \p Reused says whether it already was.
+  const CiFixpoint &ciFixpoint(bool &Reused);
+
+  /// Guards Ci. Held while the slot is solved (its zipper-pre progress
+  /// event included), so concurrent requesters block until it is filled
+  /// and the ci fixpoint is solved once.
+  std::mutex CiMutex;
+  std::optional<CiFixpoint> Ci;
 };
 
 } // namespace csc

@@ -11,7 +11,8 @@
 ///  * one immutable, verified AnalysisSession per distinct program —
 ///    loaded once (compute-once under contention) and shared by every
 ///    spec task over it, including the session's internally synchronized
-///    Zipper pre-analysis cache, and
+///    pre-analysis slot (every zipper-e task over a program reads one ci
+///    fixpoint), and
 ///  * an in-process ResultCache keyed by the one result key
 ///    (store/ResultStore.h: program content, canonical spec, budgets,
 ///    registry) — a repeated (program, spec) pair anywhere in the batch,
@@ -189,9 +190,8 @@ public:
   const ResultCache &cache() const { return Cache; }
 
 private:
-  /// Compute-once slot for one distinct program (same pattern as the
-  /// session's Zipper cache: registered under a lock, loaded inside
-  /// call_once outside it).
+  /// Compute-once slot for one distinct program: registered under a
+  /// lock, loaded inside call_once outside it.
   struct ProgramSlot {
     explicit ProgramSlot(std::string K) : Key(std::move(K)) {}
     std::string Key;

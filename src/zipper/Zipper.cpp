@@ -6,9 +6,6 @@
 
 #include "zipper/Zipper.h"
 
-#include "pta/Solver.h"
-#include "support/Timer.h"
-
 #include <algorithm>
 #include <unordered_map>
 
@@ -100,21 +97,14 @@ bool hasInOutFlow(const Program &P, MethodId M) {
 
 } // namespace
 
-ZipperSelection csc::runZipperSelection(const Program &P,
+ZipperSelection csc::runZipperSelection(const Program &P, const PTAResult &CI,
                                         const ZipperOptions &Opts) {
-  Timer Clock;
   ZipperSelection Sel;
 
-  // Phase 1: context-insensitive pre-analysis.
-  SolverOptions PreOpts;
-  PreOpts.WorkBudget = Opts.PreWorkBudget;
-  Solver Pre(P, PreOpts);
-  PTAResult PreR = Pre.solve();
-  Sel.PreExhausted = PreR.Exhausted;
-
+  // Phase 1, the context-insensitive pre-analysis, is the caller's CI.
   // Phase 2: per-class IN→OUT flow detection over reachable methods.
   std::unordered_set<TypeId> CriticalClasses;
-  for (MethodId M : PreR.reachableMethods())
+  for (MethodId M : CI.reachableMethods())
     if (hasInOutFlow(P, M))
       CriticalClasses.insert(P.method(M).Owner);
   Sel.CriticalClasses = static_cast<uint32_t>(CriticalClasses.size());
@@ -125,10 +115,10 @@ ZipperSelection csc::runZipperSelection(const Program &P,
   // scalability threats and stay context-insensitive.
   std::unordered_map<TypeId, uint64_t> ClassCost;
   uint64_t TotalCost = 0;
-  for (MethodId M : PreR.reachableMethods()) {
+  for (MethodId M : CI.reachableMethods()) {
     uint64_t Cost = 0;
     for (VarId V : P.method(M).Vars)
-      Cost += PreR.pt(V).size();
+      Cost += CI.pt(V).size();
     ClassCost[P.method(M).Owner] += Cost;
     TotalCost += Cost;
   }
@@ -146,7 +136,5 @@ ZipperSelection csc::runZipperSelection(const Program &P,
       if (!P.method(M).IsAbstract)
         Sel.Selected.insert(M);
   }
-
-  Sel.PreAnalysisMs = Clock.elapsedMs();
   return Sel;
 }

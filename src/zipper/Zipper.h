@@ -9,7 +9,9 @@
 /// state-of-the-art selective context-sensitivity baseline the paper
 /// compares against (§5.3). Zipper-e consists of:
 ///
-///  1. a context-insensitive pre-analysis,
+///  1. a context-insensitive pre-analysis — the program's ci fixpoint,
+///     which the caller supplies (AnalysisSession solves it at most once
+///     per session and shares it across zipper-e runs),
 ///  2. a selection phase that finds "precision-critical" classes — classes
 ///     exhibiting IN→OUT object flows through their methods (direct
 ///     parameter-to-return flow, wrapped flow through a field store, or
@@ -38,8 +40,6 @@
 namespace csc {
 
 struct ZipperOptions {
-  /// k for the object-sensitive main analysis of selected methods.
-  unsigned K = 2;
   /// Classes whose estimated cost exceeds this fraction of the whole
   /// program's points-to volume are unselected (the "e" in Zipper-e).
   double CostFraction = 0.5;
@@ -47,20 +47,18 @@ struct ZipperOptions {
   /// guard from firing on small programs where every class is a large
   /// fraction of a tiny total.
   uint64_t MinCostFloor = 10000;
-  /// Budgets forwarded to the pre-analysis.
-  uint64_t PreWorkBudget = ~0ULL;
 };
 
 struct ZipperSelection {
   std::unordered_set<MethodId> Selected;
-  double PreAnalysisMs = 0; ///< CI pre-analysis + selection time.
-  bool PreExhausted = false;
   uint32_t CriticalClasses = 0;
   uint32_t UnselectedByCostGuard = 0;
 };
 
-/// Runs the pre-analysis and computes the method selection.
-ZipperSelection runZipperSelection(const Program &P,
+/// Computes the method selection from \p CI, the context-insensitive
+/// result of \p P. A pure function: it reads only CI's reachable methods
+/// and variable points-to sets.
+ZipperSelection runZipperSelection(const Program &P, const PTAResult &CI,
                                    const ZipperOptions &Opts = {});
 
 } // namespace csc

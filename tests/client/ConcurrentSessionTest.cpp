@@ -4,12 +4,14 @@
 //
 // AnalysisSession promises that any number of threads may run() over its
 // one shared Program. This pins that promise where it matters most: ci,
-// csc and 2obj started together, repeatedly, on a fresh container-heavy
-// program each round (so no hierarchy query has been asked before the
-// runs race to ask it), each result compared byte for byte with a serial
-// run of the same spec. Built under ThreadSanitizer it is the regression
-// test for shared-Program races; in every build it checks that concurrent
-// runs compute exactly what serial runs do.
+// csc, 2obj and zipper-e started together, repeatedly, on a fresh
+// container-heavy program each round (so no hierarchy query has been
+// asked before the runs race to ask it, and the zipper-e runs race to
+// fill the session's pre-analysis slot), each result compared byte for
+// byte with a serial run of the same spec. Built under ThreadSanitizer it
+// is the regression test for shared-Program and slot races; in every
+// build it checks that concurrent runs compute exactly what serial runs
+// do.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,9 +60,11 @@ std::string reportOf(const AnalysisRun &Run) {
 } // namespace
 
 TEST(ConcurrentSessionTest, ConcurrentRunsMatchSerialRuns) {
-  // Each spec twice, so two runs of one analysis also race each other.
-  const std::vector<std::string> Specs = {"ci",  "csc", "2obj",
-                                          "2obj", "csc", "ci"};
+  // Each spec twice, so two runs of one analysis also race each other;
+  // the four zipper-e runs race for the session's one pre-analysis slot.
+  const std::vector<std::string> Specs = {
+      "ci",  "csc", "2obj", "zipper-e", "zipper-e;k=3",
+      "2obj", "csc", "ci",  "zipper-e;k=3", "zipper-e"};
 
   std::unique_ptr<Program> SerialP = buildProgram();
   ASSERT_NE(SerialP, nullptr);

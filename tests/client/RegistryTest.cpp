@@ -158,7 +158,6 @@ TEST(RegistryTest, KindRecipesMatchHandRolledWiring) {
 
   AnalysisRecipe Z = buildOrDie("zipper-e;pv=0.05;k=3");
   EXPECT_TRUE(Z.UseZipper);
-  EXPECT_EQ(Z.Zipper.K, 3u);
   EXPECT_DOUBLE_EQ(Z.Zipper.CostFraction, 0.05);
   EXPECT_NE(makeSelector(Z), nullptr);
   EXPECT_EQ(Z.K, 3u);

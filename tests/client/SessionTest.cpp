@@ -130,24 +130,28 @@ TEST(SessionTest, ProgressCallbackSeesPhases) {
   EXPECT_TRUE(Has("metrics"));
 }
 
-TEST(SessionTest, ZipperCacheIsKeyedOnOptions) {
+TEST(SessionTest, ZipperPreAnalysisIsOneSlot) {
   auto S = figure1Session();
   ASSERT_NE(S, nullptr);
   AnalysisRun A = S->run("zipper-e");
   ASSERT_TRUE(A.completed());
   EXPECT_FALSE(A.PreFromCache);
 
-  // Same options: cached.
-  AnalysisRun B = S->run("zipper-e");
-  EXPECT_TRUE(B.PreFromCache);
+  // Every zipper-e spec reads the one ci fixpoint: the same options, a
+  // different k and a different cost fraction all reuse the slot.
+  for (const char *Spec : {"zipper-e", "zipper-e;k=3", "zipper-e;pv=0.05"}) {
+    AnalysisRun B = S->run(Spec);
+    ASSERT_TRUE(B.completed()) << Spec;
+    EXPECT_TRUE(B.PreFromCache) << Spec;
+    // A reused slot still reports its solve time in PreMs.
+    EXPECT_GT(B.Timings.PreMs, 0.0) << Spec;
+  }
 
-  // Different k: a fresh pre-analysis (k feeds the cost model).
-  AnalysisRun C = S->run("zipper-e;k=3");
+  // A new work budget drops the slot.
+  S->setWorkBudget(~0ULL);
+  AnalysisRun C = S->run("zipper-e");
+  ASSERT_TRUE(C.completed());
   EXPECT_FALSE(C.PreFromCache);
-
-  // And the first key is still cached.
-  AnalysisRun D = S->run("zipper-e");
-  EXPECT_TRUE(D.PreFromCache);
 }
 
 TEST(SessionTest, PhaseTimingsAddUp) {

@@ -124,6 +124,17 @@ TEST(SpecErrorTest, OutOfRangeZipperNumbers) {
             "parameter 'cf' expects a number in [0, 1], got '-inf'");
 }
 
+TEST(SpecErrorTest, ZipperCostFractionSynonymsConflict) {
+  // pv and cf set the same cost fraction: given both, one would silently
+  // win whatever the order.
+  EXPECT_EQ(buildError("zipper-e;pv=0.000001;cf=1;floor=0"),
+            "parameters 'pv' and 'cf' are synonyms; spec "
+            "'zipper-e;pv=0.000001;cf=1;floor=0' gives both");
+  EXPECT_EQ(buildError("zipper-e;cf=0.5;pv=0.5"),
+            "parameters 'pv' and 'cf' are synonyms; spec "
+            "'zipper-e;cf=0.5;pv=0.5' gives both");
+}
+
 TEST(SpecErrorTest, ZipperNumberBoundsAreAccepted) {
   AnalysisRecipe R;
   std::string Error;
