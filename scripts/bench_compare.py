@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Compare two BenchJson documents and flag wall-time regressions.
+"""Compare two BenchJson documents: exact counters and wall times.
 
 Usage: bench_compare.py BASELINE.json CURRENT.json [--threshold 0.25]
            [--margin PATTERN=FRACTION ...]
 
 Both inputs are documents written by the bench harnesses' --json flag
 (see docs/BENCHMARKS.md for the schema). Runs are keyed by
-(program, analysis); a run regresses when it completed in both documents
-and its total_ms grew by more than the threshold (default 25%). Runs
-that appear in only one document (tier or spec changes) are reported but
-never fail the comparison; a run that flipped from completed to
-budget-exhausted always fails.
+(program, analysis). For a run that completed in both documents, two
+checks apply:
+
+  * exact: its status, metrics, stats and cut_shortcut objects must be
+    equal, member by member. They are deterministic functions of the
+    program and the spec, so any difference is an algorithmic or
+    precision change on any machine. A change that alters one must
+    regenerate the baseline.
+  * timed: it regresses when its total_ms grew by more than the
+    threshold (default 25%).
+
+Runs that appear in only one document (tier or spec changes) are
+reported but never fail the comparison; a run that flipped from
+completed to budget-exhausted always fails.
 
 --margin overrides the global threshold for runs whose "program/analysis"
 label matches a glob PATTERN (fnmatch syntax). Repeatable; the first
@@ -21,13 +30,17 @@ tiers are stable, e.g.:
     bench_compare.py base.json cur.json --threshold 0.25 \\
         --margin 'scale-xs/*=1.00' --margin 'scale-s/*=0.60'
 
-Exit codes: 0 no regression, 1 regression(s), 2 usage/input error.
+Exit codes: 0 no regression, 1 regression(s) or counter mismatch(es),
+2 usage/input error.
 """
 
 import argparse
 import fnmatch
 import json
 import sys
+
+# The deterministic members of a run record that must match exactly.
+EXACT_FIELDS = ("status", "metrics", "stats", "cut_shortcut")
 
 
 def load_runs(path):
@@ -43,11 +56,26 @@ def load_runs(path):
         if not isinstance(run, dict):
             continue  # program-size / custom records carry no timings
         key = (record.get("program", "?"), run.get("analysis", "?"))
-        runs[key] = {
-            "status": run.get("status", "?"),
-            "total_ms": run.get("timings", {}).get("total_ms"),
-        }
+        runs[key] = {field: run.get(field) for field in EXACT_FIELDS}
+        runs[key]["status"] = run.get("status", "?")
+        runs[key]["total_ms"] = run.get("timings", {}).get("total_ms")
     return doc.get("bench", "?"), runs
+
+
+def exact_diffs(base, cur):
+    """'path base -> current' for each leaf of EXACT_FIELDS that differs."""
+    diffs = []
+
+    def walk(path, b, c):
+        if isinstance(b, dict) and isinstance(c, dict):
+            for key in sorted(b.keys() | c.keys()):
+                walk(f"{path}.{key}", b.get(key), c.get(key))
+        elif b != c:
+            diffs.append(f"{path} {b} -> {c}")
+
+    for field in EXACT_FIELDS:
+        walk(field, base[field], cur[field])
+    return diffs
 
 
 def parse_margins(specs):
@@ -98,7 +126,7 @@ def main():
         print(f"note: comparing different benches "
               f"({base_name} vs {cur_name})", file=sys.stderr)
 
-    regressions, improvements, skipped = [], [], []
+    regressions, improvements, skipped, mismatches = [], [], [], []
     for key in sorted(base.keys() | cur.keys()):
         label = f"{key[0]}/{key[1]}"
         b, c = base.get(key), cur.get(key)
@@ -112,6 +140,7 @@ def main():
         if b["status"] != "completed" or c["status"] != "completed":
             skipped.append(f"{label}: status {b['status']} vs {c['status']}")
             continue
+        mismatches += [f"{label}: {d}" for d in exact_diffs(b, c)]
         if not b["total_ms"]:
             skipped.append(f"{label}: baseline has no timing")
             continue
@@ -130,10 +159,13 @@ def main():
         print(f"good  {line}")
     for line in regressions:
         print(f"REGR  {line}")
+    for line in mismatches:
+        print(f"DIFF  {line}")
     compared = len(base.keys() & cur.keys())
     print(f"compared {compared} runs, {len(regressions)} regression(s) "
-          f"(threshold +{args.threshold:.0%})")
-    return 1 if regressions else 0
+          f"(threshold +{args.threshold:.0%}), "
+          f"{len(mismatches)} counter mismatch(es)")
+    return 1 if regressions or mismatches else 0
 
 
 if __name__ == "__main__":

@@ -76,8 +76,8 @@ grep -q "store stats: served 6/6 runs" "$TMP/warm.log"
 only_objects "$TMP/store"
 
 # A single run shares the batch's entries: one key for every mode. The
-# served runs are rebuilt from their entries (ResultKeys::lookupOrRun,
-# the one path through runFromStored), so their report and points-to
+# served runs are decoded from their entries (ResultKeys::lookupOrRun,
+# through the one decoder), so their report and points-to
 # answers must match a storeless run's once timings are stripped.
 SINGLE=("$EXAMPLES/figure1.jir" --analyses ci,csc,2obj --json
         --points-to Main.main.result1)

@@ -167,28 +167,6 @@ bool csc::parseAnalysisSpec(std::string_view Text, AnalysisSpec &Out,
   return true;
 }
 
-std::string csc::canonicalSpec(const AnalysisSpec &Spec) {
-  std::vector<std::pair<std::string, std::string>> Sorted = Spec.Params;
-  std::sort(Sorted.begin(), Sorted.end());
-  std::string Out = Spec.Name;
-  for (const auto &[K, V] : Sorted) {
-    Out += ';';
-    Out += K;
-    Out += '=';
-    Out += V;
-  }
-  return Out;
-}
-
-bool csc::canonicalSpec(std::string_view SpecText, std::string &Out,
-                        std::string &Error) {
-  AnalysisSpec Spec;
-  if (!parseAnalysisSpec(SpecText, Spec, Error))
-    return false;
-  Out = canonicalSpec(Spec);
-  return true;
-}
-
 std::vector<std::string> csc::splitSpecList(std::string_view ListText) {
   std::vector<std::string> Out;
   while (!ListText.empty()) {
@@ -270,6 +248,15 @@ const AnalysisEntry *findEntry(const std::string &Name) {
   return nullptr;
 }
 
+/// \p Name plus \p Spec's params sorted by key.
+std::string canonicalSpec(std::string Name, const AnalysisSpec &Spec) {
+  std::vector<std::pair<std::string, std::string>> Sorted = Spec.Params;
+  std::sort(Sorted.begin(), Sorted.end());
+  for (const auto &[K, V] : Sorted)
+    Name += ';' + K + '=' + V;
+  return Name;
+}
+
 } // namespace
 
 const std::vector<AnalysisEntry> &AnalysisRegistry::entries() {
@@ -296,12 +283,6 @@ const std::vector<AnalysisEntry> &AnalysisRegistry::entries() {
   return Table;
 }
 
-std::string AnalysisRegistry::resolveName(std::string_view Name) const {
-  std::string N = lowered(Name);
-  const AnalysisEntry *E = findEntry(N);
-  return E ? E->Name : N;
-}
-
 std::vector<std::pair<std::string, std::string>>
 AnalysisRegistry::list() const {
   std::vector<std::pair<std::string, std::string>> Out;
@@ -313,6 +294,9 @@ AnalysisRegistry::list() const {
 bool AnalysisRegistry::build(const AnalysisSpec &Spec, AnalysisRecipe &Out,
                              std::string &Error) const {
   const AnalysisEntry *E = findEntry(Spec.Name);
+  Out = AnalysisRecipe();
+  Out.Name = Spec.Text;
+  Out.Canonical = canonicalSpec(E ? E->Name : Spec.Name, Spec);
   if (!E) {
     Error = "unknown analysis '" + Spec.Name + "' (known:";
     for (const AnalysisEntry &Row : entries())
@@ -322,12 +306,10 @@ bool AnalysisRegistry::build(const AnalysisSpec &Spec, AnalysisRecipe &Out,
   }
   // Keys outside the row's list are rejected first, so each accessor
   // below only ever reads a key its analysis accepts.
-  AnalysisRecipe R;
-  R.Name = Spec.Text;
-  R.Kind = E->Kind;
-  R.UseCsc = E->Kind == AnalysisKind::CSC;
-  R.UseZipper = E->Kind == AnalysisKind::ZipperE;
-  double Floor = static_cast<double>(R.Zipper.MinCostFloor);
+  Out.Kind = E->Kind;
+  Out.UseCsc = E->Kind == AnalysisKind::CSC;
+  Out.UseZipper = E->Kind == AnalysisKind::ZipperE;
+  double Floor = static_cast<double>(Out.Zipper.MinCostFloor);
   if (!Spec.checkKnownParams(E->Params, Error))
     return false;
   if (Spec.param("pv") && Spec.param("cf")) {
@@ -335,40 +317,41 @@ bool AnalysisRegistry::build(const AnalysisSpec &Spec, AnalysisRecipe &Out,
             "' gives both";
     return false;
   }
-  if (!Spec.paramUnsigned("k", R.K, Error) ||
-      !Spec.paramBool("field", R.Csc.FieldStore, Error) ||
-      !Spec.paramBool("load", R.Csc.FieldLoad, Error) ||
-      !Spec.paramBool("container", R.Csc.Container, Error) ||
-      !Spec.paramBool("local", R.Csc.LocalFlow, Error) ||
-      !Spec.paramDouble("pv", 1, "[0, 1]", R.Zipper.CostFraction, Error) ||
-      !Spec.paramDouble("cf", 1, "[0, 1]", R.Zipper.CostFraction, Error) ||
+  if (!Spec.paramUnsigned("k", Out.K, Error) ||
+      !Spec.paramBool("field", Out.Csc.FieldStore, Error) ||
+      !Spec.paramBool("load", Out.Csc.FieldLoad, Error) ||
+      !Spec.paramBool("container", Out.Csc.Container, Error) ||
+      !Spec.paramBool("local", Out.Csc.LocalFlow, Error) ||
+      !Spec.paramDouble("pv", 1, "[0, 1]", Out.Zipper.CostFraction, Error) ||
+      !Spec.paramDouble("cf", 1, "[0, 1]", Out.Zipper.CostFraction, Error) ||
       !Spec.paramDouble("floor", MaxFloor, "[0, 2^64)", Floor, Error) ||
-      !Spec.paramBool("scc", R.CycleElimination, Error))
+      !Spec.paramBool("scc", Out.CycleElimination, Error))
     return false;
-  R.Zipper.MinCostFloor = static_cast<uint64_t>(Floor);
+  Out.Zipper.MinCostFloor = static_cast<uint64_t>(Floor);
 
   // "engine=doop|taie". Doop mode implies the Cut-Shortcut load pattern
   // is off (the paper's Datalog limitation).
   if (const std::string *Engine = Spec.param("engine")) {
     if (*Engine == "doop") {
-      R.DoopMode = true;
+      Out.DoopMode = true;
     } else if (*Engine != "taie" && *Engine != "tai-e") {
       Error = "unknown engine '" + *Engine + "' (expected doop or taie)";
       return false;
     }
   }
-  R.DoopMode = R.DoopMode || E->ForceDoop;
-  if (R.DoopMode && R.UseCsc)
-    R.Csc.FieldLoad = false;
-  Out = std::move(R);
+  Out.DoopMode = Out.DoopMode || E->ForceDoop;
+  if (Out.DoopMode && Out.UseCsc)
+    Out.Csc.FieldLoad = false;
   return true;
 }
 
 bool AnalysisRegistry::build(std::string_view SpecText, AnalysisRecipe &Out,
                              std::string &Error) const {
   AnalysisSpec Spec;
-  if (!parseAnalysisSpec(SpecText, Spec, Error))
+  if (!parseAnalysisSpec(SpecText, Spec, Error)) {
+    Out = AnalysisRecipe();
     return false;
+  }
   return build(Spec, Out, Error);
 }
 

@@ -19,7 +19,9 @@
 /// canonical name, aliases, accepted parameter keys and description.
 /// build() turns a spec into an AnalysisRecipe — plain data (kind, k,
 /// engine mode, plugin and pre-analysis options) that the AnalysisSession
-/// and the IncrementalSolver wire into a solver.
+/// and the IncrementalSolver wire into a solver — and names it: the
+/// recipe's Canonical spec is the one name the result cache, the store,
+/// batch reports and server answers use. No other code canonicalizes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,16 +71,6 @@ struct AnalysisSpec {
 bool parseAnalysisSpec(std::string_view Text, AnalysisSpec &Out,
                        std::string &Error);
 
-/// The canonical cache spelling of a parsed spec: lowercased name plus
-/// params sorted by key ("csc;container=0;engine=doop"). Normalizes
-/// case, whitespace, and parameter order; aliases are NOT resolved here
-/// — resolve the name through AnalysisRegistry::resolveName first when
-/// alias-insensitive keys are needed, as ResultKeys does.
-std::string canonicalSpec(const AnalysisSpec &Spec);
-/// Parses, then canonicalizes. False with \p Error on a malformed spec.
-bool canonicalSpec(std::string_view SpecText, std::string &Out,
-                   std::string &Error);
-
 /// Splits a comma-separated spec list ("ci,k-type;k=3,csc"); parameters
 /// never contain commas, so this is a plain split with trimming. Empty
 /// items are dropped.
@@ -90,6 +82,10 @@ std::vector<std::string> splitSpecList(std::string_view ListText);
 /// pre-analysis request.
 struct AnalysisRecipe {
   std::string Name; ///< Display name (the spec as written).
+  /// The canonical spec: the alias-resolved name plus the params sorted
+  /// by key ("k-type; K=3" -> "2type;k=3"). The one name a run is
+  /// reported, cached and stored under, whichever spelling asked for it.
+  std::string Canonical;
   AnalysisKind Kind = AnalysisKind::CI;
   unsigned K = 2;        ///< Context depth of the k-limited selectors.
   bool DoopMode = false; ///< Full re-propagation engine (Table 1).
@@ -143,15 +139,15 @@ public:
   /// The table rows, sorted by name.
   static const std::vector<AnalysisEntry> &entries();
 
-  /// Resolves an alias (case-insensitively) to its canonical name;
-  /// returns the lowercased input unchanged when it is not an alias.
-  /// ResultKeys maps spec names through this before canonicalSpec() so
-  /// aliased spellings ("k-type" vs "2type") share one result key.
-  std::string resolveName(std::string_view Name) const;
   /// (name, description) pairs of the rows, sorted by name.
   std::vector<std::pair<std::string, std::string>> list() const;
 
-  /// Builds a recipe from a parsed spec / a spec string.
+  /// Builds a recipe from a parsed spec / a spec string. Out.Name and
+  /// Out.Canonical are filled whenever the spec parses, also when the
+  /// build then fails (an unknown name keeps its lowered spelling), so a
+  /// spec-error row still has its report name; the rest of \p Out is
+  /// meaningful only on success. A spec that does not parse leaves
+  /// Out.Canonical empty.
   bool build(const AnalysisSpec &Spec, AnalysisRecipe &Out,
              std::string &Error) const;
   bool build(std::string_view SpecText, AnalysisRecipe &Out,

@@ -337,7 +337,7 @@ void BatchExecutor::runSpec(ProgramSlot &Slot, const std::string &Spec,
   // The in-process cache in front of the one reuse path (store lookup,
   // else compute and publish); a store hit also fills the cache, so
   // repeats stay off the disk. An unparsable spec skips both lookups;
-  // the session turns it into a SpecError run with the same diagnostic.
+  // lookupOrRun turns it into a SpecError run with build()'s diagnostic.
   Timer T;
   const ResultKeys &Keys = *Slot.Keys;
   ResultKey K;
@@ -358,7 +358,7 @@ void BatchExecutor::runSpec(ProgramSlot &Slot, const std::string &Spec,
     Out.FromStore = R.Served;
   }
   Out.Spec = Spec;
-  Out.Canonical = K.Canonical;
+  Out.Canonical = K.Recipe.Canonical;
   Out.WallMs = T.elapsedMs();
 }
 

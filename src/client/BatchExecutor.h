@@ -79,7 +79,7 @@ bool loadBatchManifest(const std::string &Path,
 /// The outcome of one (entry, spec) task.
 struct BatchRunResult {
   std::string Spec;      ///< As requested in the entry.
-  std::string Canonical; ///< Report name (ResultKey::Canonical).
+  std::string Canonical; ///< Report name (AnalysisRecipe::Canonical).
   RunStatus Status = RunStatus::Completed;
   std::string Error;
   PrecisionMetrics Metrics; ///< Valid only when Status == Completed.

@@ -71,7 +71,6 @@ struct Stmt {
   std::vector<StmtId> ThenBody;
   std::vector<StmtId> ElseBody;
 
-  bool isInvoke() const { return Kind == StmtKind::Invoke; }
   bool isAllocation() const {
     return Kind == StmtKind::New || Kind == StmtKind::NewArray;
   }

@@ -82,25 +82,20 @@ bool AnalysisServer::loadFiles(const std::vector<std::string> &Paths,
 
 AnalysisServer::SpecState *
 AnalysisServer::specState(const std::string &SpecText, std::string &Error) {
-  AnalysisSpec Spec;
-  if (!parseAnalysisSpec(SpecText, Spec, Error))
+  SpecState St;
+  if (!AnalysisRegistry::global().build(SpecText, St.Recipe, Error))
     return nullptr;
-  const AnalysisRegistry &Registry = AnalysisRegistry::global();
-  Spec.Name = Registry.resolveName(Spec.Name);
-  std::string Key = canonicalSpec(Spec);
-  auto It = Specs.find(Key);
+  auto It = Specs.find(St.Recipe.Canonical);
   if (It != Specs.end())
     return &It->second;
 
-  SpecState St;
-  if (!Registry.build(Spec, St.Recipe, Error))
-    return nullptr;
   if (IncrementalSolver::eligible(St.Recipe)) {
     IncrementalSolver::Options IOpts;
     IOpts.WorkBudget = Opts.WorkBudget;
     IOpts.TimeBudgetMs = Opts.TimeBudgetMs;
     St.Inc = std::make_unique<IncrementalSolver>(*Prog, St.Recipe, IOpts);
   }
+  std::string Key = St.Recipe.Canonical;
   return &Specs.emplace(std::move(Key), std::move(St)).first->second;
 }
 
@@ -174,7 +169,7 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
   SpecState *St = specState(SpecText, Error);
   if (!St)
     return errorResponse(Error);
-  const std::string &Canonical = St->Recipe.Name;
+  const std::string &Canonical = St->Recipe.Canonical;
 
   // Mode resolution. A "full" query makes the spec's fixpoint resident,
   // and from then on every query keeps it current by warm resume. Until
@@ -208,9 +203,8 @@ std::string AnalysisServer::handleQuery(const JsonValue &Req) {
       ResultStore *Store = Version == 1 ? Opts.Store.get() : nullptr;
       if (Store) {
         ResultKeys Keys(Sess);
-        ResultKey K;
-        Keys.key(SpecText, K);
-        ResultKeys::Outcome Out = Keys.lookupOrRun(Sess, Store, SpecText, K);
+        ResultKeys::Outcome Out =
+            Keys.lookupOrRun(Sess, Store, SpecText, Keys.key(St->Recipe));
         St->Run = std::move(Out.Run);
         St->FullRuns += !Out.Served;
       } else {

@@ -32,7 +32,10 @@
 /// Determinism contract: every field of a query answer outside the "meta"
 /// object is a pure function of the post-delta program and the spec —
 /// byte-identical whether produced by a warm resume, a per-version run,
-/// or a from-scratch session (CI's server smoke diffs exactly this).
+/// or a from-scratch session (CI's server smoke diffs exactly this), and
+/// whichever spelling of the spec asked: per-spec state is keyed by, and
+/// answers name, the recipe's canonical spec (AnalysisRecipe::Canonical),
+/// the same name "stats" lists.
 /// "meta" carries version/warm-start/timing diagnostics and is stripped
 /// before diffing, like timings in batch reports.
 ///
@@ -108,8 +111,10 @@ private:
     uint64_t FullRuns = 0;      ///< Runs computed here (not store hits).
   };
 
-  /// Resolves \p SpecText to resident state (creating it on first use);
-  /// null with \p Error set on a malformed/unknown spec.
+  /// Builds \p SpecText and finds its resident state by the recipe's
+  /// canonical spec (creating it on first use), so every spelling of one
+  /// analysis shares one state and answers under one name; null with
+  /// \p Error set on a malformed/unknown spec.
   SpecState *specState(const std::string &SpecText, std::string &Error);
 
   std::string handleQuery(const JsonValue &Req);

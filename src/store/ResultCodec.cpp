@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <vector>
 
 using namespace csc;
 
@@ -134,42 +135,6 @@ uint8_t statusByte(RunStatus S) {
                                            : 2;
 }
 
-/// Everything of a run's stored form but its result.
-StoredResult storedHeader(const AnalysisRun &Run, std::string RunJson) {
-  StoredResult S;
-  S.Status = Run.Status;
-  S.Error = Run.Error;
-  S.Metrics = Run.Metrics;
-  S.RunJson = std::move(RunJson);
-  S.SelectedMethods = Run.SelectedMethods;
-  S.CutStores = Run.Csc.CutStores;
-  S.CutReturns = Run.Csc.CutReturns;
-  S.ShortcutEdges = Run.Csc.ShortcutEdges;
-  S.InvolvedMethods.assign(Run.Csc.Involved.begin(),
-                           Run.Csc.Involved.end());
-  std::sort(S.InvolvedMethods.begin(), S.InvolvedMethods.end());
-  return S;
-}
-
-/// The stored encoding of \p S's fields followed by \p Result — which
-/// need not be S.Result, so a computed run encodes without a copy.
-void writeStored(const StoredResult &S, const PTAResult &Result,
-                 BinaryWriter &W) {
-  W.u8(statusByte(S.Status));
-  W.str(S.Error);
-  W.u32(S.Metrics.FailCasts);
-  W.u32(S.Metrics.ReachMethods);
-  W.u32(S.Metrics.PolyCalls);
-  W.u64(S.Metrics.CallEdges);
-  W.str(S.RunJson);
-  W.u32(S.SelectedMethods);
-  W.u64(S.CutStores);
-  W.u64(S.CutReturns);
-  W.u64(S.ShortcutEdges);
-  writeIds(S.InvolvedMethods, W);
-  serializePTAResult(Result, W);
-}
-
 } // namespace
 
 void csc::serializePTAResult(const PTAResult &R, BinaryWriter &W) {
@@ -294,37 +259,47 @@ bool csc::resultsEqual(const PTAResult &A, const PTAResult &B) {
          A.Reachable == B.Reachable && A.NumCallEdgesCI == B.NumCallEdgesCI;
 }
 
+void csc::serializeStoredResult(const AnalysisRun &Run,
+                                const std::string &RunJson, BinaryWriter &W) {
+  W.u8(statusByte(Run.Status));
+  W.str(Run.Error);
+  W.u32(Run.Metrics.FailCasts);
+  W.u32(Run.Metrics.ReachMethods);
+  W.u32(Run.Metrics.PolyCalls);
+  W.u64(Run.Metrics.CallEdges);
+  W.str(RunJson);
+  W.u32(Run.SelectedMethods);
+  W.u64(Run.Csc.CutStores);
+  W.u64(Run.Csc.CutReturns);
+  W.u64(Run.Csc.ShortcutEdges);
+  std::vector<MethodId> Involved(Run.Csc.Involved.begin(),
+                                 Run.Csc.Involved.end());
+  std::sort(Involved.begin(), Involved.end());
+  writeIds(Involved, W);
+  serializePTAResult(Run.Result, W);
+}
+
 std::string csc::serializeStoredResult(const StoredResult &S) {
   BinaryWriter W;
-  serializeStoredResult(S, W);
+  serializeStoredResult(S.Run, S.RunJson, W);
   return W.take();
-}
-
-void csc::serializeStoredResult(const StoredResult &S, BinaryWriter &W) {
-  writeStored(S, S.Result, W);
-}
-
-void csc::serializeRun(const AnalysisRun &Run, std::string RunJson,
-                       BinaryWriter &W) {
-  writeStored(storedHeader(Run, std::move(RunJson)), Run.Result, W);
 }
 
 bool csc::deserializeStoredResult(const char *Data, size_t Size,
                                   StoredResult &Out) {
+  Out = StoredResult();
+  AnalysisRun &Run = Out.Run;
   BinaryReader R(Data, Size);
   uint8_t Status;
-  if (!R.u8(Status) || !readStatus(Status, Out.Status) ||
-      !R.str(Out.Error) || !R.u32(Out.Metrics.FailCasts) ||
-      !R.u32(Out.Metrics.ReachMethods) || !R.u32(Out.Metrics.PolyCalls) ||
-      !R.u64(Out.Metrics.CallEdges) || !R.str(Out.RunJson) ||
-      !R.u32(Out.SelectedMethods) || !R.u64(Out.CutStores) ||
-      !R.u64(Out.CutReturns) || !R.u64(Out.ShortcutEdges))
-    return false;
-  Out.InvolvedMethods.clear();
   // The result must consume the rest of the value exactly — trailing
   // bytes mean a framing bug or format skew, either way not this entry.
-  return readAscending(R, Out.InvolvedMethods) &&
-         deserializePTAResult(R, Out.Result) && R.atEnd();
+  return R.u8(Status) && readStatus(Status, Run.Status) && R.str(Run.Error) &&
+         R.u32(Run.Metrics.FailCasts) && R.u32(Run.Metrics.ReachMethods) &&
+         R.u32(Run.Metrics.PolyCalls) && R.u64(Run.Metrics.CallEdges) &&
+         R.str(Out.RunJson) && R.u32(Run.SelectedMethods) &&
+         R.u64(Run.Csc.CutStores) && R.u64(Run.Csc.CutReturns) &&
+         R.u64(Run.Csc.ShortcutEdges) && readAscending(R, Run.Csc.Involved) &&
+         deserializePTAResult(R, Run.Result) && R.atEnd();
 }
 
 bool csc::deserializeStoredResult(const std::string &Bytes,
@@ -334,22 +309,5 @@ bool csc::deserializeStoredResult(const std::string &Bytes,
 
 StoredResult csc::storedFromRun(const AnalysisRun &Run,
                                 std::string RunJson) {
-  StoredResult S = storedHeader(Run, std::move(RunJson));
-  S.Result = Run.Result;
-  return S;
-}
-
-AnalysisRun csc::runFromStored(StoredResult S) {
-  AnalysisRun Run;
-  Run.Status = S.Status;
-  Run.Error = std::move(S.Error);
-  Run.Metrics = S.Metrics;
-  Run.SelectedMethods = S.SelectedMethods;
-  Run.Csc.CutStores = S.CutStores;
-  Run.Csc.CutReturns = S.CutReturns;
-  Run.Csc.ShortcutEdges = S.ShortcutEdges;
-  Run.Csc.Involved.insert(S.InvolvedMethods.begin(),
-                          S.InvolvedMethods.end());
-  Run.Result = std::move(S.Result);
-  return Run;
+  return {Run, std::move(RunJson)};
 }

@@ -7,7 +7,10 @@
 /// \file
 /// The value format of the persistent result store: a completed analysis
 /// run — PTAResult, precision metrics, per-analysis extras, and the
-/// timing-free run report — encoded to bytes and back.
+/// timing-free run report — encoded to bytes and back. The stored value
+/// (StoredResult) is the AnalysisRun itself plus that report: one encoder
+/// writes straight from an AnalysisRun, one decoder fills one, and no
+/// second record mirrors the run's fields.
 ///
 /// The points-to projection is written as PTAResult holds it: the pool of
 /// distinct sets once (each a count + ascending ids), then one pool index
@@ -41,28 +44,22 @@
 #include "support/BinaryIO.h"
 
 #include <string>
-#include <vector>
 
 namespace csc {
 
-/// Everything the store keeps per (program, spec, budgets) key: enough to
-/// reconstruct both a batch report row (RunJson + metrics) and a full
-/// AnalysisRun for single-run and server clients (result + extras).
+/// Everything the store keeps per (program, spec, budgets) key: the run
+/// itself and its report. Serves both a batch report row (RunJson) and a
+/// full AnalysisRun for single-run and server clients.
 struct StoredResult {
-  RunStatus Status = RunStatus::Completed;
-  std::string Error; ///< Populated for SpecError (never stored today).
-  PrecisionMetrics Metrics;
+  /// Status, error, metrics, Zipper-e and Cut-Shortcut extras and the
+  /// PTAResult are stored. Name, Timings and PreFromCache are not: a
+  /// decoded run leaves them defaulted, and the caller names it.
+  AnalysisRun Run;
   /// Timing-free run report under the canonical spec name
   /// (appendRunJson with IncludeTimings=false) — spliced verbatim into
   /// batch aggregates, which is what makes a store-served batch
   /// byte-identical to a computed one.
   std::string RunJson;
-  uint32_t SelectedMethods = 0; ///< Zipper-e selection size.
-  uint64_t CutStores = 0;       ///< Cut-Shortcut statistics.
-  uint64_t CutReturns = 0;
-  uint64_t ShortcutEdges = 0;
-  std::vector<MethodId> InvolvedMethods; ///< Sorted ascending.
-  PTAResult Result;
 };
 
 /// Appends the canonical encoding of \p R to \p W.
@@ -78,28 +75,24 @@ bool deserializePTAResult(BinaryReader &R, PTAResult &Out);
 /// them, so a round trip must preserve them bit-for-bit too.
 bool resultsEqual(const PTAResult &A, const PTAResult &B);
 
-/// One StoredResult as a standalone byte string / parsed back. The store
-/// checksums and frames these bytes; the codec itself has no header.
+/// The one encoder: appends the stored form of \p Run with its report
+/// \p RunJson, Csc.Involved ascending. Run.Result is encoded in place, so
+/// publishing a computed run copies no PTAResult. The store checksums
+/// and frames these bytes; the codec itself has no header.
+void serializeStoredResult(const AnalysisRun &Run, const std::string &RunJson,
+                           BinaryWriter &W);
+/// The same bytes as a standalone string.
 std::string serializeStoredResult(const StoredResult &S);
-void serializeStoredResult(const StoredResult &S, BinaryWriter &W);
-bool deserializeStoredResult(const std::string &Bytes, StoredResult &Out);
+
+/// The one decoder: resets \p Out, then fills Out.Run's stored fields and
+/// Out.RunJson. False on malformed, non-canonical or trailing input.
 bool deserializeStoredResult(const char *Data, size_t Size,
                              StoredResult &Out);
+bool deserializeStoredResult(const std::string &Bytes, StoredResult &Out);
 
-/// Converts a computed run into its stored form. \p RunJson must be the
+/// Pairs a copy of a computed run with its report. \p RunJson must be the
 /// timing-free report serialized under the canonical spec name.
 StoredResult storedFromRun(const AnalysisRun &Run, std::string RunJson);
-
-/// Appends the bytes serializeStoredResult(storedFromRun(Run, RunJson))
-/// returns, encoding Run.Result in place instead of copying it.
-void serializeRun(const AnalysisRun &Run, std::string RunJson,
-                  BinaryWriter &W);
-
-/// Reconstructs an AnalysisRun from a stored value, moving its result
-/// (pass an rvalue to avoid a copy). Name and Timings are left defaulted
-/// — the caller sets the display name (the original spec spelling) and
-/// charges the store-load wall time.
-AnalysisRun runFromStored(StoredResult S);
 
 } // namespace csc
 

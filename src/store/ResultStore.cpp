@@ -77,20 +77,27 @@ ResultKeys::ResultKeys(const AnalysisSession &S)
       WorkBudget(S.options().WorkBudget),
       TimeBudgetMs(S.options().TimeBudgetMs) {}
 
+ResultKey ResultKeys::key(AnalysisRecipe Recipe) const {
+  std::string Key = resultStoreKey(ProgramFp, WorkBudget, TimeBudgetMs,
+                                   RegistryFp, Recipe.Canonical);
+  return {std::move(Recipe), std::string(), std::move(Key)};
+}
+
 bool ResultKeys::key(const std::string &Spec, ResultKey &Out) const {
-  // Alias resolution makes "k-type;k=3" and "2type;k=3" one key and one
-  // report name.
-  AnalysisSpec Parsed;
+  // The spec is built once, here; its canonical name makes "k-type;k=3"
+  // and "2type;k=3" one key and one report name.
+  AnalysisRecipe Recipe;
   std::string Error;
-  if (!parseAnalysisSpec(Spec, Parsed, Error)) {
-    Out = {Spec, std::string()};
-    return false;
+  AnalysisRegistry::global().build(Spec, Recipe, Error);
+  bool Parsed = !Recipe.Canonical.empty();
+  if (Parsed) {
+    Out = key(std::move(Recipe));
+  } else {
+    Out = ResultKey();
+    Out.Recipe.Canonical = Spec;
   }
-  Parsed.Name = AnalysisRegistry::global().resolveName(Parsed.Name);
-  Out.Canonical = canonicalSpec(Parsed);
-  Out.Key = resultStoreKey(ProgramFp, WorkBudget, TimeBudgetMs, RegistryFp,
-                           Out.Canonical);
-  return true;
+  Out.Error = std::move(Error);
+  return Parsed;
 }
 
 bool ResultKeys::reusable(const AnalysisRun &Run) const {
@@ -105,17 +112,23 @@ ResultKeys::Outcome ResultKeys::lookupOrRun(AnalysisSession &S,
   Outcome Out;
   StoredResult SR;
   if (Store && !K.Key.empty() && Store->lookup(K.Key, SR)) {
+    Out.Run = std::move(SR.Run);
     Out.RunJson = std::move(SR.RunJson);
-    Out.Run = runFromStored(std::move(SR));
     Out.Run.Name = Spec;
     Out.Served = true;
     return Out;
   }
-  Out.Run = S.run(Spec);
+  if (K.Error.empty()) {
+    Out.Run = S.run(K.Recipe);
+  } else {
+    Out.Run.Name = Spec;
+    Out.Run.Status = RunStatus::SpecError;
+    Out.Run.Error = K.Error;
+  }
   // The report is written under the canonical name, the run keeps the
   // requested one.
   std::string Display = std::move(Out.Run.Name);
-  Out.Run.Name = K.Canonical;
+  Out.Run.Name = K.Recipe.Canonical;
   JsonWriter J;
   appendRunJson(J, Out.Run, /*IncludeTimings=*/false);
   Out.Run.Name = std::move(Display);
@@ -156,11 +169,11 @@ bool fileHolds(const std::string &Path, const std::string &Bytes) {
   return true;
 }
 
-/// One entry file in one buffer: header, key framing and the payload
-/// \p Encode appends, with the payload length and the body checksum
-/// patched in once the payload is written.
-std::string entryBytes(const std::string &Key,
-                       const std::function<void(BinaryWriter &)> &Encode) {
+/// One entry file in one buffer: header, key framing and the encoded
+/// run as payload, with the payload length and the body checksum patched
+/// in once the payload is written.
+std::string entryBytes(const std::string &Key, const AnalysisRun &Run,
+                       const std::string &RunJson) {
   BinaryWriter W;
   W.raw(EntryMagic, 8);
   W.u32(FormatVersion);
@@ -168,7 +181,7 @@ std::string entryBytes(const std::string &Key,
   W.str(Key);
   W.u64(0); // payload length
   size_t PayloadAt = W.size();
-  Encode(W);
+  serializeStoredResult(Run, RunJson, W);
   W.patchU64(PayloadAt - 8, W.size() - PayloadAt);
   W.patchU64(HeaderBytes - 8, fnv1a64(W.data().data() + HeaderBytes,
                                       W.size() - HeaderBytes));
@@ -364,24 +377,15 @@ bool ResultStore::writeFileAtomic(const std::string &FinalPath,
 
 bool ResultStore::publish(const std::string &Key,
                           const StoredResult &Value) {
-  return publishEntry(
-      Key, [&](BinaryWriter &W) { serializeStoredResult(Value, W); });
+  return publish(Key, Value.Run, Value.RunJson);
 }
 
 bool ResultStore::publish(const std::string &Key, const AnalysisRun &Run,
-                          std::string RunJson) {
-  return publishEntry(Key, [&](BinaryWriter &W) {
-    serializeRun(Run, std::move(RunJson), W);
-  });
-}
-
-bool ResultStore::publishEntry(
-    const std::string &Key,
-    const std::function<void(BinaryWriter &)> &Encode) {
+                          const std::string &RunJson) {
   // Encoding needs no lock: Err is fixed at construction.
   std::string Bytes;
   if (usable() && !Key.empty())
-    Bytes = entryBytes(Key, Encode);
+    Bytes = entryBytes(Key, Run, RunJson);
   std::lock_guard<std::mutex> G(M);
   if (Bytes.empty()) {
     ++Stats.PublishFailures;

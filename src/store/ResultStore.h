@@ -79,22 +79,24 @@ uint64_t programFingerprint(const Program &P);
 uint64_t registryFingerprint(const AnalysisRegistry &R);
 
 /// Composes the key string for one (program, spec, budgets, registry)
-/// request. \p CanonicalSpec must already be alias-resolved and
-/// canonicalized (AnalysisRegistry::resolveName + canonicalSpec);
-/// ResultKeys::key does both.
+/// request. \p CanonicalSpec is an AnalysisRecipe::Canonical;
+/// ResultKeys::key supplies it.
 std::string resultStoreKey(uint64_t ProgramFingerprint,
                            uint64_t WorkBudget, double TimeBudgetMs,
                            uint64_t RegistryFingerprint,
                            const std::string &CanonicalSpec);
 
 /// One request's identity, shared by the in-process ResultCache and the
-/// on-disk store.
+/// on-disk store: the spec built once, and the key it is stored under.
 struct ResultKey {
-  /// Alias-resolved canonical spec: the name every client serializes the
-  /// report under. The requested text when the spec does not parse.
-  std::string Canonical;
-  /// resultStoreKey over the session and Canonical; empty when the spec
-  /// does not parse (nothing is looked up or published then).
+  /// What AnalysisRegistry::build made of the spec. Recipe.Canonical is
+  /// the name every client serializes the report under — the requested
+  /// text when the spec does not parse.
+  AnalysisRecipe Recipe;
+  /// build()'s diagnostic; empty when Recipe is runnable.
+  std::string Error;
+  /// resultStoreKey over the session and Recipe.Canonical; empty when the
+  /// spec does not parse (nothing is looked up or published then).
   std::string Key;
 };
 
@@ -120,9 +122,12 @@ public:
 
   explicit ResultKeys(const AnalysisSession &S);
 
-  /// Fills \p Out for \p Spec; false (Key empty) when the spec does not
-  /// parse — the session then reports it as a SpecError.
+  /// Builds \p Spec into \p Out and keys it; false (Key empty) when the
+  /// spec does not parse. A spec that parses but does not build is still
+  /// keyed — it is looked up, never published — and runs as a SpecError.
   bool key(const std::string &Spec, ResultKey &Out) const;
+  /// Keys an already built recipe (the server's resident one).
+  ResultKey key(AnalysisRecipe Recipe) const;
 
   /// The one reuse rule. A completed run and a work-budget exhaustion are
   /// exact, so they are reused; a wall-clock exhaustion (it depends on
@@ -132,9 +137,10 @@ public:
 
   /// Look up, else run on the session and publish: serves \p Spec from
   /// \p Store when it holds a valid entry under \p K (key(Spec, K)),
-  /// otherwise runs it on \p S and, when the outcome is reusable,
-  /// publishes it. A null \p Store or an unkeyed \p K only runs.
-  /// Thread-safe, like AnalysisSession::run and ResultStore.
+  /// otherwise runs K.Recipe on \p S — a SpecError run when it did not
+  /// build — and, when the outcome is reusable, publishes it. A null
+  /// \p Store or an unkeyed \p K only runs. Thread-safe, like
+  /// AnalysisSession::run and ResultStore.
   Outcome lookupOrRun(AnalysisSession &S, ResultStore *Store,
                       const std::string &Spec, const ResultKey &K) const;
 
@@ -207,14 +213,14 @@ public:
   /// entries are counted and unlinked.
   bool lookup(const std::string &Key, StoredResult &Out);
 
-  /// Atomically writes the entry for \p Key, stamped with the store's
-  /// clock. False (counted) on I/O failure. An existing valid entry is
-  /// left untouched — identical bytes by construction.
-  bool publish(const std::string &Key, const StoredResult &Value);
-  /// The same entry publish(Key, storedFromRun(Run, RunJson)) writes,
-  /// encoded from \p Run in place.
+  /// Atomically writes the entry for \p Key — \p Run and its report
+  /// \p RunJson, encoded in place — stamped with the store's clock. False
+  /// (counted) on I/O failure. An existing valid entry is left untouched
+  /// — identical bytes by construction.
   bool publish(const std::string &Key, const AnalysisRun &Run,
-               std::string RunJson);
+               const std::string &RunJson);
+  /// publish(Key, Value.Run, Value.RunJson): the same bytes.
+  bool publish(const std::string &Key, const StoredResult &Value);
 
   /// Validates every entry in the directory, evicting corrupt ones.
   ScrubReport scrub();
@@ -239,10 +245,6 @@ private:
   /// \p ExpectKey accepts any key.
   int readEntry(const std::string &Path, const std::string &ExpectKey,
                 std::string &Bytes, size_t &PayloadAt) const;
-  /// Frames the payload \p Encode appends into one entry buffer and
-  /// writes it unless the file already holds those bytes.
-  bool publishEntry(const std::string &Key,
-                    const std::function<void(BinaryWriter &)> &Encode);
   bool writeFileAtomic(const std::string &FinalPath,
                        const std::string &Bytes) const;
 

@@ -38,7 +38,6 @@ struct JsonValue {
 
   bool isNull() const { return K == Kind::Null; }
   bool isBool() const { return K == Kind::Bool; }
-  bool isNumber() const { return K == Kind::Number; }
   bool isString() const { return K == Kind::String; }
   bool isArray() const { return K == Kind::Array; }
   bool isObject() const { return K == Kind::Object; }

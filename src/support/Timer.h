@@ -30,9 +30,6 @@ public:
     return std::chrono::duration<double, std::milli>(Now - Start).count();
   }
 
-  /// Seconds elapsed since construction / last reset.
-  double elapsedSec() const { return elapsedMs() / 1000.0; }
-
 private:
   std::chrono::steady_clock::time_point Start;
 };

@@ -163,18 +163,30 @@ TEST(SpecErrorTest, MalformedParValues) {
 //===----------------------------------------------------------------------===//
 
 TEST(SpecErrorTest, CanonicalSpecNormalizesSpellingAndOrder) {
-  std::string A, B, Error;
-  ASSERT_TRUE(canonicalSpec("CSC; engine=doop ;container=0", A, Error))
-      << Error;
-  ASSERT_TRUE(canonicalSpec("csc;container=0;engine=doop", B, Error))
-      << Error;
-  EXPECT_EQ(A, B);
-  EXPECT_EQ(A, "csc;container=0;engine=doop");
+  const AnalysisRegistry &Reg = AnalysisRegistry::global();
+  AnalysisRecipe A, B;
+  std::string Error;
+  ASSERT_TRUE(Reg.build("CSC; engine=doop ;container=0", A, Error)) << Error;
+  ASSERT_TRUE(Reg.build("csc;container=0;engine=doop", B, Error)) << Error;
+  EXPECT_EQ(A.Canonical, B.Canonical);
+  EXPECT_EQ(A.Canonical, "csc;container=0;engine=doop");
 
-  ASSERT_TRUE(canonicalSpec("  ci  ", A, Error)) << Error;
-  EXPECT_EQ(A, "ci");
+  ASSERT_TRUE(Reg.build("  ci  ", A, Error)) << Error;
+  EXPECT_EQ(A.Canonical, "ci");
 
-  // Malformed input propagates the parse diagnostic.
-  EXPECT_FALSE(canonicalSpec("k=3", A, Error));
+  // Aliases resolve: every spelling of one analysis has one name.
+  ASSERT_TRUE(Reg.build("K-TYPE; K=3", A, Error)) << Error;
+  EXPECT_EQ(A.Canonical, "2type;k=3");
+
+  // A spec that parses keeps its canonical name when the build fails, so
+  // its spec-error row is still named.
+  EXPECT_FALSE(Reg.build("Foo; x=1", A, Error));
+  EXPECT_EQ(A.Canonical, "foo;x=1");
+  EXPECT_FALSE(Reg.build("k-obj;k=banana", A, Error));
+  EXPECT_EQ(A.Canonical, "2obj;k=banana");
+
+  // Malformed input propagates the parse diagnostic and has no name.
+  EXPECT_FALSE(Reg.build("k=3", A, Error));
   EXPECT_EQ(Error, "analysis spec must start with a name: 'k=3'");
+  EXPECT_EQ(A.Canonical, "");
 }

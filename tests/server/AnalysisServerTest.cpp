@@ -158,6 +158,33 @@ TEST(AnalysisServerTest, PointsToAnswersAgreeAcrossModes) {
   EXPECT_EQ(CsV.get("size")->Num, 1);
 }
 
+TEST(AnalysisServerTest, EverySpellingAnswersUnderTheCanonicalSpec) {
+  // Aliases share one resident state, so the first spelling must not
+  // name the rest: each answer reads the canonical spec, and outside
+  // meta equals a fresh server's answer to that canonical spelling.
+  auto S = makeServer({{"fig.jir", figure1Source()}});
+  ASSERT_NE(S, nullptr);
+  auto Query = [](const char *Spec) {
+    return std::string(R"({"op":"query","kind":"points-to",)") +
+           R"("var":"Main.main.result1","spec":")" + Spec + "\"}";
+  };
+  auto Fresh = makeServer({{"fig.jir", figure1Source()}});
+  ASSERT_NE(Fresh, nullptr);
+  std::string Oracle = stripMeta(Fresh->handleLine(Query("2obj")));
+  ASSERT_TRUE(okOf(parsed(Oracle))) << Oracle;
+  EXPECT_EQ(parsed(Oracle).get("spec")->Str, "2obj");
+  for (const char *Spelling : {"K-OBJ", "2obj", "obj"}) {
+    std::string A = S->handleLine(Query(Spelling));
+    EXPECT_EQ(parsed(A).get("spec")->Str, "2obj") << Spelling;
+    EXPECT_EQ(stripMeta(A), Oracle) << Spelling;
+  }
+  // One state for the three spellings, listed under the same name.
+  JsonValue V = parsed(S->handleLine(R"({"op":"stats"})"));
+  ASSERT_EQ(V.get("specs")->Arr.size(), 1u);
+  EXPECT_EQ(V.get("specs")->Arr[0].get("spec")->Str, "2obj");
+  EXPECT_EQ(V.get("specs")->Arr[0].get("full_solves")->Num, 1);
+}
+
 TEST(AnalysisServerTest, MayAliasAndCalleesQueries) {
   auto S = makeServer({{"fig.jir", figure1Source()}});
   ASSERT_NE(S, nullptr);

@@ -15,8 +15,10 @@
 // or fabricating a partial result. Decoding is canonical: hand-built
 // non-canonical projections are rejected, and any seeded byte mutation of
 // a real payload either fails to decode or re-encodes to the same bytes.
-// Program fingerprints, the program part of every store key, are pinned
-// to fixed values: a drift would turn every existing store into misses.
+// Both ResultStore::publish paths (a run encoded in place, a StoredResult
+// copy) leave byte-identical entry files. Program fingerprints, the
+// program part of every store key, are pinned to fixed values: a drift
+// would turn every existing store into misses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,7 @@
 #include "stdlib/Stdlib.h"
 #include "store/ResultCodec.h"
 #include "store/ResultStore.h"
+#include "support/FileIO.h"
 #include "support/Rng.h"
 #include "workload/Workload.h"
 
@@ -34,6 +37,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -74,11 +79,9 @@ WorkloadConfig fuzzConfig(uint64_t Seed) {
 
 /// Canonicalizes \p Spec exactly as the batch executor keys the store.
 std::string canonicalOf(const AnalysisSession &S, const std::string &Spec) {
-  AnalysisSpec Parsed;
-  std::string Error;
-  EXPECT_TRUE(parseAnalysisSpec(Spec, Parsed, Error)) << Error;
-  Parsed.Name = S.registry().resolveName(Parsed.Name);
-  return canonicalSpec(Parsed);
+  ResultKey K;
+  EXPECT_TRUE(ResultKeys(S).key(Spec, K)) << Spec;
+  return K.Recipe.Canonical;
 }
 
 /// Runs \p Spec and converts the outcome to its stored form, with the
@@ -105,19 +108,20 @@ void expectRoundTrip(const StoredResult &S, const std::string &Label) {
   ASSERT_FALSE(Bytes.empty()) << Label;
   StoredResult D;
   ASSERT_TRUE(deserializeStoredResult(Bytes, D)) << Label;
-  EXPECT_EQ(D.Status, S.Status) << Label;
-  EXPECT_EQ(D.Error, S.Error) << Label;
+  const AnalysisRun &DR = D.Run, &SR = S.Run;
+  EXPECT_EQ(DR.Status, SR.Status) << Label;
+  EXPECT_EQ(DR.Error, SR.Error) << Label;
   EXPECT_EQ(D.RunJson, S.RunJson) << Label;
-  EXPECT_EQ(D.SelectedMethods, S.SelectedMethods) << Label;
-  EXPECT_EQ(D.CutStores, S.CutStores) << Label;
-  EXPECT_EQ(D.CutReturns, S.CutReturns) << Label;
-  EXPECT_EQ(D.ShortcutEdges, S.ShortcutEdges) << Label;
-  EXPECT_EQ(D.InvolvedMethods, S.InvolvedMethods) << Label;
-  EXPECT_EQ(D.Metrics.FailCasts, S.Metrics.FailCasts) << Label;
-  EXPECT_EQ(D.Metrics.ReachMethods, S.Metrics.ReachMethods) << Label;
-  EXPECT_EQ(D.Metrics.PolyCalls, S.Metrics.PolyCalls) << Label;
-  EXPECT_EQ(D.Metrics.CallEdges, S.Metrics.CallEdges) << Label;
-  EXPECT_TRUE(resultsEqual(D.Result, S.Result)) << Label;
+  EXPECT_EQ(DR.SelectedMethods, SR.SelectedMethods) << Label;
+  EXPECT_EQ(DR.Csc.CutStores, SR.Csc.CutStores) << Label;
+  EXPECT_EQ(DR.Csc.CutReturns, SR.Csc.CutReturns) << Label;
+  EXPECT_EQ(DR.Csc.ShortcutEdges, SR.Csc.ShortcutEdges) << Label;
+  EXPECT_EQ(DR.Csc.Involved, SR.Csc.Involved) << Label;
+  EXPECT_EQ(DR.Metrics.FailCasts, SR.Metrics.FailCasts) << Label;
+  EXPECT_EQ(DR.Metrics.ReachMethods, SR.Metrics.ReachMethods) << Label;
+  EXPECT_EQ(DR.Metrics.PolyCalls, SR.Metrics.PolyCalls) << Label;
+  EXPECT_EQ(DR.Metrics.CallEdges, SR.Metrics.CallEdges) << Label;
+  EXPECT_TRUE(resultsEqual(DR.Result, SR.Result)) << Label;
   EXPECT_EQ(serializeStoredResult(D), Bytes)
       << Label << ": re-serialization is not byte-identical";
 }
@@ -239,13 +243,59 @@ TEST(ResultCodecTest, ReconstructedRunReserializesToStoredReport) {
   ASSERT_NE(S, nullptr);
   for (const auto &[Name, Desc] : AnalysisRegistry::global().list()) {
     (void)Desc;
-    StoredResult Stored = storedOf(*S, Name);
-    AnalysisRun Rebuilt = runFromStored(Stored);
+    StoredResult Stored = storedOf(*S, Name), Decoded;
+    ASSERT_TRUE(
+        deserializeStoredResult(serializeStoredResult(Stored), Decoded))
+        << Name;
+    AnalysisRun &Rebuilt = Decoded.Run;
     Rebuilt.Name = canonicalOf(*S, Name);
     JsonWriter J;
     appendRunJson(J, Rebuilt, /*IncludeTimings=*/false);
     EXPECT_EQ(J.take(), Stored.RunJson) << Name;
   }
+}
+
+TEST(ResultCodecTest, BothPublishPathsWriteOneEntry) {
+  // A computed run is published in place; perfbench and the tests publish
+  // a StoredResult copy. Both go through the one encoder, so each must
+  // leave the same single entry file, byte for byte.
+  char Root[] = "codec-publish-XXXXXX";
+  ASSERT_NE(::mkdtemp(Root), nullptr);
+  int Stores = 0;
+  for (const char *Example : {"figure1.jir", "containers.jir"}) {
+    std::vector<std::string> Diags;
+    std::unique_ptr<AnalysisSession> S =
+        AnalysisSession::fromFiles({examplePath(Example)}, {}, Diags);
+    ASSERT_NE(S, nullptr) << Example;
+    ResultKeys Keys(*S);
+    for (const char *Spec : {"ci", "csc", "zipper-e"}) {
+      std::string Label = std::string(Example) + "/" + Spec;
+      AnalysisRun Run;
+      StoredResult Stored = storedOf(*S, Spec, &Run);
+      ResultKey K;
+      ASSERT_TRUE(Keys.key(Spec, K)) << Label;
+      std::string Entry[2];
+      for (int InPlace = 0; InPlace != 2; ++InPlace) {
+        ResultStore::Options O;
+        O.Dir = std::string(Root) + "/" + std::to_string(Stores++);
+        ResultStore Store(O);
+        ASSERT_TRUE(InPlace ? Store.publish(K.Key, Run, Stored.RunJson)
+                            : Store.publish(K.Key, Stored))
+            << Label;
+        std::vector<std::filesystem::path> Files;
+        for (const auto &F :
+             std::filesystem::directory_iterator(O.Dir + "/objects"))
+          Files.push_back(F.path());
+        ASSERT_EQ(Files.size(), 1u) << Label;
+        ASSERT_EQ(readFile(Files[0].string(), Entry[InPlace]),
+                  ReadStatus::Ok)
+            << Label;
+      }
+      EXPECT_FALSE(Entry[0].empty()) << Label;
+      EXPECT_EQ(Entry[0], Entry[1]) << Label;
+    }
+  }
+  std::filesystem::remove_all(Root);
 }
 
 TEST(ResultCodecTest, TruncatedAndPaddedBytesNeverDecode) {

@@ -82,8 +82,8 @@ protected:
     for (size_t I = 0; I != NumKeys; ++I) {
       Keys.push_back("conc-key-" + std::to_string(I));
       StoredResult V = Base;
-      V.Metrics.FailCasts = static_cast<uint32_t>(I);
-      V.CutStores = I * 7 + 1;
+      V.Run.Metrics.FailCasts = static_cast<uint32_t>(I);
+      V.Run.Csc.CutStores = I * 7 + 1;
       V.RunJson = Base.RunJson + "#variant-" + std::to_string(I);
       Expected.push_back(serializeStoredResult(V));
       Values.push_back(std::move(V));
