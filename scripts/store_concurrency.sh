@@ -5,7 +5,9 @@
 # behind, serve a warm repeat (batch and single run) entirely from the
 # store — the single run's report and points-to answer byte-identical,
 # timings stripped, to a storeless run's, at --jobs 1 and 4 — keep it
-# under the largest --store-max-age, and agree with a --workers fleet. After every pass the store
+# under the largest --store-max-age, publish each distinct key of a
+# manifest with repeated pairs once at --jobs 4, and agree with a
+# --workers fleet. After every pass the store
 # directory holds nothing but objects/: the entry files are its only
 # state. Registered with CTest as cscpta_store_concurrency;
 # tests/store/StoreConcurrencyTest.cpp covers the in-process half.
@@ -122,6 +124,37 @@ if [ "$RC" -ne 2 ]; then
   exit 1
 fi
 only_objects "$TMP/store"
+
+# Repeated (program, spec) pairs, two under alias spellings: 12 tasks
+# over 6 distinct keys. However --jobs 4 schedules them, a cold pass
+# solves and publishes each key once, serves the other six tasks from
+# their owners' rows, and reports the storeless aggregate. Five passes,
+# each into a fresh store, so an unlucky schedule has room to show.
+cat > "$TMP/repeats.json" <<EOF
+{
+  "entries": [
+    { "label": "figure1", "program": "$EXAMPLES/figure1.jir",
+      "specs": ["ci", "csc", "2obj"] },
+    { "label": "containers", "program": "$EXAMPLES/containers.jir",
+      "specs": ["ci", "csc", "2obj"] },
+    { "label": "figure1-again", "program": "$EXAMPLES/figure1.jir",
+      "specs": ["ci", "k-obj", "CSC"] },
+    { "label": "containers-again", "program": "$EXAMPLES/containers.jir",
+      "specs": ["2obj", "ci", "csc"] }
+  ]
+}
+EOF
+"$CSCPTA" --batch "$TMP/repeats.json" --json > "$TMP/repeats-ref.json"
+for PASS in 1 2 3 4 5; do
+  "$CSCPTA" --batch "$TMP/repeats.json" --json --jobs 4 \
+    --store "$TMP/repeats-$PASS" --stats \
+    > "$TMP/repeats-$PASS.json" 2> "$TMP/repeats-$PASS.log"
+  cmp "$TMP/repeats-ref.json" "$TMP/repeats-$PASS.json"
+  grep -q "cache stats: hits 6, misses 6, 6 entries" \
+    "$TMP/repeats-$PASS.log"
+  grep -q "hits 0, misses 6, publishes 6," "$TMP/repeats-$PASS.log"
+  only_objects "$TMP/repeats-$PASS"
+done
 
 # A worker fleet over a fresh store agrees with everything above, and
 # the pinned fleet stats line classifies every worker's exit cause.

@@ -20,6 +20,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 
 #ifndef _WIN32
@@ -28,42 +29,6 @@
 #endif
 
 using namespace csc;
-
-//===----------------------------------------------------------------------===//
-// ResultCache
-//===----------------------------------------------------------------------===//
-
-bool ResultCache::lookup(const std::string &Key, BatchRunResult &Out) {
-  std::lock_guard<std::mutex> G(M);
-  auto It = Rows.find(Key);
-  if (It == Rows.end()) {
-    ++Misses;
-    return false;
-  }
-  ++Hits;
-  Out = It->second;
-  return true;
-}
-
-void ResultCache::store(const std::string &Key, const BatchRunResult &Row) {
-  std::lock_guard<std::mutex> G(M);
-  Rows.emplace(Key, Row); // first writer wins on a race
-}
-
-uint64_t ResultCache::hits() const {
-  std::lock_guard<std::mutex> G(M);
-  return Hits;
-}
-
-uint64_t ResultCache::misses() const {
-  std::lock_guard<std::mutex> G(M);
-  return Misses;
-}
-
-size_t ResultCache::size() const {
-  std::lock_guard<std::mutex> G(M);
-  return Rows.size();
-}
 
 //===----------------------------------------------------------------------===//
 // Manifest parsing
@@ -280,6 +245,30 @@ std::string BatchReport::aggregateJson() const {
 // BatchExecutor
 //===----------------------------------------------------------------------===//
 
+/// What the key step decided for one task.
+struct BatchExecutor::Task {
+  ProgramSlot *Slot;
+  const std::string *Spec;
+  BatchRunResult *Row; ///< Pre-assigned, so completion order is moot.
+  ResultKey K;
+  const Task *Owner = nullptr; ///< Set on a duplicate of Owner's key.
+  bool Reusable = false;       ///< Solved, and the cache may keep the row.
+};
+
+namespace {
+
+/// \p Row as served to a task that did not solve it.
+BatchRunResult servedRow(const BatchRunResult &Row, const std::string &Spec) {
+  BatchRunResult Out = Row;
+  Out.Spec = Spec;
+  Out.FromCache = true;
+  Out.FromStore = false;
+  Out.WallMs = 0;
+  return Out;
+}
+
+} // namespace
+
 BatchExecutor::ProgramSlot &BatchExecutor::slotFor(const BatchEntry &E) {
   // The slot key is the program's *identity* (how it is named), not its
   // content — content dedup happens at the result cache via the
@@ -300,12 +289,7 @@ BatchExecutor::ProgramSlot &BatchExecutor::slotFor(const BatchEntry &E) {
   } else {
     Key = "source:" + E.SourceName + "\n" + E.SourceText;
   }
-  std::lock_guard<std::mutex> G(SlotM);
-  for (ProgramSlot &S : Slots)
-    if (S.Key == Key)
-      return S;
-  Slots.emplace_back(std::move(Key));
-  return Slots.back();
+  return Slots[Key];
 }
 
 void BatchExecutor::loadSlot(ProgramSlot &Slot, const BatchEntry &E) {
@@ -332,36 +316,6 @@ void BatchExecutor::loadSlot(ProgramSlot &Slot, const BatchEntry &E) {
   Slot.ProgramJson = J.take();
 }
 
-void BatchExecutor::runSpec(ProgramSlot &Slot, const std::string &Spec,
-                            BatchRunResult &Out) {
-  // The in-process cache in front of the one reuse path (store lookup,
-  // else compute and publish); a store hit also fills the cache, so
-  // repeats stay off the disk. An unparsable spec skips both lookups;
-  // lookupOrRun turns it into a SpecError run with build()'s diagnostic.
-  Timer T;
-  const ResultKeys &Keys = *Slot.Keys;
-  ResultKey K;
-  bool Keyed = Keys.key(Spec, K);
-  if (Keyed && Cache.lookup(K.Key, Out)) {
-    Out.FromCache = true;
-  } else {
-    ResultKeys::Outcome R =
-        Keys.lookupOrRun(*Slot.S, Opts.Store.get(), Spec, K);
-    Out.Status = R.Run.Status;
-    Out.Error = std::move(R.Run.Error);
-    Out.Metrics = R.Run.Metrics;
-    Out.RunJson = std::move(R.RunJson);
-    if (R.Served || R.Published)
-      Out.StoreKey = K.Key;
-    if (Keyed && Keys.reusable(R.Run))
-      Cache.store(K.Key, Out);
-    Out.FromStore = R.Served;
-  }
-  Out.Spec = Spec;
-  Out.Canonical = K.Recipe.Canonical;
-  Out.WallMs = T.elapsedMs();
-}
-
 BatchReport BatchExecutor::run(const std::vector<BatchEntry> &Entries) {
   return runImpl(Entries, nullptr);
 }
@@ -383,80 +337,123 @@ BatchReport BatchExecutor::runImpl(const std::vector<BatchEntry> &Entries,
   Report.Jobs = std::max(1u, Opts.Jobs);
   Report.Entries.resize(Entries.size());
 
-  // Pre-assign result slots so completion order cannot reorder output.
-  std::vector<ProgramSlot *> EntrySlots(Entries.size());
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    Report.Entries[I].Label =
-        !Entries[I].Label.empty() ? Entries[I].Label
-        : !Entries[I].Files.empty()
-            ? Entries[I].Files.front()
-            : (Entries[I].SourceName.empty() ? "<batch>"
-                                             : Entries[I].SourceName);
-    Report.Entries[I].Files = Entries[I].Files;
-    Report.Entries[I].Runs.resize(Entries[I].Specs.size());
-    EntrySlots[I] = &slotFor(Entries[I]);
-  }
-
-  // SpecIdx == npos loads the program without running anything (entries
-  // with an empty spec list still need their load outcome).
-  constexpr size_t LoadOnly = static_cast<size_t>(-1);
-  auto RunTask = [this, &Entries, &Report, &EntrySlots](size_t EntryIdx,
-                                                        size_t SpecIdx) {
-    ProgramSlot &Slot = *EntrySlots[EntryIdx];
-    std::call_once(Slot.Once,
-                   [&] { loadSlot(Slot, Entries[EntryIdx]); });
-    if (!Slot.S || SpecIdx == LoadOnly)
-      return; // load outcome is sequenced below
-    runSpec(Slot, Entries[EntryIdx].Specs[SpecIdx],
-            Report.Entries[EntryIdx].Runs[SpecIdx]);
-  };
-
-  // Select this process's tasks. Spec tasks are numbered in manifest
-  // order (the same numbering in every process over one manifest, which
-  // is what lets ledger task ids partition a worker fleet); skipped tasks
-  // are recorded, and load-only entries are skipped entirely in filtered
-  // mode — a worker has no use for a load outcome it will not report.
-  std::vector<std::pair<size_t, size_t>> Tasks;
-  std::vector<bool> Attempted(Entries.size(), false);
+  // Plan. Spec tasks are numbered in manifest order (the same numbering
+  // in every process over one manifest, which is what lets ledger task
+  // ids partition a worker fleet), and skipped tasks are recorded. An
+  // entry is attempted when it has a task here, or has no specs in an
+  // unfiltered run (its load outcome is still reported); a worker has
+  // no use for a load outcome it will not report.
+  std::vector<ProgramSlot *> EntrySlots(Entries.size(), nullptr);
+  std::vector<std::pair<ProgramSlot *, const BatchEntry *>> Loads;
+  std::vector<Task> Tasks;
   size_t Linear = 0;
   for (size_t E = 0; E != Entries.size(); ++E) {
-    if (Entries[E].Specs.empty()) {
-      if (!Only) {
-        Tasks.emplace_back(E, LoadOnly);
-        Attempted[E] = true;
-      }
-      continue;
-    }
-    for (size_t S = 0; S != Entries[E].Specs.size(); ++S) {
+    const BatchEntry &In = Entries[E];
+    BatchEntryResult &Out = Report.Entries[E];
+    Out.Label = !In.Label.empty()       ? In.Label
+                : !In.Files.empty()     ? In.Files.front()
+                : In.SourceName.empty() ? "<batch>"
+                                        : In.SourceName;
+    Out.Files = In.Files;
+    Out.Runs.resize(In.Specs.size());
+    ProgramSlot &Slot = slotFor(In);
+    bool Attempted = !Only && In.Specs.empty();
+    for (size_t S = 0; S != In.Specs.size(); ++S) {
       bool Mine = !Only || std::find(Only->begin(), Only->end(), Linear) !=
                                Only->end();
       ++Linear;
       if (Mine) {
-        Tasks.emplace_back(E, S);
-        Attempted[E] = true;
+        Tasks.push_back({&Slot, &In.Specs[S], &Out.Runs[S], ResultKey()});
+        Attempted = true;
       } else {
-        Report.Entries[E].Runs[S].Spec = Entries[E].Specs[S];
-        Report.Entries[E].Runs[S].Skipped = true;
+        Out.Runs[S].Spec = In.Specs[S];
+        Out.Runs[S].Skipped = true;
       }
     }
+    if (Attempted && !Slot.Loaded) {
+      Slot.Loaded = true;
+      Loads.emplace_back(&Slot, &In);
+    }
+    EntrySlots[E] = Attempted ? &Slot : nullptr;
   }
 
-  parallelFor(Tasks.size(), Report.Jobs,
-              [&](size_t I) { RunTask(Tasks[I].first, Tasks[I].second); });
+  // Load each program no earlier run loaded.
+  parallelFor(Loads.size(), Report.Jobs, [&](size_t I) {
+    loadSlot(*Loads[I].first, *Loads[I].second);
+  });
 
-  // Sequence load outcomes (deterministic: slot diags don't depend on
-  // which task loaded the program). Entries this worker never touched
-  // keep their default state — all-skipped runs, no load verdict.
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    if (!Attempted[I])
+  // Key. A cached key is served now; a key an earlier task of this run
+  // owns makes a duplicate; any other task solves. An unparsable spec
+  // stays unkeyed, and a spec that does not build is diagnosed by its
+  // own task (the diagnostic may quote its spelling).
+  std::unordered_map<std::string, const Task *> Owners;
+  std::vector<Task *> Solving;
+  for (Task &T : Tasks) {
+    if (!T.Slot->S)
+      continue; // load outcome is sequenced below
+    if (!T.Slot->Keys->key(*T.Spec, T.K)) {
+      Solving.push_back(&T);
       continue;
-    ProgramSlot &Slot = *EntrySlots[I];
-    if (!Slot.S) {
+    }
+    if (const BatchRunResult *Row = Cache.find(T.K.Key)) {
+      *T.Row = servedRow(*Row, *T.Spec);
+      Cache.count(true);
+      continue;
+    }
+    if (T.K.Error.empty()) {
+      auto [It, New] = Owners.try_emplace(T.K.Key, &T);
+      if (!New) {
+        T.Owner = It->second;
+        Cache.count(true);
+        continue;
+      }
+    }
+    Solving.push_back(&T);
+    Cache.count(false);
+  }
+
+  // Solve each owned key through the one reuse path (store lookup, else
+  // compute and publish).
+  parallelFor(Solving.size(), Report.Jobs, [&](size_t I) {
+    Task &T = *Solving[I];
+    BatchRunResult &Out = *T.Row;
+    Timer Time;
+    ResultKeys::Outcome R = T.Slot->Keys->lookupOrRun(
+        *T.Slot->S, Opts.Store.get(), *T.Spec, T.K);
+    Out.Spec = *T.Spec;
+    Out.Canonical = T.K.Recipe.Canonical;
+    Out.Status = R.Run.Status;
+    Out.Error = std::move(R.Run.Error);
+    Out.Metrics = R.Run.Metrics;
+    Out.RunJson = std::move(R.RunJson);
+    Out.FromStore = R.Served;
+    if (R.Served || R.Published)
+      Out.StoreKey = T.K.Key;
+    Out.WallMs = Time.elapsedMs();
+    T.Reusable = !T.K.Key.empty() && T.Slot->Keys->reusable(R.Run);
+  });
+
+  // Fan out: duplicates copy their owner's row (owners come first), and
+  // reusable rows enter the cache.
+  for (const Task &T : Tasks) {
+    if (T.Owner)
+      *T.Row = servedRow(*T.Owner->Row, *T.Spec);
+    else if (T.Reusable)
+      Cache.store(T.K.Key, *T.Row);
+  }
+
+  // Sequence load outcomes. Entries this worker never touched keep their
+  // default state — all-skipped runs, no load verdict.
+  for (size_t I = 0; I != Entries.size(); ++I) {
+    const ProgramSlot *Slot = EntrySlots[I];
+    if (!Slot)
+      continue;
+    if (!Slot->S) {
       Report.Entries[I].LoadFailed = true;
-      Report.Entries[I].LoadDiags = Slot.Diags;
+      Report.Entries[I].LoadDiags = Slot->Diags;
       Report.Entries[I].Runs.clear();
     } else {
-      Report.Entries[I].ProgramJson = Slot.ProgramJson;
+      Report.Entries[I].ProgramJson = Slot->ProgramJson;
     }
   }
 

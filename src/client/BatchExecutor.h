@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs N analysis specs over M programs concurrently (parallelFor over
-/// the task list), with two layers of sharing:
+/// Runs N analysis specs over M programs concurrently, with two layers
+/// of sharing:
 ///
 ///  * one immutable, verified AnalysisSession per distinct program —
-///    loaded once (compute-once under contention) and shared by every
-///    spec task over it, including the session's internally synchronized
-///    pre-analysis slot (every zipper-e task over a program reads one ci
-///    fixpoint), and
+///    loaded once and shared by every spec task over it, including the
+///    session's internally synchronized pre-analysis slot (every
+///    zipper-e task over a program reads one ci fixpoint), and
 ///  * an in-process ResultCache keyed by the one result key
 ///    (store/ResultStore.h: program content, canonical spec, budgets,
 ///    registry) — a repeated (program, spec) pair anywhere in the batch,
@@ -20,12 +19,21 @@
 ///    instead of re-solving. With Options::Store the same key then
 ///    consults the persistent store before computing.
 ///
-/// Results are written into pre-assigned slots and sequenced after every
-/// task has joined, and the per-run JSON is timing-free, so the aggregate
-/// report is byte-identical regardless of --jobs (given deterministic
-/// run outcomes — work budgets are exact, wall-clock budgets can flip
-/// boundary runs). Wall-clock numbers and cache statistics live on the
-/// BatchReport next to the deterministic document, never inside it.
+/// run() works in phases: plan the tasks, load the programs not loaded
+/// yet (in parallel), key every task against the cache and this run's
+/// earlier tasks, solve each key the run owns (in parallel), then fan
+/// the owners' rows out to their duplicates. Within one run() a key is
+/// solved once whatever its outcome; ResultKeys::reusable alone decides
+/// what outlives the run in the cache and the store. Only the sequential
+/// steps touch the slots and the cache, so neither needs a lock, and the
+/// cache counters do not depend on --jobs.
+///
+/// Results are written into pre-assigned slots, and the per-run JSON is
+/// timing-free, so the aggregate report is byte-identical regardless of
+/// --jobs (given deterministic run outcomes — work budgets are exact,
+/// wall-clock budgets can flip boundary runs). Wall-clock numbers and
+/// cache statistics live on the BatchReport next to the deterministic
+/// document, never inside it.
 ///
 /// Thread-safety: one BatchExecutor may be driven from one thread at a
 /// time (run() is not reentrant); all internal parallelism is managed by
@@ -41,9 +49,7 @@
 #include "store/ResultStore.h"
 #include "store/TaskLedger.h"
 
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -83,40 +89,47 @@ struct BatchRunResult {
   RunStatus Status = RunStatus::Completed;
   std::string Error;
   PrecisionMetrics Metrics; ///< Valid only when Status == Completed.
-  double WallMs = 0;     ///< This task's wall time (~0 on a cache hit).
-  bool FromCache = false; ///< Served by the in-process result cache.
+  double WallMs = 0; ///< This task's wall time (0 when not solved).
+  /// Served without solving: from the in-process result cache, or as a
+  /// duplicate of an earlier task of the same run.
+  bool FromCache = false;
   bool FromStore = false; ///< Served by the persistent result store.
   /// True when a filtered run (run() with OnlyTasks) left this task to
   /// another worker: nothing was computed and RunJson is empty.
   bool Skipped = false;
   std::string RunJson; ///< Deterministic per-run report.
   /// The persistent-store key this result lives under — set when the
-  /// row was served from the store or published into it (a cache hit
-  /// keeps the cached row's key); empty otherwise. Pull workers record
-  /// it on the task lease so store GC pins the entry until the
-  /// coordinator consumes it.
+  /// row was served from the store or published into it (a row served
+  /// without solving keeps its source row's key); empty otherwise. Pull
+  /// workers record it on the task lease so store GC pins the entry
+  /// until the coordinator consumes it.
   std::string StoreKey;
 };
 
-/// Thread-safe in-process cache of batch rows, keyed by ResultKey::Key —
-/// the string the persistent store uses too. A row carries the report
-/// (status, metrics, timing-free run JSON), never the PTAResult, so a
-/// cached batch stays cheap in memory. Only ResultKeys::reusable outcomes
-/// are stored.
+/// In-process cache of batch rows, keyed by ResultKey::Key — the string
+/// the persistent store uses too. A row carries the report (status,
+/// metrics, timing-free run JSON), never the PTAResult, so a cached batch
+/// stays cheap in memory. Only ResultKeys::reusable outcomes are stored.
+/// The executor touches it only between its parallel phases.
 class ResultCache {
 public:
-  /// True (and fills \p Out) when \p Key is cached; counts a hit/miss.
-  bool lookup(const std::string &Key, BatchRunResult &Out);
-  /// Stores \p Row under \p Key (first writer wins on a race; identical
-  /// rows by construction, since the key fingerprints the inputs).
-  void store(const std::string &Key, const BatchRunResult &Row);
+  /// The row cached under \p Key, or null.
+  const BatchRunResult *find(const std::string &Key) const {
+    auto It = Rows.find(Key);
+    return It == Rows.end() ? nullptr : &It->second;
+  }
+  void store(const std::string &Key, const BatchRunResult &Row) {
+    Rows.emplace(Key, Row);
+  }
+  /// Counts one keyed task: a hit when it was served without solving
+  /// (cached, or a duplicate of an earlier task in its run), else a miss.
+  void count(bool Hit) { ++(Hit ? Hits : Misses); }
 
-  uint64_t hits() const;
-  uint64_t misses() const;
-  size_t size() const;
+  uint64_t hits() const { return Hits; }
+  uint64_t misses() const { return Misses; }
+  size_t size() const { return Rows.size(); }
 
 private:
-  mutable std::mutex M;
   std::unordered_map<std::string, BatchRunResult> Rows;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -138,8 +151,8 @@ struct BatchReport {
   std::vector<BatchEntryResult> Entries; ///< In input order.
   unsigned Jobs = 1;
   double WallMs = 0;        ///< Whole-batch wall time.
-  uint64_t CacheHits = 0;   ///< Result-cache hits during this run.
-  uint64_t CacheMisses = 0; ///< Result-cache misses during this run.
+  uint64_t CacheHits = 0;   ///< ResultCache::count hits in this run.
+  uint64_t CacheMisses = 0; ///< ResultCache::count misses in this run.
   uint64_t StoreHits = 0;   ///< Persistent-store hits during this run.
   uint64_t StoreMisses = 0; ///< Persistent-store misses during this run.
 
@@ -173,9 +186,9 @@ public:
   explicit BatchExecutor(Options O) : Opts(std::move(O)) {}
 
   /// Runs every (entry, spec) pair, loading each distinct program once
-  /// and consulting the result cache per pair. Sessions and cache persist
-  /// across run() calls on one executor — an identical second batch is
-  /// served entirely from cache.
+  /// and solving each result key the cache lacks once. Sessions and
+  /// cache persist across run() calls on one executor — an identical
+  /// second batch is served entirely from cache.
   BatchReport run(const std::vector<BatchEntry> &Entries);
 
   /// Runs only the (entry, spec) tasks whose linear position in manifest
@@ -190,31 +203,26 @@ public:
   const ResultCache &cache() const { return Cache; }
 
 private:
-  /// Compute-once slot for one distinct program: registered under a
-  /// lock, loaded inside call_once outside it.
+  /// One distinct program, by identity; loaded at most once per executor.
   struct ProgramSlot {
-    explicit ProgramSlot(std::string K) : Key(std::move(K)) {}
-    std::string Key;
-    std::once_flag Once;
+    bool Loaded = false; ///< Set when a run queues the load.
     std::shared_ptr<AnalysisSession> S;
     std::optional<ResultKeys> Keys; ///< Set once S loaded.
     std::vector<std::string> Diags;
     std::string ProgramJson;
   };
+  struct Task; ///< One (entry, spec) task of a run.
 
   ProgramSlot &slotFor(const BatchEntry &E);
   void loadSlot(ProgramSlot &Slot, const BatchEntry &E);
-  void runSpec(ProgramSlot &Slot, const std::string &Spec,
-               BatchRunResult &Out);
   BatchReport runImpl(const std::vector<BatchEntry> &Entries,
                       const std::vector<size_t> *Only);
 
   Options Opts;
   ResultCache Cache;
-  std::mutex SlotM; ///< Guards Slots lookups/inserts only.
-  // deque: slots must stay address-stable across inserts, and once_flag
-  // is neither movable nor copyable.
-  std::deque<ProgramSlot> Slots;
+  /// Keyed by program identity; node-based, so slot references stay
+  /// valid across inserts.
+  std::unordered_map<std::string, ProgramSlot> Slots;
 };
 
 /// The number of linear (entry, spec) tasks a manifest yields — the

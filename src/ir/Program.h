@@ -170,7 +170,6 @@ public:
   //===--------------------------------------------------------------------===
 
   const TypeInfo &type(TypeId T) const { return Types[T]; }
-  TypeInfo &typeMut(TypeId T) { return Types[T]; }
   const FieldInfo &field(FieldId F) const { return Fields[F]; }
   const MethodInfo &method(MethodId M) const { return Methods[M]; }
   MethodInfo &methodMut(MethodId M) { return Methods[M]; }

@@ -111,7 +111,9 @@ ResultKeys::Outcome ResultKeys::lookupOrRun(AnalysisSession &S,
                                             const ResultKey &K) const {
   Outcome Out;
   StoredResult SR;
-  if (Store && !K.Key.empty() && Store->lookup(K.Key, SR)) {
+  // A spec that did not build is never published, so never looked up.
+  if (Store && K.Error.empty() && !K.Key.empty() &&
+      Store->lookup(K.Key, SR)) {
     Out.Run = std::move(SR.Run);
     Out.RunJson = std::move(SR.RunJson);
     Out.Run.Name = Spec;

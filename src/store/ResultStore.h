@@ -124,7 +124,8 @@ public:
 
   /// Builds \p Spec into \p Out and keys it; false (Key empty) when the
   /// spec does not parse. A spec that parses but does not build is still
-  /// keyed — it is looked up, never published — and runs as a SpecError.
+  /// keyed — never looked up in the store nor published — and runs as a
+  /// SpecError.
   bool key(const std::string &Spec, ResultKey &Out) const;
   /// Keys an already built recipe (the server's resident one).
   ResultKey key(AnalysisRecipe Recipe) const;
@@ -135,10 +136,10 @@ public:
   /// are.
   bool reusable(const AnalysisRun &Run) const;
 
-  /// Look up, else run on the session and publish: serves \p Spec from
-  /// \p Store when it holds a valid entry under \p K (key(Spec, K)),
-  /// otherwise runs K.Recipe on \p S — a SpecError run when it did not
-  /// build — and, when the outcome is reusable, publishes it. A null
+  /// Look up, else run on the session and publish: a SpecError run when
+  /// \p K (key(Spec, K)) did not build; otherwise serves \p Spec from
+  /// \p Store when it holds a valid entry under \p K, or runs K.Recipe on
+  /// \p S and, when the outcome is reusable, publishes it. A null
   /// \p Store or an unkeyed \p K only runs. Thread-safe, like
   /// AnalysisSession::run and ResultStore.
   Outcome lookupOrRun(AnalysisSession &S, ResultStore *Store,

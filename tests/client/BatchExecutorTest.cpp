@@ -3,13 +3,15 @@
 // Part of the Cut-Shortcut pointer analysis reproduction.
 //
 // Covers the batch analysis engine: determinism across --jobs (the
-// aggregate report must be byte-identical for 1 vs 8 threads),
-// result-cache behavior within and across run() calls, program
+// aggregate report must be byte-identical for 1 vs 8 threads, and each
+// result key is solved once per run at any --jobs), result-cache
+// behavior within and across run() calls, program
 // fingerprinting, manifest parsing, and failure sequencing.
 //
 //===----------------------------------------------------------------------===//
 
 #include "client/BatchExecutor.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -153,7 +155,9 @@ TEST(BatchExecutorTest, SecondIdenticalRunIsServedFromCache) {
 
 TEST(BatchExecutorTest, DuplicateWorkWithinOneBatchHitsTheCache) {
   // The same (program, spec) pair under two labels and spec spellings:
-  // content fingerprint + canonical spec dedupe them.
+  // content fingerprint + canonical spec dedupe them. However the two
+  // tasks are scheduled, the key is solved and published once and the
+  // second task is served from the first's row.
   BatchEntry A;
   A.Label = "a";
   A.SourceName = "fig.jir";
@@ -163,13 +167,61 @@ TEST(BatchExecutorTest, DuplicateWorkWithinOneBatchHitsTheCache) {
   B.Label = "b";
   B.SourceName = "fig-copy.jir"; // different identity, same content
   B.Specs = {" CSC "};
-  BatchReport R = BatchExecutor(withJobs(1)).run({A, B});
-  EXPECT_EQ(R.CacheMisses, 1u);
-  EXPECT_EQ(R.CacheHits, 1u);
-  ASSERT_EQ(R.Entries[1].Runs.size(), 1u);
-  EXPECT_TRUE(R.Entries[1].Runs[0].FromCache);
-  // Both report under the canonical name regardless of spelling.
-  EXPECT_EQ(R.Entries[0].Runs[0].RunJson, R.Entries[1].Runs[0].RunJson);
+  char Template[] = "duplicate-work-XXXXXX";
+  ASSERT_NE(::mkdtemp(Template), nullptr);
+  for (unsigned Jobs : {1u, 4u}) {
+    for (int Rep = 0; Rep != 20; ++Rep) {
+      SCOPED_TRACE("jobs " + std::to_string(Jobs) + ", run " +
+                   std::to_string(Rep));
+      BatchExecutor::Options O = withJobs(Jobs);
+      ResultStore::Options SO;
+      SO.Dir = std::string(Template) + "/" + std::to_string(Jobs) + "-" +
+               std::to_string(Rep);
+      O.Store = std::make_shared<ResultStore>(SO);
+      BatchReport R = BatchExecutor(O).run({A, B});
+      EXPECT_EQ(R.CacheMisses, 1u);
+      EXPECT_EQ(R.CacheHits, 1u);
+      EXPECT_EQ(O.Store->counters().Publishes, 1u);
+      ASSERT_EQ(R.Entries[1].Runs.size(), 1u);
+      EXPECT_TRUE(R.Entries[1].Runs[0].FromCache);
+      EXPECT_FALSE(R.Entries[1].Runs[0].FromStore);
+      EXPECT_EQ(R.Entries[1].Runs[0].StoreKey,
+                R.Entries[0].Runs[0].StoreKey);
+      // Both report under the canonical name regardless of spelling.
+      EXPECT_EQ(R.Entries[0].Runs[0].RunJson,
+                R.Entries[1].Runs[0].RunJson);
+    }
+  }
+  std::filesystem::remove_all(Template);
+}
+
+TEST(BatchExecutorTest, RepeatedPairsSolveOnceAtAnyJobs) {
+  // Three tiers, each listed twice with alias spellings (k-obj is 2obj):
+  // 18 tasks over 9 keys. Each key is solved once whatever the schedule,
+  // so the cache counters, like the aggregate, do not depend on --jobs.
+  std::vector<WorkloadConfig> Tiers = scalingSuite();
+  std::vector<std::string> Sources;
+  for (size_t T = 1; T != 4; ++T) // scale-s, -m, -l
+    Sources.push_back(generateWorkload(Tiers[T]));
+  std::vector<BatchEntry> Entries;
+  for (const char *Specs : {"ci,csc,2obj", "ci,k-obj,csc"}) {
+    for (size_t T = 1; T != 4; ++T) {
+      BatchEntry E;
+      E.Label = Tiers[T].Name;
+      E.SourceName = Tiers[T].Name + ".jir";
+      E.SourceText = Sources[T - 1];
+      E.Specs = splitSpecList(Specs);
+      Entries.push_back(std::move(E));
+    }
+  }
+  BatchReport R1 = BatchExecutor(withJobs(1)).run(Entries);
+  BatchReport R4 = BatchExecutor(withJobs(4)).run(Entries);
+  for (const BatchReport *R : {&R1, &R4}) {
+    EXPECT_EQ(R->CacheHits, 9u);
+    EXPECT_EQ(R->CacheMisses, 9u);
+    EXPECT_EQ(R->exitCode(), 0);
+  }
+  EXPECT_EQ(R1.aggregateJson(), R4.aggregateJson());
 }
 
 TEST(BatchExecutorTest, SpecAndLoadFailuresAreSequenced) {
@@ -275,6 +327,57 @@ TEST(BatchExecutorTest, WallClockExhaustionIsNotCached) {
       EXPECT_EQ(First.aggregateJson(), Second.aggregateJson());
     }
   }
+  std::filesystem::remove_all(Template);
+}
+
+TEST(BatchExecutorTest, WallClockExhaustedKeyIsSolvedOncePerRun) {
+  // Within one run a key is solved once whatever its outcome: the
+  // repeated task copies the exhausted row. Nothing outlives the run, so
+  // the next run solves the key again.
+  BatchExecutor::Options O;
+  O.TimeBudgetMs = 1e-9; // exhausts at the solver's first budget check
+  BatchExecutor Exec(O);
+  BatchEntry E;
+  E.Label = "wall-clock";
+  E.SourceName = "fig.jir";
+  E.SourceText = FigSource;
+  E.Specs = {"ci", "ci"};
+  for (int Run = 0; Run != 2; ++Run) {
+    SCOPED_TRACE("run " + std::to_string(Run));
+    BatchReport R = Exec.run({E});
+    ASSERT_EQ(R.Entries[0].Runs.size(), 2u);
+    EXPECT_EQ(R.CacheMisses, 1u);
+    EXPECT_EQ(R.CacheHits, 1u);
+    EXPECT_FALSE(R.Entries[0].Runs[0].FromCache);
+    EXPECT_TRUE(R.Entries[0].Runs[1].FromCache);
+    EXPECT_EQ(R.Entries[0].Runs[1].Status, RunStatus::BudgetExhausted);
+  }
+  EXPECT_EQ(Exec.cache().size(), 0u);
+}
+
+TEST(BatchExecutorTest, SpecThatDoesNotBuildSkipsTheStore) {
+  // "foo;x=1" parses but names no analysis. It is never published, so no
+  // pass looks it up: the warm pass hits ci and misses nothing.
+  char Template[] = "unbuilt-spec-XXXXXX";
+  ASSERT_NE(::mkdtemp(Template), nullptr);
+  BatchExecutor::Options O;
+  ResultStore::Options SO;
+  SO.Dir = Template;
+  O.Store = std::make_shared<ResultStore>(SO);
+  BatchEntry E;
+  E.Label = "unbuilt";
+  E.SourceName = "fig.jir";
+  E.SourceText = FigSource;
+  E.Specs = {"ci", "foo;x=1"};
+  BatchReport Cold = BatchExecutor(O).run({E});
+  EXPECT_EQ(Cold.StoreHits, 0u);
+  EXPECT_EQ(Cold.StoreMisses, 1u);
+  BatchReport Warm = BatchExecutor(O).run({E});
+  EXPECT_EQ(Warm.StoreHits, 1u);
+  EXPECT_EQ(Warm.StoreMisses, 0u);
+  ASSERT_EQ(Warm.Entries[0].Runs.size(), 2u);
+  EXPECT_EQ(Warm.Entries[0].Runs[1].Status, RunStatus::SpecError);
+  EXPECT_EQ(Cold.aggregateJson(), Warm.aggregateJson());
   std::filesystem::remove_all(Template);
 }
 
